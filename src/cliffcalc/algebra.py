@@ -150,7 +150,7 @@ class Multivector:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out[m] + c if m in out else c
-        return Multivector(self.n, out)
+        return _multivector(self.n, out)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
@@ -159,10 +159,10 @@ class Multivector:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out[m] - c if m in out else -c
-        return Multivector(self.n, out)
+        return _multivector(self.n, out)
 
     def __neg__(self):
-        return Multivector(self.n, {m: -c for m, c in self.terms.items()})
+        return _multivector(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -175,12 +175,12 @@ class Multivector:
                     if product_sign(a, b) < 0:
                         c = -c
                     out[m] = out[m] + c if m in out else c
-            return Multivector(self.n, out)
-        return Multivector(self.n, {m: c * other for m, c in self.terms.items()})
+            return _multivector(self.n, out)
+        return _multivector(self.n, {m: c * other for m, c in self.terms.items()})
 
     def __rmul__(self, other):
         # scalar * multivector; scalars commute with every coefficient ring we use
-        return Multivector(self.n, {m: other * c for m, c in self.terms.items()})
+        return _multivector(self.n, {m: other * c for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, Multivector) and self.n == other.n and self.terms == other.terms
@@ -197,8 +197,8 @@ class Multivector:
     def grade(self, k: int) -> "Multivector":
         """Projection on grade k; zero for k outside 0..n by convention."""
         if k < 0 or k > self.n:
-            return Multivector(self.n)
-        return Multivector(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == k})
+            return _multivector(self.n, {})
+        return _multivector(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == k})
 
     def grades(self):
         return sorted({m.bit_count() for m in self.terms})
@@ -215,10 +215,10 @@ class Multivector:
             if (k * (k + 1) // 2) & 1:
                 cc = -cc
             out[m] = cc
-        return Multivector(self.n, out)
+        return _multivector(self.n, out)
 
     def map_coeffs(self, fn) -> "Multivector":
-        return Multivector(self.n, {m: fn(c) for m, c in self.terms.items()})
+        return _multivector(self.n, {m: fn(c) for m, c in self.terms.items()})
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector (numeric coefficients only)."""
@@ -249,6 +249,18 @@ class Multivector:
             mask = parse_blade(blade_src)
             terms[mask] = terms.get(mask, 0j) + complex(coeff_src)
         return cls(n, terms)
+
+
+def _multivector(n, terms):
+    """Multivector from terms computed out of checked multivectors.
+
+    Drops numeric zeros, but skips the dimension and blade checks that the
+    public constructor makes on outside input.
+    """
+    mv = object.__new__(Multivector)
+    mv.n = n
+    mv.terms = {m: c for m, c in terms.items() if not _is_zero(c)}
+    return mv
 
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:

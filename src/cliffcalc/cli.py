@@ -77,7 +77,9 @@ def _require(config, key, kind=None):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
     value = config[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but `true` is not a dimension or a grade
+    wrong_bool = kind is int and isinstance(value, bool)
+    if kind is not None and (wrong_bool or not isinstance(value, kind)):
         raise ConfigError(f"config key {key!r} has the wrong type (expected {kind})")
     return value
 

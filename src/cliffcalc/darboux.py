@@ -257,7 +257,6 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
     """
     lam2 = as_lambda(lam) ** 2
     sign = 1.0 if (k + 1) % 2 == 0 else -1.0
-    n = grid.n
 
     def w_mv(p, order=0):
         fj = f.at(p, order + 1)

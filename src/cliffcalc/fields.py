@@ -224,16 +224,6 @@ def _inv_scalar(c):
     return 1.0 / c
 
 
-def div_by_scalar_field(f, s):
-    """Pointwise f / s with s a scalar-valued field."""
-
-    def at(p, o):
-        inv = _inv_scalar(scalar_of(s.at(p, o)))
-        return f.at(p, o).map_coeffs(lambda t: t * inv)
-
-    return DerivedField(f.n, at)
-
-
 # -- pointwise operations ----------------------------------------------------
 
 def dirac(f: MultivectorField, p) -> Multivector:
@@ -354,7 +344,9 @@ def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT, scale_at
     for p in grid.points():
         r = residual_at(p)
         v = r if isinstance(r, float) else r.norm()
-        if v >= sup:
+        # NaN compares false with everything: take it as the worst sample
+        # explicitly, or it would never reach sup and the check would pass
+        if v >= sup or math.isnan(v):
             sup = v
             worst = p
         sumsq += v * v
@@ -365,4 +357,5 @@ def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT, scale_at
         raise FieldError("all grid points were excluded")
     tolerance = tol if tol is not None else eps * (1.0 + scale)
     rms = math.sqrt(sumsq / count)
-    return ResidualReport(sup, rms, worst, count, tolerance, sup <= tolerance)
+    # sup is finite only if every sample was: an infinite one fails even an infinite tolerance
+    return ResidualReport(sup, rms, worst, count, tolerance, math.isfinite(sup) and sup <= tolerance)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, Multivector, pseudoscalar
+from .algebra import Multivector, pseudoscalar
 from .fields import (
     EPS_EXACT,
     DerivedField,

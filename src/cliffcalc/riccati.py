@@ -16,7 +16,6 @@ from .algebra import Multivector
 from .expr import BinOp, ScalarExpr, constant_expr
 from .fields import (
     EPS_EXACT,
-    EPS_FD,
     ConstantField,
     DerivedField,
     ExprField,
@@ -28,7 +27,6 @@ from .fields import (
     ResidualReport,
     add_fields,
     dirac_field,
-    div_by_scalar_field,
     grid_residual,
     mv_dirac,
     mv_laplacian,

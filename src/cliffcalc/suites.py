@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 from .algebra import Multivector, conjugate, dot_and_wedge, linear_combine
 from .darboux import kvector_closed_form, minus_op, plus_op
-from .expr import parse
 from .fields import (
     ExprField,
-    FDField,
     kvector_leibniz_residual,
     mv_value,
     scalar_leibniz_residual,
 )
-from .kernel import PseudoscalarMode, apply_A, apply_B, default_mode, operator_field
+from .kernel import apply_A, default_mode, operator_field
 
 
 def random_point(rng: random.Random, n, lo=-1.0, hi=1.0):

@@ -1,16 +1,32 @@
 """Truncated multivariate Taylor arithmetic: forward-mode jets of any order.
 
 A Taylor value represents a smooth function near a point by its Taylor
-coefficients up to a fixed total degree. coef maps a multi-index tuple
-alpha to (partial^alpha f)/alpha!; exactly-zero entries are dropped.
-Binary operations truncate to the smaller of the two orders, so the order
-attribute always states how many derivatives of the result are trustworthy.
+coefficients up to a fixed total degree. Binary operations truncate to the
+smaller of the two orders, so the order attribute always states how many
+derivatives of the result are trustworthy.
+
+The monomials x^alpha in n variables are numbered once, in graded order:
+index 0 is the constant, indices 1..n are x_1..x_n, then come the degree-2
+monomials, and so on, each degree in descending lexicographic order of
+alpha. Degree never decreases with the index, so the numbering for order k
+is a prefix of the numbering for order k + 1, and "degree <= k" is "index
+< comb(n + k, k)". A jet stores a dict from monomial index to the
+coefficient (partial^alpha f)/alpha!, with exactly-zero entries dropped.
+Products, derivatives and compositions look indices up in tables built
+once per (n, order) by _basis, so no exponent tuple is built or summed per
+coefficient pair. The coef attribute is a read-only view of the same
+coefficients keyed by the exponent tuple alpha.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import numbers
+from collections.abc import Mapping
+from functools import lru_cache
+from math import comb
+from typing import NamedTuple
 
 
 class JetDomainError(ArithmeticError):
@@ -21,63 +37,137 @@ class JetOrderError(ValueError):
     """A derivative was requested beyond the tracked truncation order."""
 
 
-def _deg(alpha):
-    return sum(alpha)
+def _monomials(n, d):
+    """Exponent tuples of degree d in n variables, in descending lexicographic order."""
+    for factors in itertools.combinations_with_replacement(range(n), d):
+        alpha = [0] * n
+        for j in factors:
+            alpha[j] += 1
+        yield tuple(alpha)
+
+
+class _Basis(NamedTuple):
+    exps: list  # index -> exponent tuple
+    index: dict  # exponent tuple -> index
+    mul: list  # mul[i][j]: index of x^exps[i] * x^exps[j], for every j within the order
+    lower: list  # lower[j][i]: (index of x^exps[i] / x_j, exponent of x_j), or None if it is 0
+
+
+@lru_cache(maxsize=None)
+def _basis(n: int, order: int) -> _Basis:
+    """Index tables for the monomials of degree <= order in n variables."""
+    exps = [alpha for d in range(order + 1) for alpha in _monomials(n, d)]
+    index = {alpha: i for i, alpha in enumerate(exps)}
+    # the partners of x^a within the order are the monomials of degree <= order - |a|
+    mul = [[index[tuple(x + y for x, y in zip(a, b))] for b in exps[:comb(n + order - sum(a), n)]]
+           for a in exps]
+    lower = [[(index[a[:j] + (a[j] - 1,) + a[j + 1:]], a[j]) if a[j] else None for a in exps]
+             for j in range(n)]
+    return _Basis(exps, index, mul, lower)
+
+
+class _CoefView(Mapping):
+    """Read-only view of a jet's coefficients keyed by exponent tuple."""
+
+    __slots__ = ("_coef", "_basis")
+
+    def __init__(self, coef, basis):
+        self._coef = coef
+        self._basis = basis
+
+    def __getitem__(self, alpha):
+        return self._coef[self._basis.index[alpha]]
+
+    def __iter__(self):
+        exps = self._basis.exps
+        return (exps[i] for i in self._coef)
+
+    def __len__(self):
+        return len(self._coef)
+
+
+def _jet(n, order, coef):
+    """Jet owning coef, a fresh index-keyed dict within the order, such as an
+    operation's result.
+
+    Drops exact zeros and skips the checks the public constructor makes.
+    """
+    t = object.__new__(Taylor)
+    t.n = n
+    t.order = order
+    if 0 in coef.values():
+        coef = {i: c for i, c in coef.items() if c != 0}
+    t._coef = coef
+    return t
 
 
 class Taylor:
-    __slots__ = ("n", "order", "coef")
+    __slots__ = ("n", "order", "_coef")
 
     def __init__(self, n, order, coef=None):
+        """Jet from coefficients keyed by exponent tuple; terms above the order
+        and exact zeros are dropped."""
         self.n = n
         self.order = order
-        self.coef = {}
+        self._coef = {}
         if coef:
+            index = _basis(n, order).index
             for a, c in coef.items():
-                if c != 0 and _deg(a) <= order:
-                    self.coef[a] = c
+                if c != 0 and sum(a) <= order:
+                    i = index.get(a)
+                    if i is None:
+                        raise ValueError(f"{a!r} is not a multi-index in {n} variables")
+                    self._coef[i] = c
 
     @classmethod
     def constant(cls, value, n, order):
-        return cls(n, order, {(0,) * n: complex(value)})
+        return _jet(n, order, {0: complex(value)})
 
     @classmethod
     def variable(cls, j, x0, n, order):
         """Seed for the j-th coordinate (0-based) at base value x0."""
-        coef = {(0,) * n: complex(x0)}
+        if not 0 <= j < n:
+            raise ValueError(f"variable index {j} out of range for {n} variables")
+        coef = {0: complex(x0)}
         if order >= 1:
-            unit = tuple(1 if i == j else 0 for i in range(n))
-            coef[unit] = 1.0 + 0j
-        return cls(n, order, coef)
+            coef[1 + j] = 1.0 + 0j
+        return _jet(n, order, coef)
+
+    @property
+    def coef(self):
+        """Coefficients keyed by exponent tuple alpha, as a read-only view."""
+        return _CoefView(self._coef, _basis(self.n, self.order))
 
     def is_zero(self):
-        return not self.coef
+        return not self._coef
 
     # -- coefficient extraction ------------------------------------------
 
     @property
     def value(self):
-        return self.coef.get((0,) * self.n, 0j)
+        return self._coef.get(0, 0j)
 
     def grad(self, j):
-        unit = tuple(1 if i == j else 0 for i in range(self.n))
-        return self.coef.get(unit, 0j)
+        if not 0 <= j < self.n:
+            raise ValueError(f"variable index {j} out of range for {self.n} variables")
+        return self._coef.get(1 + j, 0j)
 
     def second(self, j, k):
         alpha = tuple((i == j) + (i == k) for i in range(self.n))
-        c = self.coef.get(alpha, 0j)
+        c = self._coef.get(_basis(self.n, 2).index[alpha], 0j)
         return 2 * c if j == k else c
 
     def diff(self, j):
         """Exact partial derivative; costs one order of truncation."""
         if self.order < 1:
             raise JetOrderError("jet order 0 carries no derivative information")
+        lower = _basis(self.n, self.order).lower[j]
         out = {}
-        for a, c in self.coef.items():
-            if a[j]:
-                b = a[:j] + (a[j] - 1,) + a[j + 1:]
-                out[b] = c * a[j]
-        return Taylor(self.n, self.order - 1, out)
+        for i, c in self._coef.items():
+            low = lower[i]
+            if low is not None:
+                out[low[0]] = c * low[1]
+        return _jet(self.n, self.order - 1, out)
 
     # -- ring operations --------------------------------------------------
 
@@ -95,11 +185,12 @@ class Taylor:
         if other is None:
             return NotImplemented
         k = min(self.order, other.order)
-        out = {a: c for a, c in self.coef.items() if _deg(a) <= k}
-        for a, c in other.coef.items():
-            if _deg(a) <= k:
-                out[a] = out.get(a, 0j) + c
-        return Taylor(self.n, k, out)
+        size = comb(self.n + k, k)
+        out = {i: c for i, c in self._coef.items() if i < size}
+        for i, c in other._coef.items():
+            if i < size:
+                out[i] = out.get(i, 0j) + c
+        return _jet(self.n, k, out)
 
     __radd__ = __add__
 
@@ -113,31 +204,35 @@ class Taylor:
         return (-self) + other
 
     def __neg__(self):
-        return Taylor(self.n, self.order, {a: -c for a, c in self.coef.items()})
+        return _jet(self.n, self.order, {i: -c for i, c in self._coef.items()})
 
     def __mul__(self, other):
         if isinstance(other, numbers.Complex):
-            return Taylor(self.n, self.order, {a: c * other for a, c in self.coef.items()})
+            return _jet(self.n, self.order, {i: c * other for i, c in self._coef.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         k = min(self.order, other.order)
+        mul = _basis(self.n, k).mul
+        size = len(mul)
+        theirs = other._coef.items()
         out = {}
-        for a, ca in self.coef.items():
-            da = _deg(a)
-            if da > k:
+        for i, ca in self._coef.items():
+            if i >= size:
                 continue
-            for b, cb in other.coef.items():
-                if da + _deg(b) > k:
+            row = mul[i]
+            width = len(row)
+            for j, cb in theirs:
+                if j >= width:
                     continue
-                m = tuple(x + y for x, y in zip(a, b))
+                m = row[j]
                 c = ca * cb
                 out[m] = out[m] + c if m in out else c
-        return Taylor(self.n, k, out)
+        return _jet(self.n, k, out)
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):
-            return Taylor(self.n, self.order, {a: other * c for a, c in self.coef.items()})
+            return _jet(self.n, self.order, {i: other * c for i, c in self._coef.items()})
         return NotImplemented
 
     def __truediv__(self, other):
@@ -156,14 +251,13 @@ class Taylor:
         return NotImplemented
 
     def conjugate(self):
-        return Taylor(self.n, self.order, {a: c.conjugate() for a, c in self.coef.items()})
+        return _jet(self.n, self.order, {i: c.conjugate() for i, c in self._coef.items()})
 
     # -- analytic functions via univariate composition ---------------------
 
     def _compose(self, derivs):
         """Sum of derivs[m]/m! * (self - value)^m, truncated."""
-        zero = (0,) * self.n
-        hat = Taylor(self.n, self.order, {a: c for a, c in self.coef.items() if a != zero})
+        hat = _jet(self.n, self.order, {i: c for i, c in self._coef.items() if i})  # index 0: constant
         acc = Taylor.constant(derivs[0], self.n, self.order)
         power = Taylor.constant(1.0, self.n, self.order)
         fact = 1.0

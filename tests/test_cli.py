@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -60,6 +61,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, _ = run_cli(capsys, "riccati-check", "--config", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("command, config", [
+    ("riccati-check", {**RICCATI_CFG, "n": True}),
+    ("darboux-kvector", {"n": 2, "k": True, "lambda": 1.0,
+                         "fields": {"f": {"e1": "1"}, "g": {"e1": "1"}}}),
+])
+def test_bool_is_not_an_integer(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path, "c.json", config)
+    code, _, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2 and "wrong type" in err
+
+
+def test_nan_residual_fails_without_traceback(tmp_path, capsys):
+    big = "exp(700)*exp(700)*x1"
+    cfg = write_config(tmp_path, "c.json", {
+        "n": 2, "fields": {"f": {"e1": f"{big} - {big}"}, "v": "0"},
+        "grid": {"samples_per_axis": 3}})
+    code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
+    assert code == 1 and err == ""
+    report = load(out)["reports"][0]
+    assert report["name"] == "riccati" and report["pass"] is False
+    assert math.isnan(report["sup_norm"]) and report["worst_point"] is not None
 
 
 def test_bad_expression_is_config_error(tmp_path, capsys):

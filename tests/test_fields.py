@@ -166,3 +166,24 @@ def test_residual_report_dict():
     assert d["sup_norm"] == pytest.approx(1.0)
     assert d["worst_point"] in ([-1.0], [1.0])
     assert d["rms"] == pytest.approx(math.sqrt(2 / 3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("where", [-1.0, 0.0, 1.0])
+def test_grid_residual_non_finite_sample_is_worst_and_fails(bad, where):
+    g = GridSpec.cube(1, samples_per_axis=3)
+    rep = grid_residual(lambda p: bad if p[0] == where else 0.0, g, tol=math.inf)
+    assert rep.worst_point == (where,)
+    assert not rep.passed
+    assert not math.isfinite(rep.sup_norm)
+    assert rep.to_dict()["pass"] is False
+
+
+def test_grid_residual_nan_multivector_fails():
+    # inf - inf: every coefficient of the field is NaN at every point
+    big = "exp(700)*exp(700)*x1"
+    f = ExprField(1, {"e1": f"{big} - {big}"})
+    rep = grid_residual(lambda p: mv_value(f.at(p)), GridSpec.cube(1, samples_per_axis=3))
+    assert math.isnan(rep.sup_norm)
+    assert rep.worst_point is not None
+    assert not rep.passed

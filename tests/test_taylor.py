@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffcalc.taylor import JetDomainError, JetOrderError, Taylor
+from cliffcalc.taylor import JetDomainError, JetOrderError, Taylor, _basis
 
 
 def jet1(fn_str_order=3, x0=0.4):
@@ -132,3 +133,162 @@ def test_exp_log_round_trip(x0):
     for k in range(4):
         want = x0 if k == 0 else (1.0 if k == 1 else 0.0)
         assert abs(back.coef.get((k,), 0j) - want) < 1e-10
+
+
+def test_constructor_rejects_malformed_multi_indices():
+    with pytest.raises(ValueError):
+        Taylor(2, 2, {(1, 0, 0): 1.0})
+    with pytest.raises(ValueError):
+        Taylor(2, 2, {(2, -1): 1.0})
+    with pytest.raises(ValueError):
+        Taylor.variable(2, 0.5, 2, 1)
+    with pytest.raises(ValueError):
+        Taylor.variable(0, 0.5, 2, 2).grad(2)
+    # above the order is not malformed: the term is truncated away
+    assert dict(Taylor(2, 1, {(0, 0): 1.0, (1, 1): 1.0}).coef) == {(0, 0): 1.0}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_numbering_is_graded_and_prefix_closed(n):
+    for order in range(4):
+        small, big = _basis(n, order).exps, _basis(n, order + 1).exps
+        assert big[:len(small)] == small
+        assert len(small) == math.comb(n + order, order) == len(set(small))
+        degrees = [sum(alpha) for alpha in big]
+        assert degrees == sorted(degrees) and max(degrees) == order + 1
+    # the constant first, then x_1..x_n, as value and grad read them
+    assert _basis(n, 1).exps == [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+
+# -- exact reference: jet arithmetic on dicts keyed by exponent tuple ----------
+#
+# This is the representation the index tables replaced. Each reference
+# operation performs the same floating-point operations in the same order,
+# so the results must agree bit for bit, insertion order included.
+
+def ref_jet(coef, order):
+    return order, {a: c for a, c in coef.items() if c != 0 and sum(a) <= order}
+
+
+def ref_add(x, y):
+    k = min(x[0], y[0])
+    out = {a: c for a, c in x[1].items() if sum(a) <= k}
+    for a, c in y[1].items():
+        if sum(a) <= k:
+            out[a] = out.get(a, 0j) + c
+    return ref_jet(out, k)
+
+
+def ref_mul(x, y):
+    k = min(x[0], y[0])
+    out = {}
+    for a, ca in x[1].items():
+        da = sum(a)
+        if da > k:
+            continue
+        for b, cb in y[1].items():
+            if da + sum(b) > k:
+                continue
+            m = tuple(p + q for p, q in zip(a, b))
+            c = ca * cb
+            out[m] = out[m] + c if m in out else c
+    return ref_jet(out, k)
+
+
+def ref_scale(x, s):
+    return ref_jet({a: c * s for a, c in x[1].items()}, x[0])
+
+
+def ref_rscale(s, x):
+    return ref_jet({a: s * c for a, c in x[1].items()}, x[0])
+
+
+def ref_diff(x, j):
+    out = {}
+    for a, c in x[1].items():
+        if a[j]:
+            out[a[:j] + (a[j] - 1,) + a[j + 1:]] = c * a[j]
+    return ref_jet(out, x[0] - 1)
+
+
+def ref_value(x, n):
+    return x[1].get((0,) * n, 0j)
+
+
+def ref_compose(x, n, derivs):
+    zero = (0,) * n
+    order = x[0]
+    hat = (order, {a: c for a, c in x[1].items() if a != zero})
+    acc = ref_jet({zero: complex(derivs[0])}, order)
+    power = ref_jet({zero: complex(1.0)}, order)
+    fact = 1.0
+    for m in range(1, order + 1):
+        power = ref_mul(power, hat)
+        fact *= m
+        acc = ref_add(acc, ref_scale(power, derivs[m] / fact))
+    return acc
+
+
+def ref_exp(x, n):
+    return ref_compose(x, n, [cmath.exp(ref_value(x, n))] * (x[0] + 1))
+
+
+def ref_reciprocal(x, n):
+    u0 = ref_value(x, n)
+    derivs = [1.0 / u0]
+    for m in range(1, x[0] + 1):
+        derivs.append(derivs[-1] * (-m) / u0)
+    return ref_compose(x, n, derivs)
+
+
+def assert_same(t, ref):
+    order, coef = ref
+    assert t.order == order
+    assert t.coef == coef
+    # repr tells -0.0 from 0.0 and shows insertion order, which later sums depend on
+    assert repr(list(t.coef.items())) == repr(list(coef.items()))
+
+
+# small integers make exact cancellations, and so exact zeros, likely
+COEFS = st.one_of(
+    st.sampled_from([0j, 0.0, 1.0, -1.0, 2j, 1 - 1j, -0.0]),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def operands(draw, n):
+    """(order, coef) with sparse coefficients, some above the order."""
+    order = draw(st.integers(0, 4))
+    coef = {}
+    for _ in range(draw(st.integers(0, 8))):
+        alpha = [0] * n
+        for _ in range(draw(st.integers(0, order + 1))):
+            alpha[draw(st.integers(0, n - 1))] += 1
+        coef[tuple(alpha)] = draw(COEFS)
+    return order, coef
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_index_arithmetic_matches_tuple_reference(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    x = data.draw(operands(n), label="x")
+    y = data.draw(operands(n), label="y")
+    s = data.draw(COEFS, label="scalar")
+    tx, ty = Taylor(n, x[0], x[1]), Taylor(n, y[0], y[1])
+    rx, ry = ref_jet(x[1], x[0]), ref_jet(y[1], y[0])
+    assert_same(tx, rx)
+    assert_same(tx + ty, ref_add(rx, ry))
+    assert_same(tx * ty, ref_mul(rx, ry))
+    assert_same(tx * s, ref_scale(rx, s))
+    assert_same(s * tx, ref_rscale(s, rx))
+    if rx[0] >= 1:
+        for j in range(n):
+            assert_same(tx.diff(j), ref_diff(rx, j))
+    if abs(ref_value(rx, n)) < 5:
+        assert_same(tx.exp(), ref_exp(rx, n))
+    if ref_value(rx, n) == 0:
+        with pytest.raises(JetDomainError):
+            tx.reciprocal()
+    elif abs(ref_value(rx, n)) > 0.1:  # no overflow to NaN, which equals nothing
+        assert_same(tx.reciprocal(), ref_reciprocal(rx, n))
