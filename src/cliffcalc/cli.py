@@ -49,6 +49,7 @@ from .riccati import (
 from .suites import identity_suite
 
 SCHEMA_VERSION = 1
+NUMBER = (int, float)
 
 
 class ConfigError(ValueError):
@@ -73,15 +74,33 @@ CLAIMS = {
 }
 
 
+def _is_a(value, kind):
+    # bool is a subclass of int, but `true` is not a number, a dimension or a grade
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _require(config, key, kind=None):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
     value = config[key]
-    # bool is a subclass of int, but `true` is not a dimension or a grade
-    wrong_bool = kind is int and isinstance(value, bool)
-    if kind is not None and (wrong_bool or not isinstance(value, kind)):
-        raise ConfigError(f"config key {key!r} has the wrong type (expected {kind})")
+    if kind is not None and not _is_a(value, kind):
+        expected = "number" if kind is NUMBER else kind.__name__
+        raise ConfigError(f"config key {key!r} has the wrong type (expected {expected})")
     return value
+
+
+def _optional(config, key, kind, default):
+    return _require(config, key, kind) if key in config else default
+
+
+def _complex(raw, what) -> complex:
+    """A number, [re, im] or {"re": re, "im": im} as a complex number."""
+    if isinstance(raw, dict):
+        raw = [raw.get("re", 0.0), raw.get("im", 0.0)]
+    parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
+    if not all(_is_a(x, NUMBER) for x in parts):
+        raise ConfigError(f"{what} must be a number, [re, im], or {{re, im}}")
+    return complex(*parts)
 
 
 def _load_field(config, name, n) -> ExprField:
@@ -100,27 +119,19 @@ def _load_field(config, name, n) -> ExprField:
 
 
 def _load_grid(config, n) -> GridSpec:
-    grid = config.get("grid", {})
-    box = grid.get("box") or [[-1.0, 1.0]] * n
+    grid = _optional(config, "grid", dict, {})
+    box = _optional(grid, "box", list, None) or [[-1.0, 1.0]] * n
     if len(box) != n:
         raise ConfigError(f"grid box has {len(box)} axes, expected {n}")
-    samples = grid.get("samples_per_axis", 11)
+    samples = _optional(grid, "samples_per_axis", int, 11)
     try:
-        return GridSpec(tuple((float(lo), float(hi)) for lo, hi in box), int(samples))
+        return GridSpec(tuple((float(lo), float(hi)) for lo, hi in box), samples)
     except (FieldError, TypeError, ValueError) as err:
         raise ConfigError(f"bad grid: {err}") from err
 
 
 def _load_lambda(config) -> complex:
-    raw = _require(config, "lambda")
-    if isinstance(raw, (int, float)):
-        lam = complex(raw)
-    elif isinstance(raw, list) and len(raw) == 2:
-        lam = complex(raw[0], raw[1])
-    elif isinstance(raw, dict):
-        lam = complex(raw.get("re", 0.0), raw.get("im", 0.0))
-    else:
-        raise ConfigError("lambda must be a number, [re, im], or {re, im}")
+    lam = _complex(_require(config, "lambda"), "lambda")
     if lam == 0:
         raise ConfigError("lambda must be nonzero")
     return lam
@@ -140,10 +151,10 @@ def _load_mode(config, n) -> PseudoscalarMode:
     raise ConfigError(f"unknown mode {kind!r}")
 
 
-def _eps(config, args):
+def _eps(config, args, default=EPS_EXACT):
     if args.tol is not None:
         return args.tol
-    return config.get("tolerance", EPS_EXACT)
+    return _optional(config, "tolerance", NUMBER, default)
 
 
 def _report_dicts(named_reports):
@@ -162,8 +173,10 @@ def _candidate(config, n, f_name="f", v_name="v") -> RiccatiCandidate:
 
 def _cmd_verify_identities(config, args):
     n = _require(config, "n", int)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    rounds = config.get("rounds", 25)
+    if n < 2:
+        raise ConfigError("verify-identities needs n >= 2")
+    seed = args.seed if args.seed is not None else _optional(config, "seed", int, 0)
+    rounds = _optional(config, "rounds", int, 25)
     entries = identity_suite(n, seed, rounds)
     reports = [
         {"name": e.name, "sup_norm": e.worst, "tolerance": e.tolerance,
@@ -189,7 +202,7 @@ def _cmd_riccati_check(config, args):
 
 def _cmd_riccati_separable(config, args):
     n = _require(config, "n", int)
-    eps = config.get("tolerance", EPS_FD) if args.tol is None else args.tol
+    eps = _eps(config, args, EPS_FD)
     grid = _load_grid(config, n)
     try:
         v_list = [parse(src, n) for src in _require(config, "v_list", list)]
@@ -197,7 +210,7 @@ def _cmd_riccati_separable(config, args):
         raise ConfigError(f"v_list: {err}") from err
     x0 = config.get("x0", [0.0] * n)
     f0 = config.get("f0", [0.0] * n)
-    step = config.get("ode_step", 1e-3)
+    step = _optional(config, "ode_step", NUMBER, 1e-3)
     try:
         cand = separable_solve(v_list, x0, f0, grid.box, step=step)
     except OdeBlowupError as err:
@@ -219,7 +232,7 @@ def _cmd_euler_shift(config, args):
 def _cmd_euler_combine(config, args):
     n = _require(config, "n", int)
     eps = _eps(config, args)
-    K = complex(*config["K"]) if isinstance(config.get("K"), list) else complex(_require(config, "K"))
+    K = _complex(_require(config, "K"), "K")
     phi1 = _load_field(config, "phi1", n)
     phi2 = _load_field(config, "phi2", n)
     v = _load_field(config, "v", n)
@@ -230,9 +243,8 @@ def _cmd_euler_combine(config, args):
 def _cmd_family_gap(config, args):
     n = _require(config, "n", int)
     eps = _eps(config, args)
-    samples = _require(config, "K_samples", list)
-    K_samples = [complex(*s) if isinstance(s, list) else complex(s) for s in samples]
-    margin = config.get("margin", 0.1)
+    K_samples = [_complex(s, "K_samples entry") for s in _require(config, "K_samples", list)]
+    margin = _optional(config, "margin", NUMBER, 0.1)
     result = combination_family_gap(n, _load_grid(config, n), K_samples, margin=margin, eps=eps)
     extras = {
         "margin": margin,
@@ -366,7 +378,7 @@ def main(argv=None) -> int:
     except (ConfigError, ExprError, AlgebraError, ModeError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (PreconditionError, FieldError) as err:
+    except (PreconditionError, FieldError, ArithmeticError) as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
     payload = {

@@ -19,15 +19,16 @@ from .fields import (
     FieldError,
     GridSpec,
     MultivectorField,
-    PreconditionError,
     ResidualReport,
     grid_residual,
     mv_dirac,
     mv_laplacian,
     mv_partial,
     mv_value,
+    require,
     scalar_of,
 )
+from .riccati import riccati_residual
 
 CLOSED_FORMS = ("plus_minus", "minus_plus", "minus_plus_scalar")
 
@@ -104,18 +105,14 @@ def gen_schrodinger_residual(f, g, lam, grid: GridSpec, tol=None, eps=EPS_EXACT)
     """Residual of (D + M^f)(D - M^f) g = lam^2 g."""
     lam2 = as_lambda(lam) ** 2
 
-    def lhs_at(p):
+    def residual_at(p):
         gj = g.at(p, 2)
         fj = f.at(p, 1)
         h = mv_dirac(gj) - gj * fj
-        return mv_dirac(h) + h * fj, gj
+        lhs = mv_dirac(h) + h * fj
+        return mv_value(lhs - lam2 * gj), mv_value(lhs).norm()
 
-    def residual_at(p):
-        lhs, gj = lhs_at(p)
-        return mv_value(lhs - lam2 * gj)
-
-    return grid_residual(residual_at, grid, tol=tol, eps=eps,
-                         scale_at=lambda p: mv_value(lhs_at(p)[0]).norm())
+    return grid_residual(residual_at, grid, tol=tol, eps=eps)
 
 
 def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
@@ -125,10 +122,8 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
     (D - M^f)(D + M^f) h = lam^2 h.
     """
     lam = as_lambda(lam)
-    pre = gen_schrodinger_residual(f, g, lam, grid, eps=eps)
-    if not pre.passed:
-        raise PreconditionError(
-            f"g is not an eigenfunction of the factorized operator (sup {pre.sup_norm:.3g})", pre)
+    pre = require(gen_schrodinger_residual(f, g, lam, grid, eps=eps),
+                  "g is not an eigenfunction of the factorized operator")
     h = minus_op(f).field(g)
     lam2 = lam * lam
 
@@ -136,10 +131,9 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
         hj = h.at(p, 2)
         fj = f.at(p, 1)
         w = mv_dirac(hj) + hj * fj
-        return mv_value(mv_dirac(w) - w * fj - lam2 * hj)
+        return mv_value(mv_dirac(w) - w * fj - lam2 * hj), abs(lam2) * mv_value(hj).norm()
 
-    conclusion = grid_residual(residual_at, grid, eps=eps,
-                               scale_at=lambda p: abs(lam2) * mv_value(h.at(p, 0)).norm())
+    conclusion = grid_residual(residual_at, grid, eps=eps)
     return h, PipelineResult({"eigenfunction": pre}, conclusion, {})
 
 
@@ -192,13 +186,31 @@ def kvector_closed_form(f, gk, k: int, which: str, p):
     return mv_value(closed), mv_value(direct)
 
 
-def _check_scalar_field(field_at, grid, what, eps):
-    """Verify a derived quantity is scalar-valued on the grid."""
-    rep = grid_residual(lambda p: (lambda m: m - m.grade(0))(field_at(p)), grid, eps=eps,
-                        scale_at=lambda p: field_at(p).norm())
-    if not rep.passed:
-        raise PreconditionError(f"{what} is not scalar-valued (sup {rep.sup_norm:.3g})", rep)
-    return rep
+def derived_potential(fj, sign):
+    """w = sign*D(f) - f^2 from an order-1 jet of f."""
+    return sign * mv_dirac(fj) - fj * fj
+
+
+def potential_residual(f, sign, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
+    """Non-scalar part of the derived potential sign*D(f) - f^2 over the grid."""
+
+    def residual_at(p):
+        w = mv_value(derived_potential(f.at(p, 1), sign))
+        return w - w.grade(0), w.norm()
+
+    return grid_residual(residual_at, grid, eps=eps)
+
+
+def schrodinger_residual(phi, potential_at, lam, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
+    """Residual of (-Lap + q) phi = lam^2 phi, with the scalar potential q = potential_at(p)."""
+    lam2 = as_lambda(lam) ** 2
+
+    def residual_at(p):
+        ph = phi.at(p, 2)
+        lhs = -mv_laplacian(ph) + potential_at(p) * ph
+        return mv_value(lhs - lam2 * ph), abs(lam2) * mv_value(ph).norm()
+
+    return grid_residual(residual_at, grid, eps=eps)
 
 
 def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:
@@ -211,34 +223,25 @@ def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT
     """
     lam2 = as_lambda(lam) ** 2
     f, v = f_candidate.f, f_candidate.potential
-    from .riccati import riccati_residual  # local import to avoid a cycle
-    pre_riccati = riccati_residual(f_candidate, grid, eps=eps)
-
-    def schrodinger_at(p):
-        ph = phi.at(p, 2)
-        return mv_value(-mv_laplacian(ph) - scalar_of(v.at(p, 0)) * ph - lam2 * ph)
-
-    pre_phi = grid_residual(schrodinger_at, grid, eps=eps,
-                            scale_at=lambda p: abs(lam2) * mv_value(phi.at(p, 0)).norm())
-    for name, rep in (("riccati", pre_riccati), ("schrodinger", pre_phi)):
-        if not rep.passed:
-            raise PreconditionError(f"{name} precondition failed (sup {rep.sup_norm:.3g})", rep)
+    pre_riccati = require(riccati_residual(f_candidate, grid, eps=eps), "riccati precondition failed")
+    pre_phi = require(schrodinger_residual(phi, lambda p: -scalar_of(v.at(p, 0)), lam, grid, eps),
+                      "schrodinger precondition failed")
     h = minus_op(f).field(phi)
     n = grid.n
 
     def residual_at(p):
         hj = h.at(p, 2)
-        if not mv_value(hj).is_homogeneous(1) and mv_value(hj).terms:
-            raise FieldError(f"transformed field is not a 1-vector (grades {mv_value(hj).grades()})")
+        hv = mv_value(hj)
+        if not hv.is_homogeneous(1) and hv.terms:
+            raise FieldError(f"transformed field is not a 1-vector (grades {hv.grades()})")
         fj = f.at(p, 1)
         vval = scalar_of(v.at(p, 0))
         acc = -mv_laplacian(hj) - vval * hj - lam2 * hj
         for j in range(1, n + 1):
             acc = acc - 2.0 * (hj.coeff(1 << (j - 1)) * mv_partial(fj, j))
-        return mv_value(acc)
+        return mv_value(acc), abs(lam2) * hv.norm()
 
-    conclusion = grid_residual(residual_at, grid, eps=eps,
-                               scale_at=lambda p: abs(lam2) * mv_value(h.at(p, 0)).norm())
+    conclusion = grid_residual(residual_at, grid, eps=eps)
     return PipelineResult({"riccati": pre_riccati, "schrodinger": pre_phi}, conclusion, {})
 
 
@@ -257,86 +260,41 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
     """
     lam2 = as_lambda(lam) ** 2
     sign = 1.0 if (k + 1) % 2 == 0 else -1.0
-
-    def w_mv(p, order=0):
-        fj = f.at(p, order + 1)
-        return sign * mv_dirac(fj) - fj * fj
-
-    pre_w = _check_scalar_field(lambda p: mv_value(w_mv(p)), grid, "the derived potential", eps)
+    pre_w = require(potential_residual(f, sign, grid, eps), "the derived potential is not scalar-valued")
 
     def pre_at(p):
         g = gk.at(p, 2)
-        if not mv_value(g).is_homogeneous(k) and mv_value(g).terms:
-            raise FieldError(f"input is not a pure {k}-vector (grades {mv_value(g).grades()})")
+        gv = mv_value(g)
+        if not gv.is_homogeneous(k) and gv.terms:
+            raise FieldError(f"input is not a pure {k}-vector (grades {gv.grades()})")
         fj = f.at(p, 1)
-        w = scalar_of(w_mv(p))
+        w = scalar_of(derived_potential(fj, sign))
         lhs = -mv_laplacian(g) + w * g - 2.0 * _grade_shift_sum(g, fj, k - 1)
-        return mv_value(lhs - lam2 * g)
+        return mv_value(lhs - lam2 * g), abs(lam2) * gv.norm()
 
-    pre_g = grid_residual(pre_at, grid, eps=eps,
-                          scale_at=lambda p: abs(lam2) * mv_value(gk.at(p, 0)).norm())
-    if not pre_g.passed:
-        raise PreconditionError(f"input field fails its eigen-equation (sup {pre_g.sup_norm:.3g})", pre_g)
+    pre_g = require(grid_residual(pre_at, grid, eps=eps), "input field fails its eigen-equation")
     h = minus_op(f).field(gk)
 
     def residual_at(p):
         hj = h.at(p, 2)
         fj = f.at(p, 1)
-        w = scalar_of(w_mv(p))
+        w = scalar_of(derived_potential(fj, sign))
         lo, hi = hj.grade(k - 1), hj.grade(k + 1)
         total = lo + hi
         acc = -mv_laplacian(total) + w * total - lam2 * total
         acc = acc + 2.0 * (_grade_shift_sum(lo, fj, k - 2) + _grade_shift_sum(hi, fj, k))
-        return mv_value(acc)
+        return mv_value(acc), abs(lam2) * mv_value(hj).norm()
 
-    conclusion = grid_residual(residual_at, grid, eps=eps,
-                               scale_at=lambda p: abs(lam2) * mv_value(h.at(p, 0)).norm())
+    conclusion = grid_residual(residual_at, grid, eps=eps)
     return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion, {})
 
 
 def darboux_vector_pipeline(f, g_vec, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:
-    """1-vector eigen-solution -> scalar + bivector pair; grade-1 case written out.
+    """1-vector eigen-solution -> scalar + bivector pair: darboux_kvector_pipeline at k = 1.
 
     u = D(f) - f^2 must be scalar; g solving g(-Lap+u) + 2 sum_j g_j d_j(f)
     = lam^2 g yields phi = [(D-M^f)g]_0 and H2 = [(D-M^f)g]_2 with
 
         (phi + H2)(-Lap + u) + 2 sum_j [e_j H2]_1 d_j(f) = lam^2 (phi + H2).
     """
-    lam2 = as_lambda(lam) ** 2
-    n = grid.n
-
-    def u_mv(p):
-        fj = f.at(p, 1)
-        return mv_dirac(fj) - fj * fj
-
-    pre_u = _check_scalar_field(lambda p: mv_value(u_mv(p)), grid, "the derived potential", eps)
-
-    def pre_at(p):
-        g = g_vec.at(p, 2)
-        if not mv_value(g).is_homogeneous(1) and mv_value(g).terms:
-            raise FieldError(f"input is not a 1-vector (grades {mv_value(g).grades()})")
-        fj = f.at(p, 1)
-        u = scalar_of(u_mv(p))
-        acc = -mv_laplacian(g) + u * g - lam2 * g
-        for j in range(1, n + 1):
-            acc = acc + 2.0 * (g.coeff(1 << (j - 1)) * mv_partial(fj, j))
-        return mv_value(acc)
-
-    pre_g = grid_residual(pre_at, grid, eps=eps,
-                          scale_at=lambda p: abs(lam2) * mv_value(g_vec.at(p, 0)).norm())
-    if not pre_g.passed:
-        raise PreconditionError(f"input field fails its eigen-equation (sup {pre_g.sup_norm:.3g})", pre_g)
-    h = minus_op(f).field(g_vec)
-
-    def residual_at(p):
-        hj = h.at(p, 2)
-        fj = f.at(p, 1)
-        u = scalar_of(u_mv(p))
-        total = hj.grade(0) + hj.grade(2)
-        acc = -mv_laplacian(total) + u * total - lam2 * total
-        acc = acc + 2.0 * _grade_shift_sum(hj.grade(2), fj, 1)
-        return mv_value(acc)
-
-    conclusion = grid_residual(residual_at, grid, eps=eps,
-                               scale_at=lambda p: abs(lam2) * mv_value(h.at(p, 0)).norm())
-    return PipelineResult({"scalar_potential": pre_u, "eigen_equation": pre_g}, conclusion, {})
+    return darboux_kvector_pipeline(f, g_vec, 1, lam, grid, eps)

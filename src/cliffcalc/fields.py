@@ -329,12 +329,15 @@ class ResidualReport:
         }
 
 
-def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT, scale_at=None) -> ResidualReport:
+def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
     """Aggregate a pointwise residual over the grid.
 
-    When tol is not given it is derived from the scale of the identity's
-    left-hand side: tol = eps * (1 + max |LHS| sampled), which keeps the
-    pass criterion invariant under rescaling the inputs.
+    `residual_at(p)` returns the pair (residual, scale): the residual as a
+    number or multivector, and the size at p that the tolerance scales with
+    (usually the norm of the identity's left-hand side), both from one
+    evaluation of the jets. When tol is not given it is
+    tol = eps * (1 + max scale sampled), which keeps the pass criterion
+    invariant under rescaling the inputs.
     """
     sup = 0.0
     sumsq = 0.0
@@ -342,7 +345,7 @@ def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT, scale_at
     worst = None
     scale = 0.0
     for p in grid.points():
-        r = residual_at(p)
+        r, s = residual_at(p)
         v = r if isinstance(r, float) else r.norm()
         # NaN compares false with everything: take it as the worst sample
         # explicitly, or it would never reach sup and the check would pass
@@ -351,11 +354,17 @@ def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT, scale_at
             worst = p
         sumsq += v * v
         count += 1
-        if scale_at is not None:
-            scale = max(scale, scale_at(p))
+        scale = max(scale, s)
     if count == 0:
         raise FieldError("all grid points were excluded")
     tolerance = tol if tol is not None else eps * (1.0 + scale)
     rms = math.sqrt(sumsq / count)
     # sup is finite only if every sample was: an infinite one fails even an infinite tolerance
     return ResidualReport(sup, rms, worst, count, tolerance, math.isfinite(sup) and sup <= tolerance)
+
+
+def require(report: ResidualReport, what: str) -> ResidualReport:
+    """The report of a precondition that passed; PreconditionError otherwise."""
+    if not report.passed:
+        raise PreconditionError(f"{what} (sup {report.sup_norm:.3g})", report)
+    return report

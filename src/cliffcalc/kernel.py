@@ -24,14 +24,15 @@ from .fields import (
     FieldError,
     GridSpec,
     MultivectorField,
-    PreconditionError,
     ResidualReport,
     grid_residual,
     mv_dirac,
     mv_value,
+    require,
     scalar_of,
 )
-from .darboux import as_lambda
+from .darboux import as_lambda, derived_potential, potential_residual, schrodinger_residual
+from .riccati import riccati_residual
 
 
 class ModeError(ValueError):
@@ -97,12 +98,11 @@ def _first_order_multiplier(mode, lam, sign, variant):
 def operator_field(f, mode: PseudoscalarMode, g, variant="A") -> MultivectorField:
     """A g = (D g - g f) iE  or  B g = (D g + g f) iE as a derived field."""
     ie = mode.element
-    sgn = -1.0 if variant == "A" else 1.0
 
     def at(p, order):
         gj = g.at(p, order + 1)
-        core = mv_dirac(gj) + sgn * (gj * f.at(p, order)) if variant == "B" else mv_dirac(gj) - gj * f.at(p, order)
-        return core * ie
+        prod = gj * f.at(p, order)
+        return (mv_dirac(gj) - prod if variant == "A" else mv_dirac(gj) + prod) * ie
 
     return DerivedField(g.n, at)
 
@@ -113,6 +113,17 @@ def apply_A(f, mode, g, p) -> Multivector:
 
 def apply_B(f, mode, g, p) -> Multivector:
     return mv_value(operator_field(f, mode, g, "B").at(p, 0))
+
+
+def _first_order_at(f, g, shift, variant, p):
+    """(order-1 jet of g, D g -/+ g (f + shift)) at p, "-" for variant "A"."""
+    gj = g.at(p, 1)
+    fv = f.at(p, 0)
+    if variant == "A":
+        r = mv_dirac(gj) - gj * (fv + shift)
+    else:
+        r = mv_dirac(gj) + gj * (fv + shift)
+    return gj, mv_value(r)
 
 
 def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
@@ -127,16 +138,10 @@ def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
     shift = _first_order_multiplier(mode, lam, sign, variant)
 
     def residual_at(p):
-        gj = g.at(p, 1)
-        fv = f.at(p, 0)
-        if variant == "A":
-            r = mv_dirac(gj) - gj * (fv + shift)
-        else:
-            r = mv_dirac(gj) + gj * (fv + shift)
-        return mv_value(r)
+        gj, r = _first_order_at(f, g, shift, variant, p)
+        return r, abs(lam) * mv_value(gj).norm()
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps,
-                         scale_at=lambda p: abs(lam) * mv_value(g.at(p, 0)).norm())
+    return grid_residual(residual_at, grid, tol=tol, eps=eps)
 
 
 def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> float:
@@ -150,14 +155,9 @@ def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> flo
     shift = _first_order_multiplier(mode, lam, sign, variant)
     gap = 0.0
     for p in grid.points():
-        shifted = mv_value(op.at(p, 0)) + sign * lam * g.value(p)
-        gj = g.at(p, 1)
-        fv = f.at(p, 0)
-        if variant == "A":
-            r = mv_dirac(gj) - gj * (fv + shift)
-        else:
-            r = mv_dirac(gj) + gj * (fv + shift)
-        gap = max(gap, abs(shifted.norm() - mv_value(r).norm()))
+        gj, r = _first_order_at(f, g, shift, variant, p)
+        shifted = mv_value(op.at(p, 0)) + sign * lam * mv_value(gj)
+        gap = max(gap, abs(shifted.norm() - r.norm()))
     return gap
 
 
@@ -185,10 +185,10 @@ def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
     op2 = operator_field(f, mode, operator_field(f, mode, g, variant), variant)
 
     def residual_at(p):
-        return mv_value(op2.at(p, 0)) - lam2 * g.value(p)
+        gv = g.value(p)
+        return mv_value(op2.at(p, 0)) - lam2 * gv, abs(lam2) * gv.norm()
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps,
-                         scale_at=lambda p: abs(lam2) * g.value(p).norm())
+    return grid_residual(residual_at, grid, tol=tol, eps=eps)
 
 
 def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
@@ -201,9 +201,8 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     lam = as_lambda(lam)
     mode_check(mode, f, _corner_samples(grid))
     pre = squared_operator_residual(f, mode, lam, g, grid, variant, eps=eps)
-    if not pre.passed and not skip_precondition:
-        raise PreconditionError(
-            f"input is not in the kernel of the squared operator (sup {pre.sup_norm:.3g})", pre)
+    if not skip_precondition:
+        require(pre, "input is not in the kernel of the squared operator")
     a_g = operator_field(f, mode, g, variant)
     half = 0.5 / lam
 
@@ -240,25 +239,11 @@ def decompose_schrodinger_solution(f_candidate, mode, lam, phi, grid: GridSpec,
     potential v, and (-Lap - v) phi = lam^2 phi. The split is the A-variant.
     """
     lam = as_lambda(lam)
-    lam2 = lam * lam
-    from .riccati import riccati_residual
-    from .fields import mv_laplacian
-    f, v = f_candidate.f, f_candidate.potential
-    pre_riccati = riccati_residual(f_candidate, grid, eps=eps)
-    if not pre_riccati.passed:
-        raise PreconditionError(
-            f"f does not solve its Riccati equation (sup {pre_riccati.sup_norm:.3g})", pre_riccati)
-
-    def schrodinger_at(p):
-        ph = phi.at(p, 2)
-        return mv_value(-mv_laplacian(ph) - scalar_of(v.at(p, 0)) * ph - lam2 * ph)
-
-    pre_phi = grid_residual(schrodinger_at, grid, eps=eps,
-                            scale_at=lambda p: abs(lam2) * mv_value(phi.at(p, 0)).norm())
-    if not pre_phi.passed:
-        raise PreconditionError(
-            f"phi is not a Schroedinger eigenfunction (sup {pre_phi.sup_norm:.3g})", pre_phi)
-    return split_kernel(f, mode, lam, phi, grid, "A", eps=eps)
+    v = f_candidate.potential
+    require(riccati_residual(f_candidate, grid, eps=eps), "f does not solve its Riccati equation")
+    require(schrodinger_residual(phi, lambda p: -scalar_of(v.at(p, 0)), lam, grid, eps),
+            "phi is not a Schroedinger eigenfunction")
+    return split_kernel(f_candidate.f, mode, lam, phi, grid, "A", eps=eps)
 
 
 def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
@@ -269,25 +254,11 @@ def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
     two parts land in ker(D + M^{f - lam iE}) and ker(D + M^{f + lam iE}).
     """
     lam = as_lambda(lam)
-    lam2 = lam * lam
-    from .fields import mv_laplacian
+    require(potential_residual(f, 1.0, grid, eps), "derived potential is not scalar")
 
-    def u_mv(p):
-        fj = f.at(p, 1)
-        return mv_value(mv_dirac(fj) - fj * fj)
+    def u_at(p):
+        return mv_value(derived_potential(f.at(p, 1), 1.0)).scalar_part()
 
-    u_rep = grid_residual(lambda p: (lambda m: m - m.grade(0))(u_mv(p)), grid, eps=eps,
-                          scale_at=lambda p: u_mv(p).norm())
-    if not u_rep.passed:
-        raise PreconditionError(f"derived potential is not scalar (sup {u_rep.sup_norm:.3g})", u_rep)
-
-    def eigen_at(p):
-        ph = phi.at(p, 2)
-        return mv_value(-mv_laplacian(ph) + u_mv(p).scalar_part() * ph - lam2 * ph)
-
-    pre_phi = grid_residual(eigen_at, grid, eps=eps,
-                            scale_at=lambda p: abs(lam2) * mv_value(phi.at(p, 0)).norm())
-    if not pre_phi.passed:
-        raise PreconditionError(
-            f"phi is not an eigenfunction of the conjugate operator (sup {pre_phi.sup_norm:.3g})", pre_phi)
+    require(schrodinger_residual(phi, u_at, lam, grid, eps),
+            "phi is not an eigenfunction of the conjugate operator")
     return split_kernel(f, mode, lam, phi, grid, "B", eps=eps)

@@ -23,7 +23,6 @@ from .fields import (
     FieldError,
     GridSpec,
     MultivectorField,
-    PreconditionError,
     ResidualReport,
     add_fields,
     dirac_field,
@@ -31,6 +30,7 @@ from .fields import (
     mv_dirac,
     mv_laplacian,
     mv_value,
+    require,
     scalar_of,
     _inv_scalar,
 )
@@ -73,14 +73,12 @@ class RiccatiCandidate:
 def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
     """Sup/RMS of D(f) + f f - v over the grid."""
 
-    def lhs_at(p):
-        fj = c.f.at(p, 1)
-        return mv_dirac(fj) + fj * fj
-
     def residual_at(p):
-        return mv_value(lhs_at(p) - c.potential.at(p, 0))
+        fj = c.f.at(p, 1)
+        lhs = mv_dirac(fj) + fj * fj
+        return mv_value(lhs - c.potential.at(p, 0)), mv_value(lhs).norm()
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps, scale_at=lambda p: mv_value(lhs_at(p)).norm())
+    return grid_residual(residual_at, grid, tol=tol, eps=eps)
 
 
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
@@ -117,12 +115,16 @@ def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EP
         cache[p] = r
         return r
 
-    def part(k):
-        return lambda p: cache[p].grade(k) if p in cache else full_at(p).grade(k)
+    def scalar_at(p):
+        r = full_at(p)
+        return r.grade(0), r.norm()
 
-    scalar_report = grid_residual(lambda p: full_at(p).grade(0), grid, tol=tol, eps=eps,
-                                  scale_at=lambda p: cache[p].norm())
-    bivector_report = grid_residual(part(2), grid, tol=tol, eps=eps)
+    def bivector_at(p):
+        r = cache[p] if p in cache else full_at(p)
+        return r.grade(2), 0.0
+
+    scalar_report = grid_residual(scalar_at, grid, tol=tol, eps=eps)
+    bivector_report = grid_residual(bivector_at, grid, tol=tol, eps=eps)
     return scalar_report, bivector_report
 
 
@@ -221,8 +223,11 @@ def _mask_scalar_zero(grid: GridSpec, fields_and_radii):
 
 
 def check_harmonic(phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
-    return grid_residual(lambda p: mv_value(mv_laplacian(phi.at(p, 2))), grid, eps=eps,
-                         scale_at=lambda p: mv_value(phi.at(p, 0)).norm())
+    def residual_at(p):
+        ph = phi.at(p, 2)
+        return mv_value(mv_laplacian(ph)), mv_value(ph).norm()
+
+    return grid_residual(residual_at, grid, eps=eps)
 
 
 def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT,
@@ -234,9 +239,7 @@ def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT,
     """
     masked = _mask_scalar_zero(grid, [(phi1, denom_radius), (phi2, denom_radius)])
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        rep = check_harmonic(phi, masked, eps)
-        if not rep.passed:
-            raise PreconditionError(f"{name} is not harmonic (sup residual {rep.sup_norm:.3g})", rep)
+        require(check_harmonic(phi, masked, eps), f"{name} is not harmonic")
     a = log_derivative(phi1).f
     b = log_derivative(phi2).f
 
@@ -258,22 +261,16 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     the same equation as h.
     """
     masked = _mask_scalar_zero(grid, [(phi, denom_radius)])
-    h_rep = riccati_residual(h, masked, eps=eps)
-    if not h_rep.passed:
-        raise PreconditionError(f"h does not solve its Riccati equation (sup {h_rep.sup_norm:.3g})", h_rep)
+    require(riccati_residual(h, masked, eps=eps), "h does not solve its Riccati equation")
 
     def phi_eq_at(p):
         ph = phi.at(p, 2)
         hv = h.f.at(p, 0)
         # <D(phi), h> = -[D(phi) h]_0
         inner = -(mv_dirac(ph) * hv).grade(0)
-        return mv_value(mv_laplacian(ph) + 2.0 * inner)
+        return mv_value(mv_laplacian(ph) + 2.0 * inner), mv_value(ph).norm()
 
-    phi_rep = grid_residual(phi_eq_at, masked, eps=eps,
-                            scale_at=lambda p: mv_value(phi.at(p, 0)).norm())
-    if not phi_rep.passed:
-        raise PreconditionError(
-            f"phi fails its shift equation (sup residual {phi_rep.sup_norm:.3g})", phi_rep)
+    require(grid_residual(phi_eq_at, masked, eps=eps), "phi fails its shift equation")
     candidate = RiccatiCandidate(add_fields(log_derivative(phi).f, h.f), h.potential, "euler_shift")
     report = riccati_residual(candidate, masked, eps=eps)
     return candidate, report
@@ -301,9 +298,7 @@ def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, ep
     masked = grid.with_exclusion(
         lambda p: abs(scalar_of(alpha.value(p)) - 1.0) < denom_radius)
     for name, cand in (("D(phi1)", g), ("D(phi2)", h)):
-        rep = riccati_residual(cand, masked, eps=eps)
-        if not rep.passed:
-            raise PreconditionError(f"{name} does not solve the target equation (sup {rep.sup_norm:.3g})", rep)
+        require(riccati_residual(cand, masked, eps=eps), f"{name} does not solve the target equation")
 
     def f_at(p, order):
         a = scalar_of(alpha.at(p, order))

@@ -206,3 +206,74 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify-identities" in proc.stdout
+
+
+EULER_CFG = {"n": 3, "fields": {"phi1": "x1", "phi2": "x2", "v": "0 - 1"}, "grid": {"samples_per_axis": 3}}
+DARBOUX_CFG = {"n": 2, "fields": {"f": {"e1": "1"}, "g": "exp(2*x2)"}, "grid": {"samples_per_axis": 3}}
+
+
+@pytest.mark.parametrize("command, base, key, forms", [
+    ("euler-combine", EULER_CFG, "K", [[2.0, 0.5], {"re": 2.0, "im": 0.5}]),
+    ("euler-combine", EULER_CFG, "K", [2.0, [2.0, 0], {"re": 2.0}]),
+    ("darboux", DARBOUX_CFG, "lambda", [[0, 3 ** 0.5], {"im": 3 ** 0.5}]),
+])
+def test_complex_value_forms_agree(tmp_path, capsys, command, base, key, forms):
+    reports = []
+    for value in forms:
+        code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", {**base, key: value}))
+        assert code == 0
+        reports.append(load(out)["reports"])
+    assert all(r == reports[0] for r in reports)
+
+
+@pytest.mark.parametrize("command, base, key, value", [
+    ("euler-combine", EULER_CFG, "K", [1, 2, 3]),
+    ("euler-combine", EULER_CFG, "K", [2.0]),
+    ("euler-combine", EULER_CFG, "K", "2"),
+    ("euler-combine", EULER_CFG, "K", True),
+    ("euler-combine", EULER_CFG, "K", {"re": "2"}),
+    ("family-gap", {"n": 3, "grid": {"samples_per_axis": 3}}, "K_samples", [2.0, [1, 2, 3]]),
+    ("family-gap", {"n": 3, "grid": {"samples_per_axis": 3}}, "K_samples", ["2"]),
+    ("darboux", DARBOUX_CFG, "lambda", True),
+    ("darboux", DARBOUX_CFG, "lambda", "1"),
+    ("darboux", DARBOUX_CFG, "lambda", [1.0, False]),
+])
+def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base, key, value):
+    cfg = write_config(tmp_path, "c.json", {**base, key: value})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, config", [
+    ("verify-identities", {"n": 2, "rounds": "5"}),
+    ("verify-identities", {"n": 2, "rounds": True}),
+    ("verify-identities", {"n": 2, "rounds": 2.0}),
+    ("verify-identities", {"n": 2, "seed": "1"}),
+    ("verify-identities", {"n": 2, "seed": False}),
+    ("verify-identities", {"n": 1, "rounds": 2}),
+    ("verify-identities", {"n": 0}),
+    ("family-gap", {"n": 3, "K_samples": [2.0], "margin": "x", "grid": {"samples_per_axis": 3}}),
+    ("family-gap", {"n": 3, "K_samples": [2.0], "margin": True, "grid": {"samples_per_axis": 3}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"samples_per_axis": 3.0}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"samples_per_axis": True}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": [3]}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": 1.0}}),
+    ("riccati-check", {**RICCATI_CFG, "tolerance": "1e-9"}),
+    ("riccati-check", {**RICCATI_CFG, "tolerance": True}),
+    ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "ode_step": "0.001"}),
+    ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "tolerance": [1e-4]}),
+])
+def test_wrong_optional_key_type_is_config_error(tmp_path, capsys, command, config):
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_overflow_is_numerical_failure_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "n": 1, "fields": {"f": {"e1": "exp(1000*x1)"}, "v": "0"},
+        "grid": {"samples_per_axis": 3}})
+    code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
+    assert code == 1 and out == ""
+    assert err.startswith("check failed: ") and err.count("\n") == 1

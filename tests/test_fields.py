@@ -11,11 +11,13 @@ from cliffcalc.fields import (
     FDField,
     FieldError,
     GridSpec,
+    PreconditionError,
     dirac,
     grid_residual,
     kvector_leibniz_residual,
     laplacian,
     mv_value,
+    require,
     scalar_leibniz_residual,
 )
 from cliffcalc.taylor import JetOrderError
@@ -149,18 +151,18 @@ def test_grid_spec():
 def test_grid_residual_scaled_tolerance():
     g = GridSpec.cube(1, samples_per_axis=5)
     # residual 1e-8 with LHS scale 100 passes at eps 1e-9 via scaling
-    rep = grid_residual(lambda p: 1e-8, g, eps=EPS_EXACT, scale_at=lambda p: 100.0)
+    rep = grid_residual(lambda p: (1e-8, 100.0), g, eps=EPS_EXACT)
     assert rep.passed and rep.tolerance == pytest.approx(1e-9 * 101.0)
-    rep2 = grid_residual(lambda p: 1e-8, g, eps=EPS_EXACT)
+    rep2 = grid_residual(lambda p: (1e-8, 0.0), g, eps=EPS_EXACT)
     assert not rep2.passed
     assert rep2.samples_used == 5
     with pytest.raises(FieldError):
-        grid_residual(lambda p: 0.0, g.with_exclusion(lambda p: True))
+        grid_residual(lambda p: (0.0, 0.0), g.with_exclusion(lambda p: True))
 
 
 def test_residual_report_dict():
     g = GridSpec.cube(1, samples_per_axis=3)
-    rep = grid_residual(lambda p: abs(p[0]), g, tol=2.0)
+    rep = grid_residual(lambda p: (abs(p[0]), 0.0), g, tol=2.0)
     d = rep.to_dict()
     assert d["pass"] is True
     assert d["sup_norm"] == pytest.approx(1.0)
@@ -172,7 +174,7 @@ def test_residual_report_dict():
 @pytest.mark.parametrize("where", [-1.0, 0.0, 1.0])
 def test_grid_residual_non_finite_sample_is_worst_and_fails(bad, where):
     g = GridSpec.cube(1, samples_per_axis=3)
-    rep = grid_residual(lambda p: bad if p[0] == where else 0.0, g, tol=math.inf)
+    rep = grid_residual(lambda p: (bad if p[0] == where else 0.0, 0.0), g, tol=math.inf)
     assert rep.worst_point == (where,)
     assert not rep.passed
     assert not math.isfinite(rep.sup_norm)
@@ -183,7 +185,18 @@ def test_grid_residual_nan_multivector_fails():
     # inf - inf: every coefficient of the field is NaN at every point
     big = "exp(700)*exp(700)*x1"
     f = ExprField(1, {"e1": f"{big} - {big}"})
-    rep = grid_residual(lambda p: mv_value(f.at(p)), GridSpec.cube(1, samples_per_axis=3))
+    rep = grid_residual(lambda p: (mv_value(f.at(p)), 0.0), GridSpec.cube(1, samples_per_axis=3))
     assert math.isnan(rep.sup_norm)
     assert rep.worst_point is not None
     assert not rep.passed
+
+
+def test_require_passes_reports_through_and_names_failures():
+    g = GridSpec.cube(1, samples_per_axis=3)
+    ok = grid_residual(lambda p: (0.0, 0.0), g)
+    assert require(ok, "unused") is ok
+    bad = grid_residual(lambda p: (0.5, 0.0), g)
+    with pytest.raises(PreconditionError) as err:
+        require(bad, "phi is not harmonic")
+    assert str(err.value) == "phi is not harmonic (sup 0.5)"
+    assert err.value.report is bad
