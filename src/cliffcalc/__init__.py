@@ -17,8 +17,6 @@ from .algebra import (
     blade_name,
     conjugate,
     dot_and_wedge,
-    geometric_product,
-    grade_projection,
     linear_combine,
     parse_blade,
     pseudoscalar,

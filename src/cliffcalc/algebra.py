@@ -263,14 +263,6 @@ def _multivector(n, terms):
     return mv
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def grade_projection(a: Multivector, k: int) -> Multivector:
-    return a.grade(k)
-
-
 def conjugate(a: Multivector) -> Multivector:
     return a.conjugate()
 

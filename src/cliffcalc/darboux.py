@@ -53,6 +53,13 @@ def as_lambda(value) -> complex:
     return lam
 
 
+def _factor_jet(gj: Multivector, fj: Multivector, sign: int) -> Multivector:
+    """D g + g f (sign=+1) or D g - g f (sign=-1) from jets, gj one order above fj."""
+    prod = gj * fj
+    d = mv_dirac(gj)
+    return d + prod if sign > 0 else d - prod
+
+
 @dataclass(frozen=True)
 class FactorizedOperator:
     """D + M^f (sign=+1) or D - M^f (sign=-1)."""
@@ -66,10 +73,7 @@ class FactorizedOperator:
 
     def field(self, g: MultivectorField) -> MultivectorField:
         def at(p, order):
-            gj = g.at(p, order + 1)
-            prod = gj * self.f.at(p, order)
-            d = mv_dirac(gj)
-            return d + prod if self.sign > 0 else d - prod
+            return _factor_jet(g.at(p, order + 1), self.f.at(p, order), self.sign)
 
         return DerivedField(g.n, at)
 
@@ -89,7 +93,6 @@ def minus_op(f):
 class PipelineResult:
     preconditions: dict
     conclusion: ResidualReport
-    extras: dict
 
     @property
     def passed(self):
@@ -108,8 +111,7 @@ def gen_schrodinger_residual(f, g, lam, grid: GridSpec, tol=None, eps=EPS_EXACT)
     def residual_at(p):
         gj = g.at(p, 2)
         fj = f.at(p, 1)
-        h = mv_dirac(gj) - gj * fj
-        lhs = mv_dirac(h) + h * fj
+        lhs = _factor_jet(_factor_jet(gj, fj, -1), fj, +1)
         return mv_value(lhs - lam2 * gj), mv_value(lhs).norm()
 
     return grid_residual(residual_at, grid, tol=tol, eps=eps)
@@ -130,11 +132,11 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
     def residual_at(p):
         hj = h.at(p, 2)
         fj = f.at(p, 1)
-        w = mv_dirac(hj) + hj * fj
-        return mv_value(mv_dirac(w) - w * fj - lam2 * hj), abs(lam2) * mv_value(hj).norm()
+        lhs = _factor_jet(_factor_jet(hj, fj, +1), fj, -1)
+        return mv_value(lhs - lam2 * hj), abs(lam2) * mv_value(hj).norm()
 
     conclusion = grid_residual(residual_at, grid, eps=eps)
-    return h, PipelineResult({"eigenfunction": pre}, conclusion, {})
+    return h, PipelineResult({"eigenfunction": pre}, conclusion)
 
 
 def _grade_shift_sum(g_mv, f_mv, target):
@@ -171,18 +173,14 @@ def kvector_closed_form(f, gk, k: int, which: str, p):
     lap = mv_laplacian(g_mv)
     if which == "plus_minus":
         closed = -lap + g_mv * (sign * df - f2) - 2.0 * _grade_shift_sum(g_mv, f_mv, k - 1)
-        inner = mv_dirac(g_mv) - g_mv * f_mv
-        direct = mv_dirac(inner) + inner * f_mv
     elif which == "minus_plus":
         closed = -lap - g_mv * (sign * df + f2) + 2.0 * _grade_shift_sum(g_mv, f_mv, k - 1)
-        inner = mv_dirac(g_mv) + g_mv * f_mv
-        direct = mv_dirac(inner) - inner * f_mv
     else:
         if k != 0:
             raise FieldError("the scalar closed form needs a scalar field")
         closed = -lap + scalar_of(g_mv) * (df - f2)
-        inner = mv_dirac(g_mv) + g_mv * f_mv
-        direct = mv_dirac(inner) - inner * f_mv
+    outer = +1 if which == "plus_minus" else -1
+    direct = _factor_jet(_factor_jet(g_mv, f_mv, -outer), f_mv, outer)
     return mv_value(closed), mv_value(direct)
 
 
@@ -242,7 +240,7 @@ def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT
         return mv_value(acc), abs(lam2) * hv.norm()
 
     conclusion = grid_residual(residual_at, grid, eps=eps)
-    return PipelineResult({"riccati": pre_riccati, "schrodinger": pre_phi}, conclusion, {})
+    return PipelineResult({"riccati": pre_riccati, "schrodinger": pre_phi}, conclusion)
 
 
 def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:
@@ -286,7 +284,7 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
         return mv_value(acc), abs(lam2) * mv_value(hj).norm()
 
     conclusion = grid_residual(residual_at, grid, eps=eps)
-    return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion, {})
+    return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion)
 
 
 def darboux_vector_pipeline(f, g_vec, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:

@@ -184,32 +184,12 @@ def _sum_at(fields, p, o):
     return acc
 
 
-def sub_fields(a, b):
-    return DerivedField(a.n, lambda p, o: a.at(p, o) - b.at(p, o))
-
-
-def scale_field(c, f):
-    return DerivedField(f.n, lambda p, o: f.at(p, o) * c)
-
-
-def mul_fields(a, b):
-    return DerivedField(a.n, lambda p, o: a.at(p, o) * b.at(p, o))
-
-
 def right_const_mul_field(f, mv):
     return DerivedField(f.n, lambda p, o: f.at(p, o) * mv)
 
 
-def grade_field(f, k):
-    return DerivedField(f.n, lambda p, o: f.at(p, o).grade(k))
-
-
 def dirac_field(f):
     return DerivedField(f.n, lambda p, o: mv_dirac(f.at(p, o + 1)))
-
-
-def laplacian_field(f):
-    return DerivedField(f.n, lambda p, o: mv_laplacian(f.at(p, o + 2)))
 
 
 def scalar_of(mv: Multivector):

@@ -26,12 +26,11 @@ from .fields import (
     MultivectorField,
     ResidualReport,
     grid_residual,
-    mv_dirac,
     mv_value,
     require,
     scalar_of,
 )
-from .darboux import as_lambda, derived_potential, potential_residual, schrodinger_residual
+from .darboux import _factor_jet, as_lambda, derived_potential, potential_residual, schrodinger_residual
 from .riccati import riccati_residual
 
 
@@ -86,23 +85,13 @@ def mode_check(mode: PseudoscalarMode, f: MultivectorField, sample_points, tol=1
             raise ModeError(f"iE fails to anti-commute with the field at {p}")
 
 
-def _first_order_multiplier(mode, lam, sign, variant):
-    """Right-multiplier m with ker(A + sign*lam) = ker(D - M^m) (variant "A")
-    or ker(B + sign*lam) = ker(D + M^m) (variant "B")."""
-    ie = mode.element
-    if variant == "A":
-        return -sign * lam * ie  # added to f: f - (sign)*lam*iE
-    return sign * lam * ie
-
-
 def operator_field(f, mode: PseudoscalarMode, g, variant="A") -> MultivectorField:
     """A g = (D g - g f) iE  or  B g = (D g + g f) iE as a derived field."""
     ie = mode.element
+    s = -1 if variant == "A" else +1
 
     def at(p, order):
-        gj = g.at(p, order + 1)
-        prod = gj * f.at(p, order)
-        return (mv_dirac(gj) - prod if variant == "A" else mv_dirac(gj) + prod) * ie
+        return _factor_jet(g.at(p, order + 1), f.at(p, order), s) * ie
 
     return DerivedField(g.n, at)
 
@@ -115,15 +104,17 @@ def apply_B(f, mode, g, p) -> Multivector:
     return mv_value(operator_field(f, mode, g, "B").at(p, 0))
 
 
-def _first_order_at(f, g, shift, variant, p):
-    """(order-1 jet of g, D g -/+ g (f + shift)) at p, "-" for variant "A"."""
-    gj = g.at(p, 1)
-    fv = f.at(p, 0)
-    if variant == "A":
-        r = mv_dirac(gj) - gj * (fv + shift)
-    else:
-        r = mv_dirac(gj) + gj * (fv + shift)
-    return gj, mv_value(r)
+def _first_order(f, mode, lam, sign, g, variant):
+    """p -> (order-1 jet of g, D g + s g (f + s sign lam iE)), with s = -1 for A
+    and +1 for B: the first-order form of (A + sign lam) g, or of (B + sign lam) g."""
+    s = -1 if variant == "A" else +1
+    shift = s * sign * lam * mode.element
+
+    def at(p):
+        gj = g.at(p, 1)
+        return gj, mv_value(_factor_jet(gj, f.at(p, 0) + shift, s))
+
+    return at
 
 
 def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
@@ -135,10 +126,10 @@ def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
     lam = as_lambda(lam)
     if sign not in (+1, -1):
         raise FieldError("sign must be +1 or -1")
-    shift = _first_order_multiplier(mode, lam, sign, variant)
+    first_order = _first_order(f, mode, lam, sign, g, variant)
 
     def residual_at(p):
-        gj, r = _first_order_at(f, g, shift, variant, p)
+        gj, r = first_order(p)
         return r, abs(lam) * mv_value(gj).norm()
 
     return grid_residual(residual_at, grid, tol=tol, eps=eps)
@@ -152,13 +143,14 @@ def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> flo
     """
     lam = as_lambda(lam)
     op = operator_field(f, mode, g, variant)
-    shift = _first_order_multiplier(mode, lam, sign, variant)
-    gap = 0.0
-    for p in grid.points():
-        gj, r = _first_order_at(f, g, shift, variant, p)
+    first_order = _first_order(f, mode, lam, sign, g, variant)
+
+    def gap_at(p):
+        gj, r = first_order(p)
         shifted = mv_value(op.at(p, 0)) + sign * lam * mv_value(gj)
-        gap = max(gap, abs(shifted.norm() - r.norm()))
-    return gap
+        return abs(shifted.norm() - r.norm()), 0.0
+
+    return grid_residual(gap_at, grid).sup_norm
 
 
 @dataclass
@@ -175,7 +167,7 @@ class DecompositionResult:
     @property
     def passed(self):
         return (self.plus_kernel_report.passed and self.minus_kernel_report.passed
-                and self.precondition_report.passed)
+                and self.precondition_report.passed and self.reassembly_residual <= 1e-9)
 
 
 def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
@@ -191,8 +183,7 @@ def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
     return grid_residual(residual_at, grid, tol=tol, eps=eps)
 
 
-def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
-                 skip_precondition=False) -> DecompositionResult:
+def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT) -> DecompositionResult:
     """Split g in ker(A^2 - lam^2) into its +lam and -lam eigenparts.
 
     g_plus = (1/2 lam)(A + lam) g lies in ker(A - lam); g_minus is the
@@ -200,9 +191,8 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     """
     lam = as_lambda(lam)
     mode_check(mode, f, _corner_samples(grid))
-    pre = squared_operator_residual(f, mode, lam, g, grid, variant, eps=eps)
-    if not skip_precondition:
-        require(pre, "input is not in the kernel of the squared operator")
+    pre = require(squared_operator_residual(f, mode, lam, g, grid, variant, eps=eps),
+                  "input is not in the kernel of the squared operator")
     a_g = operator_field(f, mode, g, variant)
     half = 0.5 / lam
 
@@ -217,10 +207,11 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     # membership: (A + lam) g in ker(A - lam) and vice versa
     plus_report = first_order_residual(f, mode, lam, -1, g_plus, grid, variant, eps=eps)
     minus_report = first_order_residual(f, mode, lam, +1, g_minus, grid, variant, eps=eps)
-    reassembly = 0.0
-    for p in grid.points():
-        delta = mv_value(g_plus.at(p, 0)) + mv_value(g_minus.at(p, 0)) - g.value(p)
-        reassembly = max(reassembly, delta.norm())
+
+    def reassembly_at(p):
+        return mv_value(g_plus.at(p, 0)) + mv_value(g_minus.at(p, 0)) - g.value(p), 0.0
+
+    reassembly = grid_residual(reassembly_at, grid).sup_norm
     return DecompositionResult(g_plus, g_minus, lam, reassembly, plus_report, minus_report, pre, variant)
 
 

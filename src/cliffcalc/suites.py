@@ -16,6 +16,7 @@ from .fields import (
     ExprField,
     kvector_leibniz_residual,
     mv_value,
+    right_const_mul_field,
     scalar_leibniz_residual,
 )
 from .kernel import apply_A, default_mode, operator_field
@@ -178,14 +179,14 @@ def _operator_entries(rng, n, rounds):
         p = random_point(rng, n)
         a_of_g = apply_A(f, mode, g, p)
         # the two factorized forms of A agree
-        other = mv_value(plus_op(f).field(_right_unit_field(g, ie)).at(p, 0))
+        other = mv_value(plus_op(f).field(right_const_mul_field(g, ie)).at(p, 0))
         worst_forms = max(worst_forms, (a_of_g - other).norm() / (1.0 + a_of_g.norm()))
         # A^2 equals the plus-minus composition
         a_sq = mv_value(operator_field(f, mode, operator_field(f, mode, g, "A"), "A").at(p, 0))
         comp = mv_value(plus_op(f).field(minus_op(f).field(g)).at(p, 0))
         worst_square = max(worst_square, (a_sq - comp).norm() / (1.0 + comp.norm()))
         # conjugation by the unit flips the factor sign
-        conj = mv_value(_right_unit_field(minus_op(f).field(_right_unit_field(g, ie)), ie).at(p, 0))
+        conj = mv_value(right_const_mul_field(minus_op(f).field(right_const_mul_field(g, ie)), ie).at(p, 0))
         plus = mv_value(plus_op(f).field(g).at(p, 0))
         worst_conj = max(worst_conj, (conj - plus).norm() / (1.0 + plus.norm()))
         # right multiplication by iE is an involution
@@ -200,12 +201,6 @@ def _operator_entries(rng, n, rounds):
         SuiteEntry("operator/unit_conjugation_flips_sign", worst_conj, 1e-10, rounds),
         SuiteEntry("operator/unit_involution", worst_unit, 1e-12, rounds),
     ]
-
-
-def _right_unit_field(g, ie):
-    from .fields import right_const_mul_field
-
-    return right_const_mul_field(g, ie)
 
 
 def identity_suite(n: int, seed: int, rounds: int = 25):

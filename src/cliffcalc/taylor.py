@@ -138,9 +138,6 @@ class Taylor:
         """Coefficients keyed by exponent tuple alpha, as a read-only view."""
         return _CoefView(self._coef, _basis(self.n, self.order))
 
-    def is_zero(self):
-        return not self._coef
-
     # -- coefficient extraction ------------------------------------------
 
     @property

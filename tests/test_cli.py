@@ -5,7 +5,10 @@ import sys
 
 import pytest
 
-from cliffcalc.cli import main
+from cliffcalc.algebra import Multivector
+from cliffcalc.cli import _decomposition_output, main
+from cliffcalc.fields import ConstantField, GridSpec, ResidualReport
+from cliffcalc.kernel import DecompositionResult
 
 
 def run_cli(capsys, *argv):
@@ -277,3 +280,42 @@ def test_overflow_is_numerical_failure_without_traceback(tmp_path, capsys):
     code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
     assert code == 1 and out == ""
     assert err.startswith("check failed: ") and err.count("\n") == 1
+
+
+SEPARABLE_CFG = {"n": 2, "v_list": ["0 - 1", "0 - 1"], "grid": {"samples_per_axis": 3}}
+
+
+@pytest.mark.parametrize("extra", [
+    {"x0": "ab"},
+    {"x0": [0.0]},
+    {"x0": [0.0, 0.0, 0.0]},
+    {"x0": [True, 0.0]},
+    {"x0": 0.0},
+    {"f0": [None, 0]},
+    {"f0": [0, "1"]},
+    {"f0": [0.5, [1, 2]]},
+    {"f0": [0.0, False]},
+    {"ode_step": 0},
+    {"ode_step": -1e-3},
+])
+def test_malformed_separable_start_or_step_is_config_error(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path, "c.json", {**SEPARABLE_CFG, **extra})
+    code, out, err = run_cli(capsys, "riccati-separable", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_separable_accepts_start_value_lists(tmp_path, capsys):
+    # v = -1 with f(0) = 0.5 on each axis: f = tanh(x + atanh 0.5)
+    cfg = write_config(tmp_path, "c.json", {**SEPARABLE_CFG, "x0": [0, 0.0], "f0": [0.5, 0.5]})
+    code, out, _ = run_cli(capsys, "riccati-separable", "--config", cfg)
+    assert code == 0 and load(out)["overall_pass"] is True
+
+
+def test_decompose_verdict_is_the_library_verdict():
+    ok = ResidualReport(0.0, 0.0, (0.0, 0.0), 9, 1e-9, True)
+    half = ConstantField(Multivector.scalar(2, 0.5))
+    grid = GridSpec.cube(2, samples_per_axis=3)
+    for reassembly in (0.0, 1e-6):
+        result = DecompositionResult(half, half, 1.0, reassembly, ok, ok, ok)
+        assert _decomposition_output(result, grid)[2] is result.passed is (reassembly == 0.0)

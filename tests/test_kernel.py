@@ -8,8 +8,10 @@ from cliffcalc.fields import (
     ExprField,
     GridSpec,
     PreconditionError,
+    ResidualReport,
 )
 from cliffcalc.kernel import (
+    DecompositionResult,
     ModeError,
     PseudoscalarMode,
     apply_A,
@@ -190,3 +192,10 @@ def test_apply_B_value():
     n = 2
     b1 = apply_B(e1_field(n), default_mode(n), ExprField.scalar(n, "1"), (0.1, 0.2))
     assert (b1 - Multivector(n, {0b10: -1j})).norm() < 1e-14
+
+
+def test_reassembly_bound_is_part_of_the_verdict():
+    ok = ResidualReport(0.0, 0.0, (0.0, 0.0), 9, 1e-9, True)
+    g = ConstantField(Multivector.scalar(2, 1.0))
+    assert DecompositionResult(g, g, 1.0, 0.0, ok, ok, ok).passed
+    assert not DecompositionResult(g, g, 1.0, 1e-6, ok, ok, ok).passed

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import cliffcalc.riccati
 from cliffcalc.algebra import Multivector
 from cliffcalc.expr import parse
 from cliffcalc.fields import (
@@ -174,6 +175,44 @@ def test_combination_family_gap():
     assert all(d >= 0.1 for d in res.distances.values())
     with pytest.raises(FieldError):
         combination_family_gap(2, GridSpec.cube(2, samples_per_axis=3), [2.0])
+
+
+@pytest.mark.parametrize("K_samples", [[2.0], [2.0, -3.0, 0.5]])
+def test_family_gap_verifies_its_inputs_once(monkeypatch, K_samples):
+    calls = []
+    original = cliffcalc.riccati.riccati_residual
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].provenance)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cliffcalc.riccati, "riccati_residual", counting)
+    combination_family_gap(3, GridSpec.cube(3, samples_per_axis=3), K_samples)
+    assert calls == ["constant", "euler_input", "euler_input"]
+
+
+def test_family_gap_distances_match_the_euler_combine_blend():
+    n = 3
+    grid = GridSpec.cube(n, samples_per_axis=5)
+    phi1, phi2 = ExprField.scalar(n, "x1"), ExprField.scalar(n, "x2")
+    e3 = Multivector.basis(n, 3)
+    Ks = [2.0, complex(-3, 1), 0.5]
+    res = combination_family_gap(n, grid, Ks)
+    for K in Ks:
+        candidate, _ = euler_combine(phi1, phi2, K, minus_one(n), grid)
+        masked = grid.with_exclusion(lambda p, K=K: abs(cmath.exp(p[0] - p[1]) * K - 1.0) < 1e-2)
+        expected = 0.0
+        for p in masked.points():
+            expected = max(expected, (candidate.f.value(p) - e3).norm())
+        assert res.distances[complex(K)] == expected
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3])
+def test_separable_step_must_be_positive(step):
+    # a negative step would march each half of the axis the wrong way
+    with pytest.raises(FieldError):
+        separable_solve([parse("0 - 1", 2)] * 2, [0.0, 0.0], [0.5, 0.5],
+                        ((-1.0, 1.0), (-1.0, 1.0)), step=step)
 
 
 def test_to_json():
