@@ -104,7 +104,7 @@ class PipelineResult:
         return out
 
 
-def gen_schrodinger_residual(f, g, lam, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
+def gen_schrodinger_residual(f, g, lam, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
     """Residual of (D + M^f)(D - M^f) g = lam^2 g."""
     lam2 = as_lambda(lam) ** 2
 
@@ -114,7 +114,7 @@ def gen_schrodinger_residual(f, g, lam, grid: GridSpec, tol=None, eps=EPS_EXACT)
         lhs = _factor_jet(_factor_jet(gj, fj, -1), fj, +1)
         return mv_value(lhs - lam2 * gj), mv_value(lhs).norm()
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps)
+    return grid_residual(residual_at, grid, eps=eps)
 
 
 def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):

@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import Multivector, blade_name, parse_blade
+from .algebra import Multivector, _multivector, blade_name, parse_blade, product_sign
 from .expr import ScalarExpr, parse
 from .taylor import JetOrderError, Taylor
 
@@ -51,11 +51,21 @@ def mv_partial(mv: Multivector, j: int) -> Multivector:
 
 
 def mv_dirac(mv: Multivector) -> Multivector:
-    """Sum over j of e_j times the j-th partial of the coefficients."""
-    acc = Multivector(mv.n)
-    for j in range(1, mv.n + 1):
-        acc = acc + Multivector.basis(mv.n, j) * mv_partial(mv, j)
-    return acc
+    """Sum over j of e_j times the j-th partial of the coefficients.
+
+    With blades as bitmasks, e_j e_m is the blade bit_j ^ m times
+    product_sign(bit_j, m), so each term maps to one blade directly.
+    """
+    out = {}
+    for j in range(mv.n):
+        bit = 1 << j
+        for m, c in mv.terms.items():
+            d = c.diff(j)
+            if product_sign(bit, m) < 0:
+                d = -d
+            key = bit ^ m
+            out[key] = out[key] + d if key in out else d
+    return _multivector(mv.n, out)
 
 
 def mv_laplacian(mv: Multivector) -> Multivector:
@@ -266,6 +276,10 @@ class GridSpec:
     @property
     def n(self):
         return len(self.box)
+
+    @property
+    def center(self):
+        return tuple((lo + hi) / 2 for lo, hi in self.box)
 
     def axis_samples(self, axis):
         lo, hi = self.box[axis]

@@ -65,8 +65,9 @@ def default_mode(n: int) -> PseudoscalarMode:
     return PseudoscalarMode("full_pseudoscalar" if n % 4 == 2 else "last_axis", n)
 
 
-def mode_check(mode: PseudoscalarMode, f: MultivectorField, sample_points, tol=1e-12):
+def mode_check(mode: PseudoscalarMode, f: MultivectorField, sample_points):
     """Validate (iE)^2 = +1 and that iE anti-commutes with f at the samples."""
+    tol = 1e-12
     ie = mode.element
     square = ie * ie
     if square != Multivector.scalar(mode.n, 1 + 0j):
@@ -118,7 +119,7 @@ def _first_order(f, mode, lam, sign, g, variant):
 
 
 def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
-                         tol=None, eps=EPS_EXACT) -> ResidualReport:
+                         eps=EPS_EXACT) -> ResidualReport:
     """Membership residual for ker(A + sign*lam), rewritten first order.
 
     variant "A": D g - g (f - sign*lam*iE);  variant "B": D g + g (f + sign*lam*iE).
@@ -132,7 +133,7 @@ def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
         gj, r = first_order(p)
         return r, abs(lam) * mv_value(gj).norm()
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps)
+    return grid_residual(residual_at, grid, eps=eps)
 
 
 def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> float:
@@ -171,7 +172,7 @@ class DecompositionResult:
 
 
 def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
-                              tol=None, eps=EPS_EXACT) -> ResidualReport:
+                              eps=EPS_EXACT) -> ResidualReport:
     """Residual of (A^2 - lam^2) g (or B^2) over the grid."""
     lam2 = as_lambda(lam) ** 2
     op2 = operator_field(f, mode, operator_field(f, mode, g, variant), variant)
@@ -180,7 +181,7 @@ def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
         gv = g.value(p)
         return mv_value(op2.at(p, 0)) - lam2 * gv, abs(lam2) * gv.norm()
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps)
+    return grid_residual(residual_at, grid, eps=eps)
 
 
 def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT) -> DecompositionResult:
@@ -218,8 +219,7 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT) ->
 def _corner_samples(grid: GridSpec):
     lo = tuple(b[0] for b in grid.box)
     hi = tuple(b[1] for b in grid.box)
-    mid = tuple((a + b) / 2 for a, b in grid.box)
-    return [lo, hi, mid]
+    return [lo, hi, grid.center]
 
 
 def decompose_schrodinger_solution(f_candidate, mode, lam, phi, grid: GridSpec,

@@ -10,12 +10,13 @@ claiming anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .algebra import Multivector
 from .expr import BinOp, ScalarExpr, constant_expr
 from .fields import (
     EPS_EXACT,
+    FD_STEP,
     ConstantField,
     DerivedField,
     ExprField,
@@ -96,7 +97,7 @@ def log_derivative(phi: MultivectorField, provenance="log_derivative") -> Riccat
     return RiccatiCandidate(DerivedField(n, f_at), DerivedField(n, v_at), provenance)
 
 
-def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXACT):
+def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
     """Scalar and bivector parts of the full residual, for grade-1 candidates.
 
     The full residual of a 1-vector candidate with scalar potential carries
@@ -123,8 +124,8 @@ def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EP
         r = cache[p] if p in cache else full_at(p)
         return r.grade(2), 0.0
 
-    scalar_report = grid_residual(scalar_at, grid, tol=tol, eps=eps)
-    bivector_report = grid_residual(bivector_at, grid, tol=tol, eps=eps)
+    scalar_report = grid_residual(scalar_at, grid, eps=eps)
+    bivector_report = grid_residual(bivector_at, grid, eps=eps)
     return scalar_report, bivector_report
 
 
@@ -182,14 +183,13 @@ class _AxisSolution:
         return y
 
 
-def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP, blowup=ODE_BLOWUP_BOUND,
-                    fd_step=1e-5) -> RiccatiCandidate:
+def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandidate:
     """Assemble f = sum_k f_k(x_k) e_k from per-axis 1-D Riccati solutions.
 
     Each v_k may depend only on x_k; the assembled candidate claims the
     potential v = sum_k v_k and is a finite-difference-mode field.
-    Raises OdeBlowupError when any axis solution leaves |f| <= blowup
-    inside the box.
+    Raises OdeBlowupError when any axis solution leaves |f| <= ODE_BLOWUP_BOUND
+    inside the box, and FieldError only for malformed input.
     """
     n = len(v_list)
     if not step > 0:
@@ -201,9 +201,10 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP, blowup=ODE_BLOWU
         if extra:
             raise FieldError(f"potential term {k} depends on variables {sorted(extra)} besides x{k}")
     # pad query range so finite differencing near the box edge stays inside
-    pad = 10 * fd_step
+    pad = 10 * FD_STEP
     axes = [
-        _AxisSolution(v_list[k], k + 1, x0[k], f0[k], box[k][0] - pad, box[k][1] + pad, step, blowup)
+        _AxisSolution(v_list[k], k + 1, x0[k], f0[k], box[k][0] - pad, box[k][1] + pad, step,
+                      ODE_BLOWUP_BOUND)
         for k in range(n)
     ]
 
@@ -214,13 +215,12 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP, blowup=ODE_BLOWU
     for v in v_list[1:]:
         v_total = BinOp("+", v_total, v.root)
     potential = ExprField.scalar(n, ScalarExpr(v_total, n))
-    return RiccatiCandidate(FDField(n, fn, fd_step), potential, "separable")
+    return RiccatiCandidate(FDField(n, fn), potential, "separable")
 
 
-def _mask_scalar_zero(grid: GridSpec, fields_and_radii):
-    for f, radius in fields_and_radii:
-        grid = grid.with_exclusion(
-            lambda p, _f=f, _r=radius: abs(scalar_of(_f.value(p))) < _r)
+def _mask_scalar_zero(grid: GridSpec, fields):
+    for f in fields:
+        grid = grid.with_exclusion(lambda p, _f=f: abs(scalar_of(_f.value(p))) < DEFAULT_DENOM_RADIUS)
     return grid
 
 
@@ -232,14 +232,13 @@ def check_harmonic(phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT) -> Resi
     return grid_residual(residual_at, grid, eps=eps)
 
 
-def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT,
-                    denom_radius=DEFAULT_DENOM_RADIUS):
+def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT):
     """Sum of two homogeneous log-derivative solutions.
 
     Returns the candidate f = D(phi1)/phi1 + D(phi2)/phi2 with the induced
     potential v = -2 <D(phi1)/phi1, D(phi2)/phi2> and its residual report.
     """
-    masked = _mask_scalar_zero(grid, [(phi1, denom_radius), (phi2, denom_radius)])
+    masked = _mask_scalar_zero(grid, [phi1, phi2])
     for name, phi in (("phi1", phi1), ("phi2", phi2)):
         require(check_harmonic(phi, masked, eps), f"{name} is not harmonic")
     a = log_derivative(phi1).f
@@ -255,14 +254,13 @@ def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT,
     return candidate, report
 
 
-def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT,
-                denom_radius=DEFAULT_DENOM_RADIUS):
+def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT):
     """Shift a known solution h by the log-derivative of an admissible phi.
 
     phi must satisfy Lap(phi) + 2 <D(phi), h> = 0; then D(phi)/phi + h solves
     the same equation as h.
     """
-    masked = _mask_scalar_zero(grid, [(phi, denom_radius)])
+    masked = _mask_scalar_zero(grid, [phi])
     require(riccati_residual(h, masked, eps=eps), "h does not solve its Riccati equation")
 
     def phi_eq_at(p):
@@ -285,7 +283,7 @@ def _require_gradient_solutions(phi1, phi2, potential, grid: GridSpec, eps):
         require(riccati_residual(cand, grid, eps=eps), f"{name} does not solve the target equation")
 
 
-def _blend(phi1, phi2, K, potential, grid: GridSpec, denom_radius):
+def _blend(phi1, phi2, K, potential, grid: GridSpec):
     """The blend f = (alpha D(phi1) - D(phi2))/(alpha - 1), alpha = K exp(phi1 - phi2),
     for one K, and the grid with the alpha = 1 locus masked."""
     K = complex(K)
@@ -294,7 +292,7 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec, denom_radius):
     def alpha_at(p, order):
         return (scalar_of(phi1.at(p, order)) - scalar_of(phi2.at(p, order))).exp() * K
 
-    masked = grid.with_exclusion(lambda p: abs(alpha_at(p, 0).value - 1.0) < denom_radius)
+    masked = grid.with_exclusion(lambda p: abs(alpha_at(p, 0).value - 1.0) < DEFAULT_DENOM_RADIUS)
 
     def f_at(p, order):
         a = alpha_at(p, order)
@@ -305,14 +303,13 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec, denom_radius):
     return RiccatiCandidate(DerivedField(grid.n, f_at), potential, "euler_combine"), masked
 
 
-def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, eps=EPS_EXACT,
-                  denom_radius=DEFAULT_DENOM_RADIUS):
+def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, eps=EPS_EXACT):
     """Blend the gradient solutions D(phi1) and D(phi2) of one equation.
 
     With alpha = K exp(phi1 - phi2), f = (alpha D(phi1) - D(phi2))/(alpha - 1)
     solves the same equation away from the alpha = 1 locus, which is masked.
     """
-    candidate, masked = _blend(phi1, phi2, K, potential, grid, denom_radius)
+    candidate, masked = _blend(phi1, phi2, K, potential, grid)
     _require_gradient_solutions(phi1, phi2, potential, masked, eps)
     return candidate, riccati_residual(candidate, masked, eps=eps)
 
@@ -323,11 +320,11 @@ class FamilyGapResult:
     distances: dict
     margin: float
     passed: bool
-    extra: dict = dc_field(default_factory=dict)
+    min_distance: float
 
 
-def combination_family_gap(n: int, grid: GridSpec, K_samples, margin=0.1, eps=EPS_EXACT,
-                           denom_radius=DEFAULT_DENOM_RADIUS) -> FamilyGapResult:
+def combination_family_gap(n: int, grid: GridSpec, K_samples, margin=0.1,
+                           eps=EPS_EXACT) -> FamilyGapResult:
     """Show the two-solution blend family misses a known constant solution.
 
     For v = -1 the constant fields e_1 and e_2 are gradient solutions; their
@@ -346,9 +343,9 @@ def combination_family_gap(n: int, grid: GridSpec, K_samples, margin=0.1, eps=EP
     target = Multivector.basis(n, 3)
     distances = {}
     for K in K_samples:
-        candidate, masked = _blend(phi1, phi2, K, minus_one, grid, denom_radius)
+        candidate, masked = _blend(phi1, phi2, K, minus_one, grid)
         distances[complex(K)] = grid_residual(
             lambda p: ((candidate.f.value(p) - target).norm(), 0.0), masked).sup_norm
     min_gap = min(distances.values())
     passed = base_report.passed and min_gap >= margin
-    return FamilyGapResult(base_report, distances, margin, passed, {"min_distance": min_gap})
+    return FamilyGapResult(base_report, distances, margin, passed, min_gap)

@@ -26,9 +26,9 @@ def random_point(rng: random.Random, n, lo=-1.0, hi=1.0):
     return tuple(rng.uniform(lo, hi) for _ in range(n))
 
 
-def random_multivector(rng: random.Random, n, max_terms=5, grades=None) -> Multivector:
+def random_multivector(rng: random.Random, n, grades=None) -> Multivector:
     masks = [m for m in range(1 << n) if grades is None or m.bit_count() in grades]
-    count = rng.randint(1, min(max_terms, len(masks)))
+    count = rng.randint(1, min(5, len(masks)))
     chosen = rng.sample(masks, count)
     return Multivector(n, {m: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for m in chosen})
 
@@ -65,14 +65,14 @@ def random_scalar_field(rng, n, transcendental=True) -> ExprField:
     return ExprField.scalar(n, random_expr_str(rng, n, transcendental))
 
 
-def random_mv_field(rng, n, grades=None, max_blades=3, transcendental=True) -> ExprField:
+def random_mv_field(rng, n, grades=None, transcendental=True) -> ExprField:
     masks = [m for m in range(1 << n) if grades is None or m.bit_count() in grades]
-    chosen = rng.sample(masks, rng.randint(1, min(max_blades, len(masks))))
+    chosen = rng.sample(masks, rng.randint(1, min(3, len(masks))))
     return ExprField(n, {m: random_expr_str(rng, n, transcendental) for m in chosen})
 
 
-def random_kvector_field(rng, n, k, max_blades=3, transcendental=True) -> ExprField:
-    return random_mv_field(rng, n, grades={k}, max_blades=max_blades, transcendental=transcendental)
+def random_kvector_field(rng, n, k, transcendental=True) -> ExprField:
+    return random_mv_field(rng, n, grades={k}, transcendental=transcendental)
 
 
 @dataclass
@@ -85,6 +85,10 @@ class SuiteEntry:
     @property
     def passed(self):
         return self.worst <= self.tolerance
+
+    def to_dict(self):
+        return {"sup_norm": self.worst, "tolerance": self.tolerance,
+                "samples_used": self.samples, "pass": self.passed}
 
 
 def _algebra_entries(rng, n, rounds):
@@ -121,7 +125,8 @@ def _algebra_entries(rng, n, rounds):
     ]
 
 
-def _leibniz_entries(rng, n, rounds, points_per_round=3):
+def _leibniz_entries(rng, n, rounds):
+    points_per_round = 3
     worst_scalar = 0.0
     worst_k = {k: 0.0 for k in range(n + 1)}
     for _ in range(rounds):
@@ -141,7 +146,8 @@ def _leibniz_entries(rng, n, rounds, points_per_round=3):
     return out
 
 
-def _closed_form_entries(rng, n, rounds, points_per_round=2):
+def _closed_form_entries(rng, n, rounds):
+    points_per_round = 2
     worst = {name: 0.0 for name in ("plus_minus", "minus_plus", "minus_plus_scalar")}
     for _ in range(rounds):
         f = random_mv_field(rng, n, grades={1})

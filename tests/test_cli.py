@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cliffcalc.algebra import Multivector
-from cliffcalc.cli import _decomposition_output, main
+from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.fields import ConstantField, GridSpec, ResidualReport
 from cliffcalc.kernel import DecompositionResult
 
@@ -104,8 +104,9 @@ def test_missing_arguments(capsys):
 def test_list_claims(capsys):
     code, out, _ = run_cli(capsys, "--list-claims")
     assert code == 0
-    for cmd in ("verify-identities", "decompose", "darboux-kvector", "family-gap"):
-        assert cmd in out
+    rows = [line.split(maxsplit=1) for line in out.splitlines()]
+    assert [row[0] for row in rows] == sorted(COMMANDS)
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_verify_identities_deterministic(tmp_path, capsys):
@@ -240,6 +241,7 @@ def test_complex_value_forms_agree(tmp_path, capsys, command, base, key, forms):
     ("darboux", DARBOUX_CFG, "lambda", True),
     ("darboux", DARBOUX_CFG, "lambda", "1"),
     ("darboux", DARBOUX_CFG, "lambda", [1.0, False]),
+    ("family-gap", {"n": 3, "grid": {"samples_per_axis": 3}}, "K_samples", []),
 ])
 def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base, key, value):
     cfg = write_config(tmp_path, "c.json", {**base, key: value})
@@ -297,6 +299,8 @@ SEPARABLE_CFG = {"n": 2, "v_list": ["0 - 1", "0 - 1"], "grid": {"samples_per_axi
     {"f0": [0.0, False]},
     {"ode_step": 0},
     {"ode_step": -1e-3},
+    {"v_list": ["0 - 1"]},
+    {"v_list": ["x2", "0"]},
 ])
 def test_malformed_separable_start_or_step_is_config_error(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, "c.json", {**SEPARABLE_CFG, **extra})
