@@ -12,7 +12,7 @@ import math
 import sys
 import time
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, blade_grade
 from .darboux import (
     darboux_kvector_pipeline,
     darboux_scalar_pipeline,
@@ -104,9 +104,10 @@ class _Config:
         return _optional(self.raw, key, kind, default)
 
     def eps(self, default=EPS_EXACT):
-        if self.args.tol is not None:
-            return self.args.tol
-        return self.optional("tolerance", NUMBER, default)
+        eps = self.args.tol if self.args.tol is not None else self.optional("tolerance", NUMBER, default)
+        if not (math.isfinite(eps) and eps > 0):
+            raise ConfigError(f"tolerance must be a finite positive number, got {eps!r}")
+        return eps
 
     def number_list(self, key):
         """An optional list of n finite numbers, all zero by default."""
@@ -182,7 +183,7 @@ def _cmd_riccati_check(c):
     cand = c.candidate()
     grid = c.grid()
     named = [("riccati", riccati_residual(cand, grid, eps=eps))]
-    if cand.f.value(grid.center).is_homogeneous(1):
+    if all(blade_grade(m) == 1 for m in cand.f.components):
         named += zip(("scalar_part", "bivector_part"), vector_split_residuals(cand, grid, eps=eps))
     return named, {"candidate": cand.to_json()}, all(r.passed for _, r in named)
 
@@ -227,7 +228,10 @@ def _cmd_family_gap(c):
     if not K_samples:
         raise ConfigError("config key 'K_samples' must be a non-empty list")
     margin = c.optional("margin", NUMBER, 0.1)
-    result = combination_family_gap(c.n, c.grid(), K_samples, margin=margin, eps=eps)
+    grid = c.grid()
+    if c.n < 3:
+        raise ConfigError("family-gap needs n >= 3")
+    result = combination_family_gap(c.n, grid, K_samples, margin=margin, eps=eps)
     extras = {
         "margin": margin,
         "min_distance": result.min_distance,

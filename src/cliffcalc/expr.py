@@ -8,19 +8,22 @@ Grammar (standard precedence, left associative):
     atom   := number | 'i' | 'x' digits | func '(' expr ')' | '(' expr ')' | '-' atom
     func   := exp | log | sin | cos | sqrt
 
-Parsed trees are immutable; evaluation goes through truncated Taylor
-arithmetic, so values and all partial derivatives up to the requested order
-are exact to machine precision.
+The parser writes into a Tape, a node table in which equal subexpressions
+share one slot. A tape evaluates as a straight-line list of truncated Taylor
+operations, so values and all partial derivatives up to the requested order
+are exact to machine precision, and each shared node is computed once.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 from .taylor import JetDomainError, Taylor
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class ExprError(ValueError):
@@ -37,60 +40,116 @@ class ExprDomainError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based
+class Tape:
+    """Hash-consed node table: each node (op, a, b) is stored once, after its
+    children. op is "x" (a = variable index from 0), "c" (a = constant), "^"
+    (slot a to the integer power b), a key of _BINARY (slots a and b), or
+    "neg", "reciprocal" or one of FUNCTIONS (slot a). a / b is stored as
+    a * reciprocal(b), Taylor division's own arithmetic, so each distinct
+    denominator is inverted once. Nothing is reordered or simplified;
+    constants are keyed by repr, which keeps 0.0 and -0.0 apart.
+    """
 
+    def __init__(self, n: int):
+        self.n = n
+        self.nodes = []
+        self._slots = {}  # node key -> slot
+        self._orders = {}  # tuple of roots -> evaluation order
 
-@dataclass(frozen=True)
-class Const:
-    value: complex
+    def add(self, op, a, b=None) -> int:
+        key = (op, repr(a), b) if op == "c" else (op, a, b)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self.nodes)
+            self.nodes.append((op, a, b))
+        return slot
 
+    def parse(self, source: str) -> ScalarExpr:
+        if not isinstance(source, str):
+            raise ExprError(f"expression must be a string, got {source!r}")
+        if not source.strip():
+            raise ExprSyntaxError("empty expression", 0)
+        if self.n < 1:
+            raise ExprError(f"dimension must be positive, got {self.n}")
+        return ScalarExpr(self, _Parser(source, self).parse())
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+    def adopt(self, e: ScalarExpr) -> ScalarExpr:
+        """e's expression in this tape, copying the nodes it reaches."""
+        new = {}
+        for s in e.tape.order((e.slot,)):
+            op, a, b = e.tape.nodes[s]
+            if op != "x" and op != "c":
+                a, b = new[a], new[b] if op in _BINARY else b
+            new[s] = self.add(op, a, b)
+        return ScalarExpr(self, new[e.slot])
 
+    def order(self, roots) -> list:
+        """Slots the roots reach, in the order a left-to-right post-order walk
+        of each root in turn first meets them."""
+        roots = tuple(roots)
+        if roots not in self._orders:
+            nodes, out = self.nodes, {}  # a dict keeps the slots in insertion order
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
+            def visit(s):
+                if s not in out:
+                    op, a, b = nodes[s]
+                    if op != "x" and op != "c":
+                        visit(a)
+                        if op in _BINARY:
+                            visit(b)
+                    out[s] = None
 
+            for root in roots:
+                visit(root)
+            self._orders[roots] = list(out)
+        return self._orders[roots]
 
-@dataclass(frozen=True)
-class IntPow:
-    base: object
-    exponent: int
+    def run(self, slots, p, order: int) -> list:
+        """Jets at p of the given slots, indexed by slot, computed in the
+        given order (children first, as order() returns them)."""
+        n = self.n
+        if len(p) != n:
+            raise ExprError(f"point has {len(p)} coordinates, expected {n}")
+        nodes = self.nodes
+        vals = [None] * len(nodes)
+        try:
+            for s in slots:
+                op, a, b = nodes[s]
+                if op in _BINARY:
+                    vals[s] = _BINARY[op](vals[a], vals[b])
+                elif op == "x":
+                    vals[s] = Taylor.variable(a, p[a], n, order)
+                elif op == "c":
+                    vals[s] = Taylor.constant(a, n, order)
+                elif op == "neg":
+                    vals[s] = -vals[a]
+                elif op == "^":
+                    vals[s] = vals[a].intpow(b)
+                else:
+                    vals[s] = getattr(vals[a], op)()
+        except JetDomainError as err:
+            if nodes[s][0] == "reciprocal":
+                # name the division: order() puts each reciprocal right
+                # before the first a / b that divides by it
+                s = slots[slots.index(s) + 1]
+            raise ExprDomainError(f"{err}, in subexpression '{self.render(s)}'") from err
+        return vals
 
-
-@dataclass(frozen=True)
-class Func:
-    name: str
-    arg: object
-
-
-def render_node(node) -> str:
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Const):
-        v = node.value
-        if v == 1j:
-            return "i"
-        if v.imag == 0:
-            return repr(v.real)
-        # programmatic constants only; the parser never builds mixed ones
-        return f"({v.real!r} + {v.imag!r}*i)"
-    if isinstance(node, Neg):
-        return f"(-{render_node(node.arg)})"
-    if isinstance(node, BinOp):
-        return f"({render_node(node.left)} {node.op} {render_node(node.right)})"
-    if isinstance(node, IntPow):
-        return f"({render_node(node.base)}^{node.exponent})"
-    if isinstance(node, Func):
-        return f"{node.name}({render_node(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
+    def render(self, slot: int) -> str:
+        op, a, b = self.nodes[slot]
+        if op == "x":
+            return f"x{a + 1}"
+        if op == "c":  # mixed constants are programmatic only; the parser never builds one
+            return "i" if a == 1j else repr(a.real) if a.imag == 0 else f"({a.real!r} + {a.imag!r}*i)"
+        if op == "neg":
+            return f"(-{self.render(a)})"
+        if op == "^":
+            return f"({self.render(a)}^{b})"
+        if op == "*" and self.nodes[b][0] == "reciprocal":
+            return f"({self.render(a)} / {self.render(self.nodes[b][1])})"
+        if op in _BINARY:
+            return f"({self.render(a)} {op} {self.render(b)})"
+        return f"{op}({self.render(a)})"
 
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -99,9 +158,13 @@ _DIGITS = re.compile(r"\d+")
 
 
 class _Parser:
-    def __init__(self, source: str, n: int):
+    """Recursive descent over the grammar; each rule returns the slot of the
+    node it added to the tape."""
+
+    def __init__(self, source: str, tape: Tape):
         self.src = source
-        self.n = n
+        self.n = tape.n
+        self.add = tape.add
         self.pos = 0
 
     def error(self, message):
@@ -115,11 +178,13 @@ class _Parser:
         self.skip_ws()
         return self.src[self.pos] if self.pos < len(self.src) else ""
 
-    def take(self, ch):
-        if self.peek() == ch:
+    def take(self, chars):
+        """The next character if it is one of chars (consumed), else ''."""
+        ch = self.peek()
+        if ch and ch in chars:
             self.pos += 1
-            return True
-        return False
+            return ch
+        return ""
 
     def expect(self, ch):
         if not self.take(ch):
@@ -134,23 +199,16 @@ class _Parser:
 
     def expr(self):
         node = self.term()
-        while True:
-            if self.take("+"):
-                node = BinOp("+", node, self.term())
-            elif self.take("-"):
-                node = BinOp("-", node, self.term())
-            else:
-                return node
+        while op := self.take("+-"):
+            node = self.add(op, node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            if self.take("*"):
-                node = BinOp("*", node, self.factor())
-            elif self.take("/"):
-                node = BinOp("/", node, self.factor())
-            else:
-                return node
+        while op := self.take("*/"):
+            right = self.factor()
+            node = self.add("*", node, self.add("reciprocal", right) if op == "/" else right)
+        return node
 
     def factor(self):
         node = self.atom()
@@ -161,14 +219,14 @@ class _Parser:
             if not m:
                 self.error("expected integer exponent after '^'")
             self.pos = m.end()
-            return IntPow(node, sign * int(m.group()))
+            return self.add("^", node, sign * int(m.group()))
         return node
 
     def atom(self):
         ch = self.peek()
         if ch == "-":
             self.pos += 1
-            return Neg(self.atom())
+            return self.add("neg", self.atom())
         if ch == "(":
             self.pos += 1
             node = self.expr()
@@ -177,7 +235,7 @@ class _Parser:
         m = _NUMBER.match(self.src, self.pos)
         if m:
             self.pos = m.end()
-            return Const(complex(float(m.group())))
+            return self.add("c", complex(float(m.group())))
         m = _NAME.match(self.src, self.pos)
         if not m:
             self.error("expected a number, variable, function, or '('")
@@ -185,7 +243,7 @@ class _Parser:
         start = self.pos
         self.pos = m.end()
         if name == "i":
-            return Const(1j)
+            return self.add("c", 1j)
         if name == "x":
             d = _DIGITS.match(self.src, self.pos)
             if not d:
@@ -196,12 +254,12 @@ class _Parser:
             if not 1 <= index <= self.n:
                 self.pos = start
                 self.error(f"variable x{index} out of range for dimension {self.n}")
-            return Var(index)
+            return self.add("x", index - 1)
         if name in FUNCTIONS:
             self.expect("(")
             node = self.expr()
             self.expect(")")
-            return Func(name, node)
+            return self.add(name, node)
         self.pos = start
         self.error(f"unknown name {name!r}")
 
@@ -217,36 +275,25 @@ class Jet2:
 
 @dataclass(frozen=True)
 class ScalarExpr:
-    root: object
-    n: int
+    """The expression at one slot of a tape."""
+
+    tape: Tape
+    slot: int
+
+    @property
+    def n(self) -> int:
+        return self.tape.n
 
     def render(self) -> str:
-        return render_node(self.root)
+        return self.tape.render(self.slot)
 
     def variables(self) -> set:
-        out = set()
-
-        def walk(node):
-            if isinstance(node, Var):
-                out.add(node.index)
-            elif isinstance(node, Neg):
-                walk(node.arg)
-            elif isinstance(node, BinOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, IntPow):
-                walk(node.base)
-            elif isinstance(node, Func):
-                walk(node.arg)
-
-        walk(self.root)
-        return out
+        nodes = self.tape.nodes
+        return {nodes[s][1] + 1 for s in self.tape.order((self.slot,)) if nodes[s][0] == "x"}
 
     def taylor(self, p, order: int) -> Taylor:
-        if len(p) != self.n:
-            raise ExprError(f"point has {len(p)} coordinates, expected {self.n}")
-        env = [Taylor.variable(j, p[j], self.n, order) for j in range(self.n)]
-        return _eval(self.root, env, self.n, order)
+        """Jet at p of this expression alone: only the nodes it reaches are evaluated."""
+        return self.tape.run(self.tape.order((self.slot,)), p, order)[self.slot]
 
     def eval(self, p) -> complex:
         return self.taylor(p, 0).value
@@ -259,43 +306,13 @@ class ScalarExpr:
 
 
 def parse(source: str, n: int) -> ScalarExpr:
-    if not source or not source.strip():
-        raise ExprSyntaxError("empty expression", 0)
-    if n < 1:
-        raise ExprError(f"dimension must be positive, got {n}")
-    return ScalarExpr(_Parser(source, n).parse(), n)
+    return Tape(n).parse(source)
 
 
 def constant_expr(value, n: int) -> ScalarExpr:
-    return ScalarExpr(Const(complex(value)), n)
+    tape = Tape(n)
+    return ScalarExpr(tape, tape.add("c", complex(value)))
 
 
 def eval_jet(e: ScalarExpr, p) -> Jet2:
     return e.jet(p)
-
-
-def _eval(node, env, n, order) -> Taylor:
-    if isinstance(node, Var):
-        return env[node.index - 1]
-    if isinstance(node, Const):
-        return Taylor.constant(node.value, n, order)
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env, n, order)
-    try:
-        if isinstance(node, BinOp):
-            left = _eval(node.left, env, n, order)
-            right = _eval(node.right, env, n, order)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        if isinstance(node, IntPow):
-            return _eval(node.base, env, n, order).intpow(node.exponent)
-        if isinstance(node, Func):
-            return getattr(_eval(node.arg, env, n, order), node.name)()
-    except JetDomainError as err:
-        raise ExprDomainError(f"{err}, in subexpression '{render_node(node)}'") from err
-    raise TypeError(f"not an expression node: {node!r}")

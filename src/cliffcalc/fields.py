@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import Multivector, _multivector, blade_name, parse_blade, product_sign
-from .expr import ScalarExpr, parse
+from .expr import ScalarExpr, Tape
 from .taylor import JetOrderError, Taylor
 
 EPS_EXACT = 1e-9
@@ -88,24 +88,27 @@ class MultivectorField:
 
 
 class ExprField(MultivectorField):
-    """Exact-mode field: one scalar expression per blade."""
+    """Exact-mode field: one scalar expression per blade, all in one tape that
+    each evaluation runs once, computing shared subexpressions once."""
 
     def __init__(self, n: int, components):
         self.n = n
+        self.tape = Tape(n)
         self.components = {}
         for key, src in components.items():
             mask = key if isinstance(key, int) else parse_blade(key)
-            e = src if isinstance(src, ScalarExpr) else parse(src, n)
-            if e.n != n:
-                raise FieldError(f"component {blade_name(mask)} parsed for dimension {e.n}, field has {n}")
-            self.components[mask] = e
+            if isinstance(src, ScalarExpr) and src.n != n:
+                raise FieldError(f"component {blade_name(mask)} parsed for dimension {src.n}, field has {n}")
+            self.components[mask] = self.tape.adopt(src) if isinstance(src, ScalarExpr) else self.tape.parse(src)
+        self._order = self.tape.order(e.slot for e in self.components.values())
 
     @classmethod
     def scalar(cls, n, src):
         return cls(n, {0: src})
 
     def at(self, p, order=0):
-        return Multivector(self.n, {m: e.taylor(p, order) for m, e in self.components.items()})
+        jets = self.tape.run(self._order, p, order)
+        return Multivector(self.n, {m: jets[e.slot] for m, e in self.components.items()})
 
     def render_components(self):
         return {blade_name(m): e.render() for m, e in sorted(self.components.items())}

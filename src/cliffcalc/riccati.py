@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Multivector
-from .expr import BinOp, ScalarExpr, constant_expr
+from .expr import ScalarExpr, Tape, constant_expr
 from .fields import (
     EPS_EXACT,
     FD_STEP,
@@ -211,10 +211,11 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandid
     def fn(p):
         return Multivector(n, {1 << k: axes[k](p[k]) for k in range(n)})
 
-    v_total = v_list[0].root
+    tape = Tape(n)
+    v_total = tape.adopt(v_list[0]).slot
     for v in v_list[1:]:
-        v_total = BinOp("+", v_total, v.root)
-    potential = ExprField.scalar(n, ScalarExpr(v_total, n))
+        v_total = tape.add("+", v_total, tape.adopt(v).slot)
+    potential = ExprField.scalar(n, ScalarExpr(tape, v_total))
     return RiccatiCandidate(FDField(n, fn), potential, "separable")
 
 

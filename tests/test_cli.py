@@ -323,3 +323,59 @@ def test_decompose_verdict_is_the_library_verdict():
     for reassembly in (0.0, 1e-6):
         result = DecompositionResult(half, half, 1.0, reassembly, ok, ok, ok)
         assert _decomposition_output(result, grid)[2] is result.passed is (reassembly == 0.0)
+
+
+# f = x1 e1 is not a solution for v = 1e-6: D(f) + f^2 - v = -1 - x1^2 - 1e-6
+NOT_A_SOLUTION = '{"n": 1, "fields": {"f": {"e1": "x1"}, "v": "1e-6"}, "grid": {"samples_per_axis": 3}%s}'
+
+
+@pytest.mark.parametrize("tolerance", ["Infinity", "NaN", "-1", "0"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, tolerance):
+    path = tmp_path / "c.json"
+    path.write_text(NOT_A_SOLUTION % f', "tolerance": {tolerance}')
+    code, out, err = run_cli(capsys, "riccati-check", "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance must be a finite positive number") and err.count("\n") == 1
+
+
+def test_infinite_tol_flag_is_config_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(NOT_A_SOLUTION % "")
+    code, out, err = run_cli(capsys, "riccati-check", "--config", str(path), "--tol", "inf")
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance must be a finite positive number") and err.count("\n") == 1
+    assert run_cli(capsys, "riccati-check", "--config", str(path), "--tol", "1e-6")[0] == 1
+
+
+@pytest.mark.parametrize("command, config", [
+    ("riccati-check", {"n": 2, "fields": {"f": {"e1": 1}, "v": "0 - 1"}}),
+    ("riccati-check", {"n": 2, "fields": {"f": {"e1": "1"}, "v": {"1": None}}}),
+    ("riccati-separable", {"n": 1, "v_list": [1]}),
+    ("riccati-separable", {"n": 2, "v_list": ["0 - 1", ["x2"]]}),
+])
+def test_non_string_expression_is_config_error(tmp_path, capsys, command, config):
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
+    assert code == 2 and out == ""
+    assert "expression must be a string" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_vector_split_follows_declared_blades(tmp_path, capsys):
+    # f = x1 vanishes at the box center but declares a scalar, so there is no split
+    cfg = write_config(tmp_path, "c.json", {"n": 2, "fields": {"f": "x1", "v": "1"},
+                                            "grid": {"samples_per_axis": 3}})
+    code, out, _ = run_cli(capsys, "riccati-check", "--config", cfg)
+    assert code == 1
+    assert [r["name"] for r in load(out)["reports"]] == ["riccati"]
+    cfg = write_config(tmp_path, "c.json", {"n": 2, "fields": {"f": {"e1": "x1", "e2": "x2"}, "v": "1"},
+                                            "grid": {"samples_per_axis": 3}})
+    code, out, _ = run_cli(capsys, "riccati-check", "--config", cfg)
+    assert code == 1
+    assert [r["name"] for r in load(out)["reports"]] == ["riccati", "scalar_part", "bivector_part"]
+
+
+def test_family_gap_below_dimension_three_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"n": 2, "K_samples": [2.0], "grid": {"samples_per_axis": 3}})
+    code, out, err = run_cli(capsys, "family-gap", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err == "error: family-gap needs n >= 3\n"
