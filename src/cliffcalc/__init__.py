@@ -9,7 +9,6 @@ kernel splitting through a commuting pseudoscalar unit.
 
 from .algebra import (
     AlgebraError,
-    AlgebraSignature,
     Multivector,
     blade_grade,
     blade_indices,
@@ -22,7 +21,7 @@ from .algebra import (
     pseudoscalar,
 )
 from .taylor import JetDomainError, JetOrderError, Taylor
-from .expr import ExprDomainError, ExprError, ExprSyntaxError, ScalarExpr, eval_jet, parse
+from .expr import ExprDomainError, ExprError, ExprSyntaxError, ScalarExpr, parse
 from .fields import (
     EPS_EXACT,
     EPS_FD,
@@ -36,10 +35,8 @@ from .fields import (
     MultivectorField,
     PreconditionError,
     ResidualReport,
-    dirac,
     grid_residual,
     kvector_leibniz_residual,
-    laplacian,
     scalar_leibniz_residual,
 )
 from .riccati import (
@@ -58,7 +55,6 @@ from .riccati import (
 from .darboux import (
     FactorizedOperator,
     PipelineResult,
-    SpectralParam,
     darboux_kvector_pipeline,
     darboux_scalar_pipeline,
     darboux_transform,
@@ -72,8 +68,6 @@ from .kernel import (
     DecompositionResult,
     ModeError,
     PseudoscalarMode,
-    apply_A,
-    apply_B,
     decompose_conjugate_solution,
     decompose_schrodinger_solution,
     default_mode,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_DIM = 12
@@ -24,15 +23,9 @@ class AlgebraError(ValueError):
     """Ill-formed algebra input: bad dimension, blade, or mixed signatures."""
 
 
-@dataclass(frozen=True)
-class AlgebraSignature:
-    """Dimension tag for the algebra generated by e1..en with e_j^2 = -1."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_DIM:
-            raise AlgebraError(f"dimension must be an integer in 1..{MAX_DIM}, got {self.n!r}")
+def _check_dim(n):
+    if not isinstance(n, int) or not 1 <= n <= MAX_DIM:
+        raise AlgebraError(f"dimension must be an integer in 1..{MAX_DIM}, got {n!r}")
 
 
 def blade_mask(indices) -> int:
@@ -106,7 +99,7 @@ class Multivector:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        AlgebraSignature(n)
+        _check_dim(n)
         self.n = n
         self.terms = {}
         if terms:
@@ -117,14 +110,6 @@ class Multivector:
                 if not _is_zero(coeff):
                     self.terms[mask] = coeff
 
-    @property
-    def signature(self) -> AlgebraSignature:
-        return AlgebraSignature(self.n)
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
-
     @classmethod
     def scalar(cls, n, c):
         return cls(n, {0: c})
@@ -134,10 +119,6 @@ class Multivector:
         if not 1 <= j <= n:
             raise AlgebraError(f"basis index {j} out of range 1..{n}")
         return cls(n, {1 << (j - 1): 1.0 + 0j})
-
-    @classmethod
-    def blade(cls, n, indices, coeff=1.0 + 0j):
-        return cls(n, {blade_mask(indices): coeff})
 
     def _check_same(self, other):
         if self.n != other.n:
@@ -228,27 +209,13 @@ class Multivector:
         return self.coeff(0)
 
     def render(self) -> str:
-        """Exact round-trip text form: "(1+0j)*e1 + (0+1j)*e1^e2"."""
+        """Exact text form: "(1+0j)*e1 + (0+1j)*e1^e2"."""
         if not self.terms:
             return "0"
         parts = []
         for m in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
             parts.append(f"{complex(self.terms[m])!r}*{blade_name(m)}")
         return " + ".join(parts)
-
-    @classmethod
-    def parse(cls, n: int, text: str) -> "Multivector":
-        text = text.strip()
-        if text == "0":
-            return cls(n)
-        terms = {}
-        for part in text.split(" + "):
-            coeff_src, _, blade_src = part.partition("*")
-            if not blade_src:
-                raise AlgebraError(f"bad multivector term {part!r}")
-            mask = parse_blade(blade_src)
-            terms[mask] = terms.get(mask, 0j) + complex(coeff_src)
-        return cls(n, terms)
 
 
 def _multivector(n, terms):
@@ -279,7 +246,7 @@ def dot_and_wedge(x: Multivector, y: Multivector):
 
 
 def pseudoscalar(n: int) -> Multivector:
-    AlgebraSignature(n)
+    _check_dim(n)
     return Multivector(n, {(1 << n) - 1: 1.0 + 0j})
 
 

@@ -174,7 +174,10 @@ def _cmd_verify_identities(c):
     if c.n < 2:
         raise ConfigError("verify-identities needs n >= 2")
     seed = c.args.seed if c.args.seed is not None else c.optional("seed", int, 0)
-    entries = identity_suite(c.n, seed, c.optional("rounds", int, 25))
+    rounds = c.optional("rounds", int, 25)
+    if rounds < 1:
+        raise ConfigError("config key 'rounds' must be at least 1")
+    entries = identity_suite(c.n, seed, rounds)
     return [(e.name, e) for e in entries], {}, all(e.passed for e in entries)
 
 
@@ -200,7 +203,7 @@ def _cmd_riccati_separable(c):
     step = c.optional("ode_step", NUMBER, ODE_DEFAULT_STEP)
     try:
         cand = separable_solve(v_list, x0, f0, grid.box, step=step)
-    except FieldError as err:  # raised only for malformed input
+    except FieldError as err:  # malformed input, or a step too small for the box
         raise ConfigError(str(err)) from err
     except OdeBlowupError as err:
         rep = ResidualReport(float("inf"), float("inf"), (err.x,), 0, eps, False)

@@ -33,21 +33,8 @@ from .riccati import riccati_residual
 CLOSED_FORMS = ("plus_minus", "minus_plus", "minus_plus_scalar")
 
 
-@dataclass(frozen=True)
-class SpectralParam:
-    lam: complex
-
-    def __post_init__(self):
-        if complex(self.lam) == 0:
-            raise FieldError("spectral parameter must be nonzero")
-
-    @property
-    def squared(self):
-        return complex(self.lam) ** 2
-
-
 def as_lambda(value) -> complex:
-    lam = value.lam if isinstance(value, SpectralParam) else complex(value)
+    lam = complex(value)
     if lam == 0:
         raise FieldError("spectral parameter must be nonzero")
     return lam
@@ -76,9 +63,6 @@ class FactorizedOperator:
             return _factor_jet(g.at(p, order + 1), self.f.at(p, order), self.sign)
 
         return DerivedField(g.n, at)
-
-    def apply(self, g: MultivectorField, p) -> Multivector:
-        return mv_value(self.field(g).at(p, 0))
 
 
 def plus_op(f):

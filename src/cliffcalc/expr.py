@@ -36,8 +36,9 @@ class ExprSyntaxError(ExprError):
         self.offset = offset
 
 
-class ExprDomainError(ExprError):
-    pass
+class ExprDomainError(ArithmeticError):
+    """Evaluation left a function's domain at a point: a failure of the
+    arithmetic, not a malformed expression."""
 
 
 class Tape:
@@ -265,15 +266,6 @@ class _Parser:
 
 
 @dataclass(frozen=True)
-class Jet2:
-    """Value, gradient, and (symmetric) Hessian at a point."""
-
-    value: complex
-    gradient: tuple
-    hessian: tuple
-
-
-@dataclass(frozen=True)
 class ScalarExpr:
     """The expression at one slot of a tape."""
 
@@ -298,12 +290,6 @@ class ScalarExpr:
     def eval(self, p) -> complex:
         return self.taylor(p, 0).value
 
-    def jet(self, p) -> Jet2:
-        t = self.taylor(p, 2)
-        grad = tuple(t.grad(j) for j in range(self.n))
-        hess = tuple(tuple(t.second(j, k) for k in range(self.n)) for j in range(self.n))
-        return Jet2(t.value, grad, hess)
-
 
 def parse(source: str, n: int) -> ScalarExpr:
     return Tape(n).parse(source)
@@ -312,7 +298,3 @@ def parse(source: str, n: int) -> ScalarExpr:
 def constant_expr(value, n: int) -> ScalarExpr:
     tape = Tape(n)
     return ScalarExpr(tape, tape.add("c", complex(value)))
-
-
-def eval_jet(e: ScalarExpr, p) -> Jet2:
-    return e.jet(p)

@@ -6,7 +6,7 @@ pointwise products compose freely: each derivative spends one order, and
 callers request exactly as many orders as the identity they evaluate needs.
 
 Two derivative providers exist: expression-backed fields (exact jets of any
-order) and black-box fields (central finite differences, orders 0..2).
+order) and black-box fields (central finite differences, orders 0 and 1).
 """
 
 from __future__ import annotations
@@ -97,6 +97,8 @@ class ExprField(MultivectorField):
         self.components = {}
         for key, src in components.items():
             mask = key if isinstance(key, int) else parse_blade(key)
+            if mask in self.components:
+                raise FieldError(f"blade {blade_name(mask)} is named twice")
             if isinstance(src, ScalarExpr) and src.n != n:
                 raise FieldError(f"component {blade_name(mask)} parsed for dimension {src.n}, field has {n}")
             self.components[mask] = self.tape.adopt(src) if isinstance(src, ScalarExpr) else self.tape.parse(src)
@@ -124,7 +126,7 @@ class ConstantField(MultivectorField):
 
 
 class FDField(MultivectorField):
-    """Black-box field differentiated by central differences (orders 0..2)."""
+    """Black-box field differentiated by central differences (orders 0 and 1)."""
 
     def __init__(self, n: int, fn, step: float = FD_STEP):
         if step <= 0:
@@ -139,36 +141,18 @@ class FDField(MultivectorField):
         return tuple(q)
 
     def at(self, p, order=0):
-        if order > 2:
-            raise JetOrderError("finite-difference fields provide jets up to order 2 only")
+        if order > 1:
+            raise JetOrderError("finite-difference fields provide jets up to order 1 only")
         n, h = self.n, self.step
         base = self.fn(tuple(p))
         coefs = {m: {(0,) * n: c} for m, c in mv_value(base).terms.items()}
-
-        def put(alpha, mv, scale):
-            for m, c in mv_value(mv).terms.items():
-                slot = coefs.setdefault(m, {})
-                slot[alpha] = slot.get(alpha, 0j) + c * scale
-
         if order >= 1:
-            plus = [self.fn(self._shift(p, j, h)) for j in range(n)]
-            minus = [self.fn(self._shift(p, j, -h)) for j in range(n)]
+            scale = 1.0 / (2 * h)
             for j in range(n):
                 alpha = tuple(1 if i == j else 0 for i in range(n))
-                put(alpha, plus[j] - minus[j], 1.0 / (2 * h))
-            if order >= 2:
-                for j in range(n):
-                    alpha = tuple(2 if i == j else 0 for i in range(n))
-                    # Taylor coefficient is half the second derivative
-                    put(alpha, plus[j] + minus[j] - 2 * base, 0.5 / (h * h))
-                for j in range(n):
-                    for k in range(j + 1, n):
-                        pp = self.fn(self._shift(self._shift(p, j, h), k, h))
-                        pm = self.fn(self._shift(self._shift(p, j, h), k, -h))
-                        mp = self.fn(self._shift(self._shift(p, j, -h), k, h))
-                        mm = self.fn(self._shift(self._shift(p, j, -h), k, -h))
-                        alpha = tuple((i == j) + (i == k) for i in range(n))
-                        put(alpha, pp - pm - mp + mm, 1.0 / (4 * h * h))
+                diff = self.fn(self._shift(p, j, h)) - self.fn(self._shift(p, j, -h))
+                for m, c in mv_value(diff).terms.items():
+                    coefs.setdefault(m, {})[alpha] = c * scale
         return Multivector(n, {m: Taylor(n, order, cf) for m, cf in coefs.items()})
 
 
@@ -217,15 +201,7 @@ def _inv_scalar(c):
     return 1.0 / c
 
 
-# -- pointwise operations ----------------------------------------------------
-
-def dirac(f: MultivectorField, p) -> Multivector:
-    return mv_value(mv_dirac(f.at(p, 1)))
-
-
-def laplacian(f: MultivectorField, p) -> Multivector:
-    return mv_value(mv_laplacian(f.at(p, 2)))
-
+# -- pointwise Leibniz residuals ---------------------------------------------
 
 def scalar_leibniz_residual(phi: MultivectorField, f: MultivectorField, p) -> Multivector:
     """D(phi f) - [D(phi) f + phi D(f)] for scalar-valued phi."""
@@ -269,7 +245,7 @@ class GridSpec:
         if not self.box:
             raise FieldError("grid box must have at least one axis")
         for lo, hi in self.box:
-            if not lo < hi:
+            if not -math.inf < lo < hi < math.inf:
                 raise FieldError(f"bad axis range [{lo}, {hi}]")
         if self.samples_per_axis < 2:
             raise FieldError("need at least 2 samples per axis")

@@ -97,14 +97,6 @@ def operator_field(f, mode: PseudoscalarMode, g, variant="A") -> MultivectorFiel
     return DerivedField(g.n, at)
 
 
-def apply_A(f, mode, g, p) -> Multivector:
-    return mv_value(operator_field(f, mode, g, "A").at(p, 0))
-
-
-def apply_B(f, mode, g, p) -> Multivector:
-    return mv_value(operator_field(f, mode, g, "B").at(p, 0))
-
-
 def _first_order(f, mode, lam, sign, g, variant):
     """p -> (order-1 jet of g, D g + s g (f + s sign lam iE)), with s = -1 for A
     and +1 for B: the first-order form of (A + sign lam) g, or of (B + sign lam) g."""

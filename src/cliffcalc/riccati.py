@@ -39,6 +39,7 @@ from .fields import (
 DEFAULT_DENOM_RADIUS = 1e-2
 ODE_DEFAULT_STEP = 1e-3
 ODE_BLOWUP_BOUND = 1e6
+ODE_MAX_STEPS = 100_000  # RK4 steps per axis, both directions together
 
 
 class OdeBlowupError(ArithmeticError):
@@ -189,7 +190,8 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandid
     Each v_k may depend only on x_k; the assembled candidate claims the
     potential v = sum_k v_k and is a finite-difference-mode field.
     Raises OdeBlowupError when any axis solution leaves |f| <= ODE_BLOWUP_BOUND
-    inside the box, and FieldError only for malformed input.
+    inside the box, and FieldError for malformed input or for a step that needs
+    more than ODE_MAX_STEPS steps on an axis.
     """
     n = len(v_list)
     if not step > 0:
@@ -202,10 +204,13 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandid
             raise FieldError(f"potential term {k} depends on variables {sorted(extra)} besides x{k}")
     # pad query range so finite differencing near the box edge stays inside
     pad = 10 * FD_STEP
+    ranges = [(lo - pad, hi + pad) for lo, hi in box]
+    for k, (lo, hi) in enumerate(ranges):
+        if (abs(hi - x0[k]) + abs(x0[k] - lo)) / step > ODE_MAX_STEPS:
+            raise FieldError(f"ODE step {step!r} needs over {ODE_MAX_STEPS} steps on axis {k + 1}")
     axes = [
-        _AxisSolution(v_list[k], k + 1, x0[k], f0[k], box[k][0] - pad, box[k][1] + pad, step,
-                      ODE_BLOWUP_BOUND)
-        for k in range(n)
+        _AxisSolution(v_list[k], k + 1, x0[k], f0[k], lo, hi, step, ODE_BLOWUP_BOUND)
+        for k, (lo, hi) in enumerate(ranges)
     ]
 
     def fn(p):
@@ -291,7 +296,10 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec):
     d1, d2 = dirac_field(phi1), dirac_field(phi2)
 
     def alpha_at(p, order):
-        return (scalar_of(phi1.at(p, order)) - scalar_of(phi2.at(p, order))).exp() * K
+        a, b = phi1.at(p, order), phi2.at(p, order)
+        if a.terms.keys() != {0} or b.terms.keys() != {0}:
+            raise FieldError("phi1 and phi2 must be scalar fields")
+        return (scalar_of(a) - scalar_of(b)).exp() * K
 
     masked = grid.with_exclusion(lambda p: abs(alpha_at(p, 0).value - 1.0) < DEFAULT_DENOM_RADIUS)
 

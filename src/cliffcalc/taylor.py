@@ -37,6 +37,14 @@ class JetOrderError(ValueError):
     """A derivative was requested beyond the tracked truncation order."""
 
 
+def _cmath(fn, z):
+    # cmath raises ValueError where the result is undefined, e.g. sin at infinity
+    try:
+        return fn(z)
+    except ValueError:
+        raise JetDomainError(f"{fn.__name__} of {z!r} is undefined") from None
+
+
 def _monomials(n, d):
     """Exponent tuples of degree d in n variables, in descending lexicographic order."""
     for factors in itertools.combinations_with_replacement(range(n), d):
@@ -149,11 +157,6 @@ class Taylor:
             raise ValueError(f"variable index {j} out of range for {self.n} variables")
         return self._coef.get(1 + j, 0j)
 
-    def second(self, j, k):
-        alpha = tuple((i == j) + (i == k) for i in range(self.n))
-        c = self._coef.get(_basis(self.n, 2).index[alpha], 0j)
-        return 2 * c if j == k else c
-
     def diff(self, j):
         """Exact partial derivative; costs one order of truncation."""
         if self.order < 1:
@@ -265,7 +268,7 @@ class Taylor:
         return acc
 
     def exp(self):
-        e = cmath.exp(self.value)
+        e = _cmath(cmath.exp, self.value)
         return self._compose([e] * (self.order + 1))
 
     def log(self):
@@ -280,13 +283,13 @@ class Taylor:
         return self._compose(derivs)
 
     def sin(self):
-        u0 = self.value
-        cycle = [cmath.sin(u0), cmath.cos(u0), -cmath.sin(u0), -cmath.cos(u0)]
+        s, c = _cmath(cmath.sin, self.value), _cmath(cmath.cos, self.value)
+        cycle = [s, c, -s, -c]
         return self._compose([cycle[m % 4] for m in range(self.order + 1)])
 
     def cos(self):
-        u0 = self.value
-        cycle = [cmath.cos(u0), -cmath.sin(u0), -cmath.cos(u0), cmath.sin(u0)]
+        s, c = _cmath(cmath.sin, self.value), _cmath(cmath.cos, self.value)
+        cycle = [c, -s, -c, s]
         return self._compose([cycle[m % 4] for m in range(self.order + 1)])
 
     def sqrt(self):

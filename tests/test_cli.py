@@ -268,6 +268,10 @@ def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base
     ("riccati-check", {**RICCATI_CFG, "tolerance": True}),
     ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "ode_step": "0.001"}),
     ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "tolerance": [1e-4]}),
+    ("verify-identities", {"n": 2, "rounds": 0}),
+    ("verify-identities", {"n": 2, "rounds": -5}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1, 1e400], [-1, 1], [-1, 1]]}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1e400, 1], [-1, 1], [-1, 1]]}}),
 ])
 def test_wrong_optional_key_type_is_config_error(tmp_path, capsys, command, config):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
@@ -282,6 +286,38 @@ def test_overflow_is_numerical_failure_without_traceback(tmp_path, capsys):
     code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
     assert code == 1 and out == ""
     assert err.startswith("check failed: ") and err.count("\n") == 1
+
+
+LOG_OF_NEGATIVE = "check failed: log of non-positive real value"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    # leaving log's domain at a sample is a failure of the arithmetic, not a malformed config
+    ("riccati-check", {"n": 3, "fields": {"f": "log(x1 - 2)", "v": "0"}, "grid": {"samples_per_axis": 3}},
+     LOG_OF_NEGATIVE),
+    ("riccati-separable", {"n": 1, "v_list": ["log(x1 - 2)"], "grid": {"samples_per_axis": 3}}, LOG_OF_NEGATIVE),
+    ("euler-combine", {**EULER_CFG, "K": 2.0, "fields": {"phi1": {"e1": "x1"}, "phi2": {}, "v": "0 - 1"}},
+     "check failed: phi1 and phi2 must be scalar fields"),
+    # x1^-2 overflows to infinity at x1 = 1e-200, where sin has no value
+    ("riccati-check", {"n": 1, "fields": {"f": {"e1": "sin(x1^-2)"}, "v": "0"},
+                       "grid": {"box": [[1e-200, 1]], "samples_per_axis": 3}},
+     "check failed: sin of (inf+0j) is undefined, in subexpression 'sin((x1^-2))'"),
+], ids=["riccati-check-log", "riccati-separable-log", "euler-combine-vector-phi", "riccati-check-sin-inf"])
+def test_evaluation_failure_is_numerical_failure(tmp_path, capsys, command, config, message):
+    code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
+    assert code == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("f", [
+    {"e1": "1", " e1": "x2"},
+    {"e1^e2": "1", "e1 ^ e2": "x2"},
+])
+def test_repeated_blade_is_config_error(tmp_path, capsys, f):
+    cfg = write_config(tmp_path, "c.json", {"n": 2, "fields": {"f": f, "v": "0 - 1"}})
+    code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err.startswith("error: field 'f': blade ") and err.endswith(" is named twice\n")
 
 
 SEPARABLE_CFG = {"n": 2, "v_list": ["0 - 1", "0 - 1"], "grid": {"samples_per_axis": 3}}
@@ -301,6 +337,7 @@ SEPARABLE_CFG = {"n": 2, "v_list": ["0 - 1", "0 - 1"], "grid": {"samples_per_axi
     {"ode_step": -1e-3},
     {"v_list": ["0 - 1"]},
     {"v_list": ["x2", "0"]},
+    {"ode_step": 1e-9},
 ])
 def test_malformed_separable_start_or_step_is_config_error(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, "c.json", {**SEPARABLE_CFG, **extra})

@@ -10,7 +10,6 @@ from cliffcalc.expr import (
     ExprDomainError,
     ExprSyntaxError,
     constant_expr,
-    eval_jet,
     parse,
 )
 from cliffcalc.fields import ExprField
@@ -54,16 +53,16 @@ def test_functions():
 def test_jet_gradient_hessian():
     e = parse("exp(x1)*sin(x2)", 2)
     p = (0.5, 1.2)
-    j = eval_jet(e, p)
+    t = e.taylor(p, 2)
     ex, s, c = math.exp(0.5), math.sin(1.2), math.cos(1.2)
-    assert j.value == pytest.approx(ex * s)
-    assert j.gradient[0] == pytest.approx(ex * s)
-    assert j.gradient[1] == pytest.approx(ex * c)
-    assert j.hessian[0][0] == pytest.approx(ex * s)
-    assert j.hessian[0][1] == pytest.approx(ex * c)
-    assert j.hessian[1][1] == pytest.approx(-ex * s)
+    assert t.value == pytest.approx(ex * s)
+    assert t.grad(0) == pytest.approx(ex * s)
+    assert t.grad(1) == pytest.approx(ex * c)
+    assert t.diff(0).diff(0).value == pytest.approx(ex * s)
+    assert t.diff(0).diff(1).value == pytest.approx(ex * c)
+    assert t.diff(1).diff(1).value == pytest.approx(-ex * s)
     # this function is harmonic in 2 variables
-    assert abs(j.hessian[0][0] + j.hessian[1][1]) < 1e-12
+    assert abs(t.diff(0).diff(0).value + t.diff(1).diff(1).value) < 1e-12
 
 
 def test_high_order_jets():

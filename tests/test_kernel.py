@@ -9,18 +9,18 @@ from cliffcalc.fields import (
     GridSpec,
     PreconditionError,
     ResidualReport,
+    mv_value,
 )
 from cliffcalc.kernel import (
     DecompositionResult,
     ModeError,
     PseudoscalarMode,
-    apply_A,
-    apply_B,
     decompose_conjugate_solution,
     decompose_schrodinger_solution,
     default_mode,
     first_order_residual,
     mode_check,
+    operator_field,
     operator_norm_gap,
     split_kernel,
     squared_operator_residual,
@@ -83,7 +83,7 @@ def test_worked_example_n2():
     mode = default_mode(n)
     g = ExprField.scalar(n, "1")
     p = (0.3, -0.7)
-    a1 = apply_A(f, mode, g, p)
+    a1 = mv_value(operator_field(f, mode, g, "A").at(p, 0))
     assert (a1 - Multivector(n, {0b10: 1j})).norm() < 1e-14
     grid = GridSpec.cube(n, samples_per_axis=4)
     res = split_kernel(f, mode, 1.0, g, grid)
@@ -187,10 +187,11 @@ def test_decompose_conjugate_pipeline():
     assert res.reassembly_residual <= 1e-12
 
 
-def test_apply_B_value():
+def test_operator_B_value():
     # B(1) = (D 1 + 1 * e1) i e1 e2 = i e1 e1 e2 = -i e2
     n = 2
-    b1 = apply_B(e1_field(n), default_mode(n), ExprField.scalar(n, "1"), (0.1, 0.2))
+    b = operator_field(e1_field(n), default_mode(n), ExprField.scalar(n, "1"), "B")
+    b1 = mv_value(b.at((0.1, 0.2), 0))
     assert (b1 - Multivector(n, {0b10: -1j})).norm() < 1e-14
 
 
