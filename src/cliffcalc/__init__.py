@@ -36,16 +36,17 @@ from .fields import (
     PreconditionError,
     ResidualReport,
     grid_residual,
+    grid_residuals,
     kvector_leibniz_residual,
     scalar_leibniz_residual,
 )
 from .riccati import (
     OdeBlowupError,
     RiccatiCandidate,
-    check_harmonic,
     combination_family_gap,
     euler_combine,
     euler_shift,
+    harmonic_check,
     homogeneous_sum,
     log_derivative,
     riccati_residual,
@@ -59,7 +60,7 @@ from .darboux import (
     darboux_scalar_pipeline,
     darboux_transform,
     darboux_vector_pipeline,
-    gen_schrodinger_residual,
+    gen_schrodinger_check,
     kvector_closed_form,
     minus_op,
     plus_op,
@@ -71,10 +72,10 @@ from .kernel import (
     decompose_conjugate_solution,
     decompose_schrodinger_solution,
     default_mode,
-    first_order_residual,
+    first_order_check,
     mode_check,
     split_kernel,
-    squared_operator_residual,
+    squared_operator_check,
 )
 from .suites import identity_suite
 

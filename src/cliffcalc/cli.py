@@ -185,9 +185,9 @@ def _cmd_riccati_check(c):
     eps = c.eps()
     cand = c.candidate()
     grid = c.grid()
-    named = [("riccati", riccati_residual(cand, grid, eps=eps))]
-    if all(blade_grade(m) == 1 for m in cand.f.components):
-        named += zip(("scalar_part", "bivector_part"), vector_split_residuals(cand, grid, eps=eps))
+    split = all(blade_grade(m) == 1 for m in cand.f.components)
+    reports = vector_split_residuals(cand, grid, eps=eps) if split else [riccati_residual(cand, grid, eps=eps)]
+    named = list(zip(("riccati", "scalar_part", "bivector_part"), reports))
     return named, {"candidate": cand.to_json()}, all(r.passed for _, r in named)
 
 
@@ -274,10 +274,11 @@ def _decomposition_output(result, grid):
         ("plus_kernel", result.plus_kernel_report),
         ("minus_kernel", result.minus_kernel_report),
     ]
+    center = grid.center  # one tuple, so both parts share the fields' jets there
     extras = {
         "reassembly_residual": result.reassembly_residual,
-        "g_plus_at_center": result.g_plus.value(grid.center).render(),
-        "g_minus_at_center": result.g_minus.value(grid.center).render(),
+        "g_plus_at_center": result.g_plus.value(center).render(),
+        "g_minus_at_center": result.g_minus.value(center).render(),
         "variant": result.variant,
     }
     return named, extras, result.passed

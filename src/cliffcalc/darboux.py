@@ -20,15 +20,14 @@ from .fields import (
     GridSpec,
     MultivectorField,
     ResidualReport,
-    grid_residual,
+    grid_residuals,
     mv_dirac,
     mv_laplacian,
     mv_partial,
     mv_value,
-    require,
     scalar_of,
 )
-from .riccati import riccati_residual
+from .riccati import riccati_check
 
 CLOSED_FORMS = ("plus_minus", "minus_plus", "minus_plus_scalar")
 
@@ -88,8 +87,8 @@ class PipelineResult:
         return out
 
 
-def gen_schrodinger_residual(f, g, lam, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
-    """Residual of (D + M^f)(D - M^f) g = lam^2 g."""
+def gen_schrodinger_check(f, g, lam):
+    """p -> residual of (D + M^f)(D - M^f) g = lam^2 g at p."""
     lam2 = as_lambda(lam) ** 2
 
     def residual_at(p):
@@ -98,7 +97,7 @@ def gen_schrodinger_residual(f, g, lam, grid: GridSpec, eps=EPS_EXACT) -> Residu
         lhs = _factor_jet(_factor_jet(gj, fj, -1), fj, +1)
         return mv_value(lhs - lam2 * gj), mv_value(lhs).norm()
 
-    return grid_residual(residual_at, grid, eps=eps)
+    return residual_at
 
 
 def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
@@ -108,8 +107,6 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
     (D - M^f)(D + M^f) h = lam^2 h.
     """
     lam = as_lambda(lam)
-    pre = require(gen_schrodinger_residual(f, g, lam, grid, eps=eps),
-                  "g is not an eigenfunction of the factorized operator")
     h = minus_op(f).field(g)
     lam2 = lam * lam
 
@@ -119,7 +116,9 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
         lhs = _factor_jet(_factor_jet(hj, fj, +1), fj, -1)
         return mv_value(lhs - lam2 * hj), abs(lam2) * mv_value(hj).norm()
 
-    conclusion = grid_residual(residual_at, grid, eps=eps)
+    pre, conclusion = grid_residuals([
+        (gen_schrodinger_check(f, g, lam), "g is not an eigenfunction of the factorized operator"),
+        (residual_at, None)], grid, eps=eps)
     return h, PipelineResult({"eigenfunction": pre}, conclusion)
 
 
@@ -173,18 +172,18 @@ def derived_potential(fj, sign):
     return sign * mv_dirac(fj) - fj * fj
 
 
-def potential_residual(f, sign, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
-    """Non-scalar part of the derived potential sign*D(f) - f^2 over the grid."""
+def potential_check(f, sign):
+    """p -> non-scalar part of the derived potential sign*D(f) - f^2 at p."""
 
     def residual_at(p):
         w = mv_value(derived_potential(f.at(p, 1), sign))
         return w - w.grade(0), w.norm()
 
-    return grid_residual(residual_at, grid, eps=eps)
+    return residual_at
 
 
-def schrodinger_residual(phi, potential_at, lam, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
-    """Residual of (-Lap + q) phi = lam^2 phi, with the scalar potential q = potential_at(p)."""
+def schrodinger_check(phi, potential_at, lam):
+    """p -> residual of (-Lap + q) phi = lam^2 phi at p, with the scalar potential q = potential_at(p)."""
     lam2 = as_lambda(lam) ** 2
 
     def residual_at(p):
@@ -192,7 +191,7 @@ def schrodinger_residual(phi, potential_at, lam, grid: GridSpec, eps=EPS_EXACT) 
         lhs = -mv_laplacian(ph) + potential_at(p) * ph
         return mv_value(lhs - lam2 * ph), abs(lam2) * mv_value(ph).norm()
 
-    return grid_residual(residual_at, grid, eps=eps)
+    return residual_at
 
 
 def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:
@@ -205,9 +204,6 @@ def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT
     """
     lam2 = as_lambda(lam) ** 2
     f, v = f_candidate.f, f_candidate.potential
-    pre_riccati = require(riccati_residual(f_candidate, grid, eps=eps), "riccati precondition failed")
-    pre_phi = require(schrodinger_residual(phi, lambda p: -scalar_of(v.at(p, 0)), lam, grid, eps),
-                      "schrodinger precondition failed")
     h = minus_op(f).field(phi)
     n = grid.n
 
@@ -223,7 +219,10 @@ def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT
             acc = acc - 2.0 * (hj.coeff(1 << (j - 1)) * mv_partial(fj, j))
         return mv_value(acc), abs(lam2) * hv.norm()
 
-    conclusion = grid_residual(residual_at, grid, eps=eps)
+    pre_riccati, pre_phi, conclusion = grid_residuals([
+        (riccati_check(f_candidate), "riccati precondition failed"),
+        (schrodinger_check(phi, lambda p: -scalar_of(v.at(p, 0)), lam), "schrodinger precondition failed"),
+        (residual_at, None)], grid, eps=eps)
     return PipelineResult({"riccati": pre_riccati, "schrodinger": pre_phi}, conclusion)
 
 
@@ -242,7 +241,6 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
     """
     lam2 = as_lambda(lam) ** 2
     sign = 1.0 if (k + 1) % 2 == 0 else -1.0
-    pre_w = require(potential_residual(f, sign, grid, eps), "the derived potential is not scalar-valued")
 
     def pre_at(p):
         g = gk.at(p, 2)
@@ -254,7 +252,6 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
         lhs = -mv_laplacian(g) + w * g - 2.0 * _grade_shift_sum(g, fj, k - 1)
         return mv_value(lhs - lam2 * g), abs(lam2) * gv.norm()
 
-    pre_g = require(grid_residual(pre_at, grid, eps=eps), "input field fails its eigen-equation")
     h = minus_op(f).field(gk)
 
     def residual_at(p):
@@ -267,7 +264,10 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
         acc = acc + 2.0 * (_grade_shift_sum(lo, fj, k - 2) + _grade_shift_sum(hi, fj, k))
         return mv_value(acc), abs(lam2) * mv_value(hj).norm()
 
-    conclusion = grid_residual(residual_at, grid, eps=eps)
+    pre_w, pre_g, conclusion = grid_residuals([
+        (potential_check(f, sign), "the derived potential is not scalar-valued"),
+        (pre_at, "input field fails its eigen-equation"),
+        (residual_at, None)], grid, eps=eps)
     return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion)
 
 

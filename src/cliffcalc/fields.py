@@ -76,11 +76,27 @@ def mv_laplacian(mv: Multivector) -> Multivector:
 
 
 class MultivectorField:
-    """Base class: map from points of R^n to multivectors, with jets."""
+    """Base class: map from points of R^n to multivectors, with jets.
+
+    `at` keeps the jets from `evaluate` at the last point (the same tuple
+    object) and highest order asked there; a lower order is their truncation,
+    bit for bit the fresh jet, as degree-k coefficients ignore higher ones.
+    """
 
     n: int
+    _last = (None, -1, None)  # (point, order, jets)
 
     def at(self, p, order: int = 0) -> Multivector:
+        p = tuple(p)
+        point, top, jets = self._last
+        if p is not point or order > top:
+            jets = self.evaluate(p, order)
+            self._last = (p, order, jets)
+        elif order < top:
+            jets = jets.map_coeffs(lambda c: c.truncate(order) if isinstance(c, Taylor) else c)
+        return jets
+
+    def evaluate(self, p: tuple, order: int) -> Multivector:
         raise NotImplementedError
 
     def value(self, p) -> Multivector:
@@ -102,13 +118,16 @@ class ExprField(MultivectorField):
             if isinstance(src, ScalarExpr) and src.n != n:
                 raise FieldError(f"component {blade_name(mask)} parsed for dimension {src.n}, field has {n}")
             self.components[mask] = self.tape.adopt(src) if isinstance(src, ScalarExpr) else self.tape.parse(src)
+        for mask in self.components:
+            if mask >= 1 << n:
+                raise FieldError(f"blade {blade_name(mask)} does not fit in dimension {n}")
         self._order = self.tape.order(e.slot for e in self.components.values())
 
     @classmethod
     def scalar(cls, n, src):
         return cls(n, {0: src})
 
-    def at(self, p, order=0):
+    def evaluate(self, p, order):
         jets = self.tape.run(self._order, p, order)
         return Multivector(self.n, {m: jets[e.slot] for m, e in self.components.items()})
 
@@ -121,7 +140,7 @@ class ConstantField(MultivectorField):
         self.n = mv.n
         self.mv = mv
 
-    def at(self, p, order=0):
+    def evaluate(self, p, order):
         return self.mv.map_coeffs(lambda c: Taylor.constant(c, self.n, order))
 
 
@@ -135,22 +154,17 @@ class FDField(MultivectorField):
         self.fn = fn
         self.step = step
 
-    def _shift(self, p, j, s):
-        q = list(p)
-        q[j] += s
-        return tuple(q)
-
-    def at(self, p, order=0):
+    def evaluate(self, p, order):
         if order > 1:
             raise JetOrderError("finite-difference fields provide jets up to order 1 only")
         n, h = self.n, self.step
-        base = self.fn(tuple(p))
+        base = self.fn(p)
         coefs = {m: {(0,) * n: c} for m, c in mv_value(base).terms.items()}
         if order >= 1:
             scale = 1.0 / (2 * h)
             for j in range(n):
                 alpha = tuple(1 if i == j else 0 for i in range(n))
-                diff = self.fn(self._shift(p, j, h)) - self.fn(self._shift(p, j, -h))
+                diff = self.fn(p[:j] + (p[j] + h,) + p[j + 1:]) - self.fn(p[:j] + (p[j] - h,) + p[j + 1:])
                 for m, c in mv_value(diff).terms.items():
                     coefs.setdefault(m, {})[alpha] = c * scale
         return Multivector(n, {m: Taylor(n, order, cf) for m, cf in coefs.items()})
@@ -163,8 +177,8 @@ class DerivedField(MultivectorField):
         self.n = n
         self.fn = fn
 
-    def at(self, p, order=0):
-        return self.fn(tuple(p), order)
+    def evaluate(self, p, order):
+        return self.fn(p, order)
 
 
 # -- field combinators ------------------------------------------------------
@@ -302,42 +316,60 @@ class ResidualReport:
         }
 
 
-def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
-    """Aggregate a pointwise residual over the grid.
+def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
+    """Reports of several pointwise residuals from one pass over the grid.
 
-    `residual_at(p)` returns the pair (residual, scale): the residual as a
-    number or multivector, and the size at p that the tolerance scales with
-    (usually the norm of the identity's left-hand side), both from one
-    evaluation of the jets. When tol is not given it is
-    tol = eps * (1 + max scale sampled), which keeps the pass criterion
-    invariant under rescaling the inputs.
+    `checks` lists (residual_at, what) pairs in report order. residual_at(p)
+    returns (residual, scale): the residual as a number or multivector, and
+    the size at p that the tolerance scales with (usually the norm of the
+    identity's left-hand side); without tol, tol = eps * (1 + max scale),
+    which is invariant under rescaling the inputs. `what` names a
+    precondition, or is None. The outcome is that of one sweep per check in
+    list order: an exception from check i is held and stops checks i and
+    later; then each check in turn raises it, else PreconditionError for a
+    failed precondition, else gives its report. So at a point the reported
+    checks run first: they ask for the highest jet orders, which the
+    fields' point caches then truncate for the preconditions.
     """
-    sup = 0.0
-    sumsq = 0.0
+    stats = [[0.0, 0.0, None, 0.0] for _ in checks]  # sup, sum of squares, worst point, scale
+    errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
+    run_order = sorted(range(live), key=lambda i: checks[i][1] is not None)
     count = 0
-    worst = None
-    scale = 0.0
     for p in grid.points():
-        r, s = residual_at(p)
-        v = r if isinstance(r, float) else r.norm()
-        # NaN compares false with everything: take it as the worst sample
-        # explicitly, or it would never reach sup and the check would pass
-        if v >= sup or math.isnan(v):
-            sup = v
-            worst = p
-        sumsq += v * v
         count += 1
-        scale = max(scale, s)
-    if count == 0:
-        raise FieldError("all grid points were excluded")
-    tolerance = tol if tol is not None else eps * (1.0 + scale)
-    rms = math.sqrt(sumsq / count)
-    # sup is finite only if every sample was: an infinite one fails even an infinite tolerance
-    return ResidualReport(sup, rms, worst, count, tolerance, math.isfinite(sup) and sup <= tolerance)
+        for i in run_order:
+            if i >= live:
+                continue
+            try:
+                r, s = checks[i][0](p)
+                v = r if isinstance(r, float) else r.norm()
+                st = stats[i]
+                # NaN compares false with everything: take it as the worst sample
+                # explicitly, or it would never reach sup and the check would pass
+                if v >= st[0] or math.isnan(v):
+                    st[0], st[2] = v, p
+                st[1] += v * v
+                st[3] = max(st[3], s)
+            except Exception as err:
+                errors[i], live = err, i
+        if not live:  # every check stopped, so no sweep would run the exclusion predicate further
+            break
+    reports = []
+    for (_, what), err, (sup, sumsq, worst, scale) in zip(checks, errors, stats):
+        if err is not None:
+            raise err
+        if count == 0:
+            raise FieldError("all grid points were excluded")
+        tolerance = tol if tol is not None else eps * (1.0 + scale)
+        # sup is finite only if every sample was: an infinite one fails even an infinite tolerance
+        report = ResidualReport(sup, math.sqrt(sumsq / count), worst, count, tolerance,
+                                math.isfinite(sup) and sup <= tolerance)
+        if what is not None and not report.passed:
+            raise PreconditionError(f"{what} (sup {report.sup_norm:.3g})", report)
+        reports.append(report)
+    return reports
 
 
-def require(report: ResidualReport, what: str) -> ResidualReport:
-    """The report of a precondition that passed; PreconditionError otherwise."""
-    if not report.passed:
-        raise PreconditionError(f"{what} (sup {report.sup_norm:.3g})", report)
-    return report
+def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
+    """The report of one pointwise residual over the grid (see grid_residuals)."""
+    return grid_residuals([(residual_at, None)], grid, tol, eps)[0]

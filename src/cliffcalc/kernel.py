@@ -26,12 +26,12 @@ from .fields import (
     MultivectorField,
     ResidualReport,
     grid_residual,
+    grid_residuals,
     mv_value,
-    require,
     scalar_of,
 )
-from .darboux import _factor_jet, as_lambda, derived_potential, potential_residual, schrodinger_residual
-from .riccati import riccati_residual
+from .darboux import _factor_jet, as_lambda, derived_potential, potential_check, schrodinger_check
+from .riccati import riccati_check
 
 
 class ModeError(ValueError):
@@ -110,9 +110,8 @@ def _first_order(f, mode, lam, sign, g, variant):
     return at
 
 
-def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
-                         eps=EPS_EXACT) -> ResidualReport:
-    """Membership residual for ker(A + sign*lam), rewritten first order.
+def first_order_check(f, mode, lam, sign, g, variant="A"):
+    """p -> membership residual for ker(A + sign*lam) at p, rewritten first order.
 
     variant "A": D g - g (f - sign*lam*iE);  variant "B": D g + g (f + sign*lam*iE).
     """
@@ -125,7 +124,7 @@ def first_order_residual(f, mode, lam, sign, g, grid: GridSpec, variant="A",
         gj, r = first_order(p)
         return r, abs(lam) * mv_value(gj).norm()
 
-    return grid_residual(residual_at, grid, eps=eps)
+    return residual_at
 
 
 def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> float:
@@ -163,9 +162,8 @@ class DecompositionResult:
                 and self.precondition_report.passed and self.reassembly_residual <= 1e-9)
 
 
-def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
-                              eps=EPS_EXACT) -> ResidualReport:
-    """Residual of (A^2 - lam^2) g (or B^2) over the grid."""
+def squared_operator_check(f, mode, lam, g, variant="A"):
+    """p -> residual of (A^2 - lam^2) g (or B^2) at p."""
     lam2 = as_lambda(lam) ** 2
     op2 = operator_field(f, mode, operator_field(f, mode, g, variant), variant)
 
@@ -173,19 +171,25 @@ def squared_operator_residual(f, mode, lam, g, grid: GridSpec, variant="A",
         gv = g.value(p)
         return mv_value(op2.at(p, 0)) - lam2 * gv, abs(lam2) * gv.norm()
 
-    return grid_residual(residual_at, grid, eps=eps)
+    return residual_at
 
 
-def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT) -> DecompositionResult:
+def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
+                 preconditions=()) -> DecompositionResult:
     """Split g in ker(A^2 - lam^2) into its +lam and -lam eigenparts.
 
     g_plus = (1/2 lam)(A + lam) g lies in ker(A - lam); g_minus is the
     complementary projection; the two reassemble to g exactly.
+    `preconditions` are (residual_at, what) checks of the inputs, verified
+    in the same pass over the grid and reported before anything of the split.
     """
     lam = as_lambda(lam)
-    mode_check(mode, f, _corner_samples(grid))
-    pre = require(squared_operator_residual(f, mode, lam, g, grid, variant, eps=eps),
-                  "input is not in the kernel of the squared operator")
+    checks = list(preconditions)
+    try:
+        mode_check(mode, f, [tuple(lo for lo, _ in grid.box), tuple(hi for _, hi in grid.box), grid.center])
+    except Exception:
+        grid_residuals(checks, grid, eps=eps)  # a failed precondition is reported first
+        raise
     a_g = operator_field(f, mode, g, variant)
     half = 0.5 / lam
 
@@ -197,21 +201,18 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT) ->
 
     g_plus = DerivedField(g.n, plus_at)
     g_minus = DerivedField(g.n, minus_at)
-    # membership: (A + lam) g in ker(A - lam) and vice versa
-    plus_report = first_order_residual(f, mode, lam, -1, g_plus, grid, variant, eps=eps)
-    minus_report = first_order_residual(f, mode, lam, +1, g_minus, grid, variant, eps=eps)
 
     def reassembly_at(p):
         return mv_value(g_plus.at(p, 0)) + mv_value(g_minus.at(p, 0)) - g.value(p), 0.0
 
-    reassembly = grid_residual(reassembly_at, grid).sup_norm
-    return DecompositionResult(g_plus, g_minus, lam, reassembly, plus_report, minus_report, pre, variant)
-
-
-def _corner_samples(grid: GridSpec):
-    lo = tuple(b[0] for b in grid.box)
-    hi = tuple(b[1] for b in grid.box)
-    return [lo, hi, grid.center]
+    squared = squared_operator_check(f, mode, lam, g, variant)
+    checks += [(squared, "input is not in the kernel of the squared operator"),
+               # membership: (A + lam) g in ker(A - lam) and vice versa
+               (first_order_check(f, mode, lam, -1, g_plus, variant), None),
+               (first_order_check(f, mode, lam, +1, g_minus, variant), None),
+               (reassembly_at, None)]
+    *_, pre, plus_report, minus_report, reassembly = grid_residuals(checks, grid, eps=eps)
+    return DecompositionResult(g_plus, g_minus, lam, reassembly.sup_norm, plus_report, minus_report, pre, variant)
 
 
 def decompose_schrodinger_solution(f_candidate, mode, lam, phi, grid: GridSpec,
@@ -223,10 +224,10 @@ def decompose_schrodinger_solution(f_candidate, mode, lam, phi, grid: GridSpec,
     """
     lam = as_lambda(lam)
     v = f_candidate.potential
-    require(riccati_residual(f_candidate, grid, eps=eps), "f does not solve its Riccati equation")
-    require(schrodinger_residual(phi, lambda p: -scalar_of(v.at(p, 0)), lam, grid, eps),
-            "phi is not a Schroedinger eigenfunction")
-    return split_kernel(f_candidate.f, mode, lam, phi, grid, "A", eps=eps)
+    preconditions = [(riccati_check(f_candidate), "f does not solve its Riccati equation"),
+                     (schrodinger_check(phi, lambda p: -scalar_of(v.at(p, 0)), lam),
+                      "phi is not a Schroedinger eigenfunction")]
+    return split_kernel(f_candidate.f, mode, lam, phi, grid, "A", eps, preconditions)
 
 
 def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
@@ -237,11 +238,10 @@ def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
     two parts land in ker(D + M^{f - lam iE}) and ker(D + M^{f + lam iE}).
     """
     lam = as_lambda(lam)
-    require(potential_residual(f, 1.0, grid, eps), "derived potential is not scalar")
 
     def u_at(p):
         return mv_value(derived_potential(f.at(p, 1), 1.0)).scalar_part()
 
-    require(schrodinger_residual(phi, u_at, lam, grid, eps),
-            "phi is not an eigenfunction of the conjugate operator")
-    return split_kernel(f, mode, lam, phi, grid, "B", eps=eps)
+    preconditions = [(potential_check(f, 1.0), "derived potential is not scalar"),
+                     (schrodinger_check(phi, u_at, lam), "phi is not an eigenfunction of the conjugate operator")]
+    return split_kernel(f, mode, lam, phi, grid, "B", eps, preconditions)

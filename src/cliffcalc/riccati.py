@@ -28,10 +28,10 @@ from .fields import (
     add_fields,
     dirac_field,
     grid_residual,
+    grid_residuals,
     mv_dirac,
     mv_laplacian,
     mv_value,
-    require,
     scalar_of,
     _inv_scalar,
 )
@@ -72,15 +72,23 @@ class RiccatiCandidate:
         }
 
 
-def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
-    """Sup/RMS of D(f) + f f - v over the grid."""
+def riccati_check(c: RiccatiCandidate):
+    """p -> (D(f) + f f - v, |D(f) + f f|) at p, computed once for the last point asked."""
+    last = [None, None]
 
     def residual_at(p):
-        fj = c.f.at(p, 1)
-        lhs = mv_dirac(fj) + fj * fj
-        return mv_value(lhs - c.potential.at(p, 0)), mv_value(lhs).norm()
+        if last[0] is not p:
+            fj = c.f.at(p, 1)
+            lhs = mv_dirac(fj) + fj * fj
+            last[:] = p, (mv_value(lhs - c.potential.at(p, 0)), mv_value(lhs).norm())
+        return last[1]
 
-    return grid_residual(residual_at, grid, tol=tol, eps=eps)
+    return residual_at
+
+
+def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
+    """Sup/RMS of D(f) + f f - v over the grid."""
+    return grid_residual(riccati_check(c), grid, tol=tol, eps=eps)
 
 
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
@@ -99,35 +107,27 @@ def log_derivative(phi: MultivectorField, provenance="log_derivative") -> Riccat
 
 
 def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
-    """Scalar and bivector parts of the full residual, for grade-1 candidates.
+    """Reports of the full residual and its scalar and bivector parts, for grade-1 candidates.
 
     The full residual of a 1-vector candidate with scalar potential carries
     exactly grades {0, 2}; anything else signals a malformed input.
     """
-    cache = {}
+    full_at = riccati_check(c)
 
-    def full_at(p):
-        fj = c.f.at(p, 1)
-        if not mv_value(fj).is_homogeneous(1):
+    def scalar_at(p):
+        if not mv_value(c.f.at(p, 1)).is_homogeneous(1):
             raise FieldError("vector split needs a pure grade-1 candidate")
-        r = mv_value(mv_dirac(fj) + fj * fj - c.potential.at(p, 0))
+        r = full_at(p)[0]
         leftover = r - r.grade(0) - r.grade(2)
         if leftover.norm() > 1e-12 * (1.0 + r.norm()):
             raise FieldError("residual has grades outside {0, 2}; potential is not scalar")
-        cache[p] = r
-        return r
-
-    def scalar_at(p):
-        r = full_at(p)
         return r.grade(0), r.norm()
 
     def bivector_at(p):
-        r = cache[p] if p in cache else full_at(p)
-        return r.grade(2), 0.0
+        # the grades are scalar_at's to check: its exception stops this check too
+        return full_at(p)[0].grade(2), 0.0
 
-    scalar_report = grid_residual(scalar_at, grid, eps=eps)
-    bivector_report = grid_residual(bivector_at, grid, eps=eps)
-    return scalar_report, bivector_report
+    return grid_residuals([(full_at, None), (scalar_at, None), (bivector_at, None)], grid, eps=eps)
 
 
 class _AxisSolution:
@@ -230,12 +230,12 @@ def _mask_scalar_zero(grid: GridSpec, fields):
     return grid
 
 
-def check_harmonic(phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT) -> ResidualReport:
+def harmonic_check(phi: MultivectorField):
     def residual_at(p):
         ph = phi.at(p, 2)
         return mv_value(mv_laplacian(ph)), mv_value(ph).norm()
 
-    return grid_residual(residual_at, grid, eps=eps)
+    return residual_at
 
 
 def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT):
@@ -245,8 +245,6 @@ def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT):
     potential v = -2 <D(phi1)/phi1, D(phi2)/phi2> and its residual report.
     """
     masked = _mask_scalar_zero(grid, [phi1, phi2])
-    for name, phi in (("phi1", phi1), ("phi2", phi2)):
-        require(check_harmonic(phi, masked, eps), f"{name} is not harmonic")
     a = log_derivative(phi1).f
     b = log_derivative(phi2).f
 
@@ -256,7 +254,8 @@ def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT):
         return (av * bv + bv * av).grade(0)
 
     candidate = RiccatiCandidate(add_fields(a, b), DerivedField(grid.n, v_at), "homogeneous_sum")
-    report = riccati_residual(candidate, masked, eps=eps)
+    checks = [(harmonic_check(phi), f"{name} is not harmonic") for name, phi in (("phi1", phi1), ("phi2", phi2))]
+    *_, report = grid_residuals(checks + [(riccati_check(candidate), None)], masked, eps=eps)
     return candidate, report
 
 
@@ -267,7 +266,6 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     the same equation as h.
     """
     masked = _mask_scalar_zero(grid, [phi])
-    require(riccati_residual(h, masked, eps=eps), "h does not solve its Riccati equation")
 
     def phi_eq_at(p):
         ph = phi.at(p, 2)
@@ -276,17 +274,17 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
         inner = -(mv_dirac(ph) * hv).grade(0)
         return mv_value(mv_laplacian(ph) + 2.0 * inner), mv_value(ph).norm()
 
-    require(grid_residual(phi_eq_at, masked, eps=eps), "phi fails its shift equation")
     candidate = RiccatiCandidate(add_fields(log_derivative(phi).f, h.f), h.potential, "euler_shift")
-    report = riccati_residual(candidate, masked, eps=eps)
+    *_, report = grid_residuals([(riccati_check(h), "h does not solve its Riccati equation"),
+                                 (phi_eq_at, "phi fails its shift equation"),
+                                 (riccati_check(candidate), None)], masked, eps=eps)
     return candidate, report
 
 
-def _require_gradient_solutions(phi1, phi2, potential, grid: GridSpec, eps):
-    """Verify that D(phi1) and D(phi2) both solve D(f) + f^2 = potential on the grid."""
-    for name, phi in (("D(phi1)", phi1), ("D(phi2)", phi2)):
-        cand = RiccatiCandidate(dirac_field(phi), potential, "euler_input")
-        require(riccati_residual(cand, grid, eps=eps), f"{name} does not solve the target equation")
+def _gradient_checks(phi1, phi2, potential):
+    """Checks that D(phi1) and D(phi2) both solve D(f) + f^2 = potential."""
+    return [(riccati_check(RiccatiCandidate(dirac_field(phi), potential, "euler_input")),
+             f"{name} does not solve the target equation") for name, phi in (("D(phi1)", phi1), ("D(phi2)", phi2))]
 
 
 def _blend(phi1, phi2, K, potential, grid: GridSpec):
@@ -319,8 +317,9 @@ def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, ep
     solves the same equation away from the alpha = 1 locus, which is masked.
     """
     candidate, masked = _blend(phi1, phi2, K, potential, grid)
-    _require_gradient_solutions(phi1, phi2, potential, masked, eps)
-    return candidate, riccati_residual(candidate, masked, eps=eps)
+    *_, report = grid_residuals(_gradient_checks(phi1, phi2, potential) + [(riccati_check(candidate), None)],
+                                masked, eps=eps)
+    return candidate, report
 
 
 @dataclass
@@ -344,11 +343,11 @@ def combination_family_gap(n: int, grid: GridSpec, K_samples, margin=0.1,
         raise FieldError("the gap demonstration needs dimension >= 3")
     minus_one = ExprField.scalar(n, constant_expr(-1.0, n))
     e3 = RiccatiCandidate(ConstantField(Multivector.basis(n, 3)), minus_one, "constant")
-    base_report = riccati_residual(e3, grid, eps=eps)
     phi1 = ExprField.scalar(n, "x1")
     phi2 = ExprField.scalar(n, "x2")
     # the unmasked grid holds every per-K masked grid, so one check covers all K
-    _require_gradient_solutions(phi1, phi2, minus_one, grid, eps)
+    base_report, *_ = grid_residuals([(riccati_check(e3), None)] + _gradient_checks(phi1, phi2, minus_one),
+                                     grid, eps=eps)
     target = Multivector.basis(n, 3)
     distances = {}
     for K in K_samples:

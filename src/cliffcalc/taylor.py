@@ -169,6 +169,11 @@ class Taylor:
                 out[low[0]] = c * low[1]
         return _jet(self.n, self.order - 1, out)
 
+    def truncate(self, order):
+        """The jet to a lower order: the coefficients of degree <= order, in their order."""
+        size = comb(self.n + order, order)
+        return _jet(self.n, order, {i: c for i, c in self._coef.items() if i < size})
+
     # -- ring operations --------------------------------------------------
 
     def _coerce(self, other):

@@ -7,6 +7,7 @@ import pytest
 
 from cliffcalc.algebra import Multivector
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
+from cliffcalc.expr import Tape
 from cliffcalc.fields import ConstantField, GridSpec, ResidualReport
 from cliffcalc.kernel import DecompositionResult
 
@@ -272,6 +273,7 @@ def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base
     ("verify-identities", {"n": 2, "rounds": -5}),
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1, 1e400], [-1, 1], [-1, 1]]}}),
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1e400, 1], [-1, 1], [-1, 1]]}}),
+    ("riccati-check", {"n": 1, "fields": {"f": {"e4": "1"}, "v": "0"}}),
 ])
 def test_wrong_optional_key_type_is_config_error(tmp_path, capsys, command, config):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
@@ -416,3 +418,81 @@ def test_family_gap_below_dimension_three_is_config_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "family-gap", "--config", cfg)
     assert code == 2 and out == ""
     assert err == "error: family-gap needs n >= 3\n"
+
+
+def test_blade_outside_the_dimension_names_the_field_and_the_blade(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"n": 1, "fields": {"f": {"e4": "1"}, "v": "0"}})
+    code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
+    assert code == 2 and out == ""
+    assert err == "error: field 'f': blade e4 does not fit in dimension 1\n"
+
+
+LOG_IN_PHI = "check failed: log of non-positive real value -0.5, in subexpression 'log((x1 + 0.5))'\n"
+
+
+# A command checks everything in one pass over its grid, but the outcome is
+# that of one sweep per check in order: the first check that raises or fails
+# decides, whatever a later check meets at an earlier point.
+@pytest.mark.parametrize("command, config, code, err", [
+    # the Riccati precondition fails; the Schroedinger check and the split raise at the first point
+    ("decompose", {"n": 2, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "v": "0", "phi": "log(x1 + 0.5)"},
+                   "grid": {"samples_per_axis": 3}},
+     1, "check failed: f does not solve its Riccati equation (sup 1)\n"),
+    # the mode check, made between the preconditions and the split, comes after a raising precondition
+    ("decompose", {"n": 3, "mode": "last_axis", "lambda": 1.0,
+                   "fields": {"f": {"e3": "1"}, "v": "0 - 1", "phi": "log(x1 + 0.5)"},
+                   "grid": {"samples_per_axis": 3}},
+     1, LOG_IN_PHI),
+    ("decompose", {"n": 3, "mode": "last_axis", "lambda": [0, 1.7320508075688772],
+                   "fields": {"f": {"e3": "1"}, "v": "0 - 1", "phi": "exp(2*x1)"}, "grid": {"samples_per_axis": 3}},
+     2, "error: last-axis mode needs a vanishing e3 component; got |1| at (-1.0, -1.0, -1.0)\n"),
+    # v is not scalar, so the split raises at the first point; the full residual meets log's domain later
+    ("riccati-check", {"n": 2, "fields": {"f": {"e1": "1"}, "v": {"1": "log(0.5 - x1)", "e1": "1"}},
+                       "grid": {"samples_per_axis": 3}},
+     1, "check failed: log of non-positive real value -0.5, in subexpression 'log((0.5 - x1))'\n"),
+    # the conclusion's residual overflows; the eigen-equation before it fails
+    ("darboux-kvector", {"n": 2, "k": 1, "lambda": 1.0,
+                         "fields": {"f": {"e1": "0.6", "e2": "0.8"}, "g": {"e1": "exp(1000000*x1)"}},
+                         "grid": {"box": [[0, 0.00032], [0, 1]], "samples_per_axis": 2}},
+     1, "check failed: input field fails its eigen-equation (sup 9.42e+150)\n"),
+    ("darboux-kvector", {"n": 2, "k": 1, "lambda": 1.0, "tolerance": 1e100,
+                         "fields": {"f": {"e1": "0.6", "e2": "0.8"}, "g": {"e1": "exp(1000000*x1)"}},
+                         "grid": {"box": [[0, 0.00032], [0, 1]], "samples_per_axis": 2}},
+     1, "check failed: (34, 'Numerical result out of range')\n"),
+    # the masked grid's predicate meets log's domain at x1 = 1, after h's first check raised at x2 = -1
+    ("euler-shift", {"n": 2, "fields": {"h": {"e1": "log(x2 + 0.5)"}, "v": "0", "phi": "log(0.5 - x1)"},
+                     "grid": {"samples_per_axis": 3}},
+     1, "check failed: log of non-positive real value -0.5, in subexpression 'log((x2 + 0.5))'\n"),
+], ids=["decompose-riccati-fails", "decompose-precondition-raises-before-mode", "decompose-mode",
+        "riccati-check-split", "darboux-kvector-eigen-fails", "darboux-kvector-conclusion-raises",
+        "euler-shift-mask"])
+def test_first_check_in_order_decides(tmp_path, capsys, command, config, code, err):
+    assert run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config)) == (code, "", err)
+
+
+@pytest.mark.parametrize("command, config, fields, extra", [
+    # f = D(phi)/phi for the harmonic phi = x1 + 2
+    ("riccati-check", {"n": 2, "fields": {"f": {"e1": "1/(x1 + 2)"}, "v": "0"}, "grid": {"samples_per_axis": 3}},
+     2, 0),
+    # mode_check's three corner samples of f, and the report's center values of phi and f
+    ("decompose", {"n": 2, "lambda": 0.8, "fields": {"f": {"e1": "1"}, "v": "0 - 1", "phi": "exp(0.6*x1)"},
+                   "grid": {"samples_per_axis": 3}}, 3, 5),
+    ("darboux-kvector", {"n": 4, "k": 2, "lambda": 0.8,
+                         "fields": {"f": {"e1": "0.6", "e2": "0.8"},
+                                    "g": {"e2^e3": "exp(0.3*x1 + 0.3*x2 + 0.3*x3 + 0.3*x4)",
+                                          "e1^e4": "exp(0.78102496759066544*x3)*cos(0.5*x4)"}},
+                         "grid": {"samples_per_axis": 2}}, 2, 0),
+])
+def test_each_field_runs_once_per_sample(tmp_path, capsys, monkeypatch, command, config, fields, extra):
+    runs = []
+    original = Tape.run
+
+    def counting(self, slots, p, order):
+        runs.append(p)
+        return original(self, slots, p, order)
+
+    monkeypatch.setattr(Tape, "run", counting)
+    code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
+    assert code == 0
+    samples = load(out)["reports"][0]["samples_used"]
+    assert len(runs) <= fields * samples + extra

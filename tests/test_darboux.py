@@ -12,7 +12,7 @@ from cliffcalc.darboux import (
     darboux_scalar_pipeline,
     darboux_transform,
     darboux_vector_pipeline,
-    gen_schrodinger_residual,
+    gen_schrodinger_check,
     kvector_closed_form,
     minus_op,
     plus_op,
@@ -22,6 +22,7 @@ from cliffcalc.fields import (
     FieldError,
     GridSpec,
     PreconditionError,
+    grid_residual,
     mv_value,
 )
 from cliffcalc.riccati import RiccatiCandidate
@@ -62,7 +63,7 @@ def test_gen_schrodinger_residual():
     n = 3
     phi = ExprField.scalar(n, "exp(2*x2)")
     lam = cmath.sqrt(-3)
-    rep = gen_schrodinger_residual(e1_field(n), phi, lam, GridSpec.cube(n, samples_per_axis=4))
+    rep = grid_residual(gen_schrodinger_check(e1_field(n), phi, lam), GridSpec.cube(n, samples_per_axis=4))
     assert rep.passed
 
 

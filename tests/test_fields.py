@@ -2,25 +2,30 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffcalc.algebra import Multivector
 from cliffcalc.fields import (
     EPS_EXACT,
     ConstantField,
+    DerivedField,
     ExprField,
     FDField,
     FieldError,
     GridSpec,
     PreconditionError,
     grid_residual,
+    grid_residuals,
     kvector_leibniz_residual,
     mv_dirac,
     mv_laplacian,
     mv_value,
-    require,
     scalar_leibniz_residual,
 )
-from cliffcalc.taylor import JetOrderError
+from cliffcalc.expr import Tape
+from cliffcalc.suites import random_mv_field, random_point
+from cliffcalc.taylor import JetOrderError, Taylor
 
 
 def test_expr_field_value_and_blade_keys():
@@ -36,6 +41,69 @@ def test_expr_field_rejects_a_repeated_blade():
     for components in ({"e1": "1", " e1": "x2"}, {0b11: "1", "e1 ^ e2": "x2"}, {0: "1", "1": "x1"}):
         with pytest.raises(FieldError, match="named twice"):
             ExprField(2, components)
+
+
+def test_expr_field_rejects_a_blade_outside_the_dimension():
+    with pytest.raises(FieldError, match=r"^blade e4 does not fit in dimension 1$"):
+        ExprField(1, {"e4": "1"})
+    with pytest.raises(FieldError, match=r"^blade e2\^e3 does not fit in dimension 2$"):
+        ExprField(2, {"e1": "x1", 0b110: "x2"})
+    assert ExprField(2, {0b11: "x1"}).value((0.5, 0.0)).coeff(0b11) == 0.5
+
+
+def _bits(mv):
+    """Blades, jet orders and coefficients with their keys, in dict order; repr keeps -0.0 and NaN apart."""
+    return repr([(m, c.order, list(c._coef.items())) for m, c in mv.terms.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), low=st.integers(0, 2), extra=st.integers(1, 2))
+def test_lower_order_at_the_last_point_is_the_fresh_jet(seed, n, low, extra):
+    f, twin = (random_mv_field(random.Random(seed), n) for _ in range(2))
+    p = random_point(random.Random(seed + 1), n)
+    f.at(p, low + extra)
+    assert _bits(f.at(p, low)) == _bits(twin.at(p, low))
+
+
+class _Counting(DerivedField):
+    def __init__(self, n, fn):
+        super().__init__(n, fn)
+        self.points = []
+
+    def evaluate(self, p, order):
+        self.points.append(p)
+        return super().evaluate(p, order)
+
+
+def test_point_cache_holds_one_point():
+    f = _Counting(1, lambda p, o: Multivector.scalar(1, Taylor.variable(0, p[0], 1, o)))
+    p, q = (0.25,), (0.5,)
+    f.at(p, 2)
+    f.at(p, 1)
+    f.at(p, 0)
+    assert f.points == [p]
+    f.at(p, 3)
+    f.at(q, 0)
+    f.at(p, 0)
+    assert f.points == [p, p, q, p]
+    f.at([0.25], 0)  # a new point object is a new point
+    assert len(f.points) == 5
+
+
+def test_negative_zero_is_its_own_point(monkeypatch):
+    # a field may depend on the sign of a zero coordinate, so (0.0,) does not answer for (-0.0,)
+    f = _Counting(1, lambda p, o: Multivector.scalar(1, Taylor.constant(math.copysign(1.0, p[0]), 1, o)))
+    assert f.value((0.0,)).coeff(0) == 1.0
+    assert f.value((-0.0,)).coeff(0) == -1.0
+    assert len(f.points) == 2
+    runs = []
+    original = Tape.run
+    monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
+    x1 = ExprField(1, {"e1": "x1"})
+    x1.at((0.0,), 1)
+    jet = x1.at((-0.0,), 1).coeff(1)
+    assert [math.copysign(1.0, p[0]) for p in runs] == [1.0, -1.0]
+    assert jet.value == 0 and jet.grad(0) == 1
 
 
 def test_expr_field_dimension_mismatch():
@@ -199,10 +267,9 @@ def test_grid_residual_nan_multivector_fails():
 
 def test_require_passes_reports_through_and_names_failures():
     g = GridSpec.cube(1, samples_per_axis=3)
-    ok = grid_residual(lambda p: (0.0, 0.0), g)
-    assert require(ok, "unused") is ok
-    bad = grid_residual(lambda p: (0.5, 0.0), g)
+    ok, = grid_residuals([(lambda p: (0.0, 0.0), "unused")], g)
+    assert ok.passed and ok == grid_residual(lambda p: (0.0, 0.0), g)
     with pytest.raises(PreconditionError) as err:
-        require(bad, "phi is not harmonic")
+        grid_residuals([(lambda p: (0.5, 0.0), "phi is not harmonic")], g)
     assert str(err.value) == "phi is not harmonic (sup 0.5)"
-    assert err.value.report is bad
+    assert err.value.report == grid_residual(lambda p: (0.5, 0.0), g)

@@ -9,6 +9,7 @@ from cliffcalc.fields import (
     GridSpec,
     PreconditionError,
     ResidualReport,
+    grid_residual,
     mv_value,
 )
 from cliffcalc.kernel import (
@@ -18,12 +19,12 @@ from cliffcalc.kernel import (
     decompose_conjugate_solution,
     decompose_schrodinger_solution,
     default_mode,
-    first_order_residual,
+    first_order_check,
     mode_check,
     operator_field,
     operator_norm_gap,
     split_kernel,
-    squared_operator_residual,
+    squared_operator_check,
 )
 from cliffcalc.riccati import RiccatiCandidate
 
@@ -121,8 +122,7 @@ def test_first_order_residual_sign_validation():
     grid = GridSpec.cube(n, samples_per_axis=3)
     from cliffcalc.fields import FieldError
     with pytest.raises(FieldError):
-        first_order_residual(e1_field(n), default_mode(n), 1.0, 0,
-                             ExprField.scalar(n, "1"), grid)
+        grid_residual(first_order_check(e1_field(n), default_mode(n), 1.0, 0, ExprField.scalar(n, "1")), grid)
 
 
 def test_squared_operator_is_schrodinger():
@@ -134,7 +134,7 @@ def test_squared_operator_is_schrodinger():
     phi = ExprField.scalar(n, "exp(2*x1)")
     lam = cmath.sqrt(-3)
     grid = GridSpec.cube(n, samples_per_axis=4)
-    rep = squared_operator_residual(f, mode, lam, phi, grid)
+    rep = grid_residual(squared_operator_check(f, mode, lam, phi), grid)
     assert rep.passed
 
 

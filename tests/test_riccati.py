@@ -13,15 +13,16 @@ from cliffcalc.fields import (
     FieldError,
     GridSpec,
     PreconditionError,
+    grid_residual,
 )
 from cliffcalc.riccati import (
     OdeBlowupError,
     RiccatiCandidate,
     _AxisSolution,
-    check_harmonic,
     combination_family_gap,
     euler_combine,
     euler_shift,
+    harmonic_check,
     homogeneous_sum,
     log_derivative,
     riccati_residual,
@@ -64,8 +65,8 @@ def test_log_derivative_known_value():
 def test_vector_split():
     n = 2
     cand = log_derivative(ExprField.scalar(n, "exp(x1)*exp(x2)"))
-    s_rep, b_rep = vector_split_residuals(cand, GridSpec.cube(n, samples_per_axis=4))
-    assert s_rep.passed and b_rep.passed
+    full, s_rep, b_rep = vector_split_residuals(cand, GridSpec.cube(n, samples_per_axis=4))
+    assert full.passed and s_rep.passed and b_rep.passed
 
 
 def test_vector_split_rejects_nonvector():
@@ -111,8 +112,9 @@ def test_separable_rejects_mixed_variables():
 
 def test_check_harmonic():
     n = 2
-    assert check_harmonic(ExprField.scalar(n, "x1*x2"), GridSpec.cube(n, samples_per_axis=3)).passed
-    assert not check_harmonic(ExprField.scalar(n, "x1^2"), GridSpec.cube(n, samples_per_axis=3)).passed
+    grid = GridSpec.cube(n, samples_per_axis=3)
+    assert grid_residual(harmonic_check(ExprField.scalar(n, "x1*x2")), grid).passed
+    assert not grid_residual(harmonic_check(ExprField.scalar(n, "x1^2")), grid).passed
 
 
 def test_homogeneous_sum():
@@ -180,13 +182,13 @@ def test_combination_family_gap():
 @pytest.mark.parametrize("K_samples", [[2.0], [2.0, -3.0, 0.5]])
 def test_family_gap_verifies_its_inputs_once(monkeypatch, K_samples):
     calls = []
-    original = cliffcalc.riccati.riccati_residual
+    original = cliffcalc.riccati.riccati_check
 
     def counting(*args, **kwargs):
         calls.append(args[0].provenance)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cliffcalc.riccati, "riccati_residual", counting)
+    monkeypatch.setattr(cliffcalc.riccati, "riccati_check", counting)
     combination_family_gap(3, GridSpec.cube(3, samples_per_axis=3), K_samples)
     assert calls == ["constant", "euler_input", "euler_input"]
 
