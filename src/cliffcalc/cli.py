@@ -274,11 +274,10 @@ def _decomposition_output(result, grid):
         ("plus_kernel", result.plus_kernel_report),
         ("minus_kernel", result.minus_kernel_report),
     ]
-    center = grid.center  # one tuple, so both parts share the fields' jets there
     extras = {
         "reassembly_residual": result.reassembly_residual,
-        "g_plus_at_center": result.g_plus.value(center).render(),
-        "g_minus_at_center": result.g_minus.value(center).render(),
+        "g_plus_at_center": result.g_plus.value(grid.center).render(),
+        "g_minus_at_center": result.g_minus.value(grid.center).render(),
         "variant": result.variant,
     }
     return named, extras, result.passed

@@ -11,6 +11,7 @@ order) and black-box fields (central finite differences, orders 0 and 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -270,7 +271,7 @@ class GridSpec:
     def n(self):
         return len(self.box)
 
-    @property
+    @functools.cached_property
     def center(self):
         return tuple((lo + hi) / 2 for lo, hi in self.box)
 

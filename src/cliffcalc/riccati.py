@@ -73,15 +73,17 @@ class RiccatiCandidate:
 
 
 def riccati_check(c: RiccatiCandidate):
-    """p -> (D(f) + f f - v, |D(f) + f f|) at p, computed once for the last point asked."""
-    last = [None, None]
+    """p -> (D(f) + f f - v, |D(f) + f f|) at p; D(f) + f f is a field, computed once per point."""
+
+    def lhs_at(p, order):
+        d = mv_dirac(c.f.at(p, order + 1))  # the higher order first: the lower is its truncation
+        return d + c.f.at(p, order) * c.f.at(p, order)
+
+    lhs = DerivedField(c.n, lhs_at)
 
     def residual_at(p):
-        if last[0] is not p:
-            fj = c.f.at(p, 1)
-            lhs = mv_dirac(fj) + fj * fj
-            last[:] = p, (mv_value(lhs - c.potential.at(p, 0)), mv_value(lhs).norm())
-        return last[1]
+        lj = lhs.at(p, 0)
+        return mv_value(lj - c.potential.at(p, 0)), mv_value(lj).norm()
 
     return residual_at
 

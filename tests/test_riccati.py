@@ -14,6 +14,7 @@ from cliffcalc.fields import (
     GridSpec,
     PreconditionError,
     grid_residual,
+    mv_dirac,
 )
 from cliffcalc.riccati import (
     OdeBlowupError,
@@ -62,11 +63,15 @@ def test_log_derivative_known_value():
     assert cand.potential.value(p).scalar_part() == pytest.approx(-0.49)
 
 
-def test_vector_split():
+def test_vector_split(monkeypatch):
     n = 2
     cand = log_derivative(ExprField.scalar(n, "exp(x1)*exp(x2)"))
+    diracs = []
+    monkeypatch.setattr(cliffcalc.riccati, "mv_dirac", lambda mv: diracs.append(mv) or mv_dirac(mv))
     full, s_rep, b_rep = vector_split_residuals(cand, GridSpec.cube(n, samples_per_axis=4))
     assert full.passed and s_rep.passed and b_rep.passed
+    # per point one for f = D(phi)/phi and one for D(f) + f f, which the three reports share
+    assert len(diracs) == 2 * 4 ** n
 
 
 def test_vector_split_rejects_nonvector():
