@@ -22,6 +22,7 @@ from .fields import (
     ResidualReport,
     grid_residuals,
     mv_dirac,
+    mv_grade_shift,
     mv_laplacian,
     mv_partial,
     mv_value,
@@ -124,10 +125,9 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
 
 def _grade_shift_sum(g_mv, f_mv, target):
     """sum_j [e_j G]_target d_j(f)."""
-    n = g_mv.n
-    acc = Multivector(n)
-    for j in range(1, n + 1):
-        proj = (Multivector.basis(n, j) * g_mv).grade(target)
+    acc = Multivector(g_mv.n)
+    for j in range(1, g_mv.n + 1):
+        proj = mv_grade_shift(g_mv, j, target)
         if proj.terms:
             acc = acc + proj * mv_partial(f_mv, j)
     return acc
@@ -150,34 +150,34 @@ def kvector_closed_form(f, gk, k: int, which: str, p):
     if not mv_value(g_mv).is_homogeneous(k):
         raise FieldError(f"field is not a pure {k}-vector at {p} (grades {mv_value(g_mv).grades()})")
     f_mv = f.at(p, 1)
-    sign = 1.0 if (k + 1) % 2 == 0 else -1.0  # (-1)^(k+1)
-    df = mv_dirac(f_mv)
-    f2 = f_mv * f_mv
-    lap = mv_laplacian(g_mv)
-    if which == "plus_minus":
-        closed = -lap + g_mv * (sign * df - f2) - 2.0 * _grade_shift_sum(g_mv, f_mv, k - 1)
-    elif which == "minus_plus":
-        closed = -lap - g_mv * (sign * df + f2) + 2.0 * _grade_shift_sum(g_mv, f_mv, k - 1)
-    else:
-        if k != 0:
-            raise FieldError("the scalar closed form needs a scalar field")
-        closed = -lap + scalar_of(g_mv) * (df - f2)
+    if which == "minus_plus_scalar" and k != 0:
+        raise FieldError("the scalar closed form needs a scalar field")
+    # each form is -Lap G + G w - 2 outer sum_j [e_j G]_{k-1} d_j(f), with the derived potential
+    # w of sign outer (-1)^(k+1); the sum vanishes for k = 0
     outer = +1 if which == "plus_minus" else -1
+    w = derived_potential(f, outer * (1.0 if (k + 1) % 2 == 0 else -1.0)).at(p, 0)
+    closed = -mv_laplacian(g_mv) + g_mv * w - (2.0 * outer) * _grade_shift_sum(g_mv, f_mv, k - 1)
     direct = _factor_jet(_factor_jet(g_mv, f_mv, -outer), f_mv, outer)
     return mv_value(closed), mv_value(direct)
 
 
-def derived_potential(fj, sign):
-    """w = sign*D(f) - f^2 from an order-1 jet of f."""
-    return sign * mv_dirac(fj) - fj * fj
+def derived_potential(f, sign):
+    """The field w = sign*D(f) - f^2, so checks that share it compute it once per point."""
+
+    def at(p, order):
+        d = mv_dirac(f.at(p, order + 1))  # the higher order first: the lower is its truncation
+        fj = f.at(p, order)
+        return sign * d - fj * fj
+
+    return DerivedField(f.n, at)
 
 
-def potential_check(f, sign):
-    """p -> non-scalar part of the derived potential sign*D(f) - f^2 at p."""
+def potential_check(w):
+    """p -> non-scalar part of the derived potential w at p."""
 
     def residual_at(p):
-        w = mv_value(derived_potential(f.at(p, 1), sign))
-        return w - w.grade(0), w.norm()
+        wv = w.value(p)
+        return wv - wv.grade(0), wv.norm()
 
     return residual_at
 
@@ -240,7 +240,7 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
           = lam^2 (H_{k-1}+H_{k+1}).
     """
     lam2 = as_lambda(lam) ** 2
-    sign = 1.0 if (k + 1) % 2 == 0 else -1.0
+    w = derived_potential(f, 1.0 if (k + 1) % 2 == 0 else -1.0)
 
     def pre_at(p):
         g = gk.at(p, 2)
@@ -248,8 +248,7 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
         if not gv.is_homogeneous(k) and gv.terms:
             raise FieldError(f"input is not a pure {k}-vector (grades {gv.grades()})")
         fj = f.at(p, 1)
-        w = scalar_of(derived_potential(fj, sign))
-        lhs = -mv_laplacian(g) + w * g - 2.0 * _grade_shift_sum(g, fj, k - 1)
+        lhs = -mv_laplacian(g) + scalar_of(w.at(p, 0)) * g - 2.0 * _grade_shift_sum(g, fj, k - 1)
         return mv_value(lhs - lam2 * g), abs(lam2) * gv.norm()
 
     h = minus_op(f).field(gk)
@@ -257,15 +256,14 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
     def residual_at(p):
         hj = h.at(p, 2)
         fj = f.at(p, 1)
-        w = scalar_of(derived_potential(fj, sign))
         lo, hi = hj.grade(k - 1), hj.grade(k + 1)
         total = lo + hi
-        acc = -mv_laplacian(total) + w * total - lam2 * total
+        acc = -mv_laplacian(total) + scalar_of(w.at(p, 0)) * total - lam2 * total
         acc = acc + 2.0 * (_grade_shift_sum(lo, fj, k - 2) + _grade_shift_sum(hi, fj, k))
         return mv_value(acc), abs(lam2) * mv_value(hj).norm()
 
     pre_w, pre_g, conclusion = grid_residuals([
-        (potential_check(f, sign), "the derived potential is not scalar-valued"),
+        (potential_check(w), "the derived potential is not scalar-valued"),
         (pre_at, "input field fails its eigen-equation"),
         (residual_at, None)], grid, eps=eps)
     return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion)

@@ -69,6 +69,17 @@ def mv_dirac(mv: Multivector) -> Multivector:
     return _multivector(mv.n, out)
 
 
+def mv_grade_shift(mv: Multivector, j: int, t: int) -> Multivector:
+    """[e_j G]_t, with e_j e_m = product_sign(bit_j, m) e_(bit_j ^ m) as in mv_dirac."""
+    bit = 1 << (j - 1)
+    out = {}
+    for m, c in mv.terms.items():
+        key = bit ^ m
+        if key.bit_count() == t:
+            out[key] = -c if product_sign(bit, m) < 0 else c
+    return _multivector(mv.n, out)
+
+
 def mv_laplacian(mv: Multivector) -> Multivector:
     acc = Multivector(mv.n)
     for j in range(1, mv.n + 1):
@@ -238,11 +249,10 @@ def kvector_leibniz_residual(gk: MultivectorField, f: MultivectorField, k: int, 
     if not g.is_homogeneous(k):
         raise FieldError(f"first factor is not a pure {k}-vector (grades {g.grades()})")
     fj = f.at(p, 1)
-    n = g.n
     lhs = mv_dirac(g * fj)
     rhs = mv_dirac(g) * fj
-    for j in range(1, n + 1):
-        rhs = rhs + 2.0 * ((Multivector.basis(n, j) * g).grade(k - 1) * mv_partial(fj, j))
+    for j in range(1, g.n + 1):
+        rhs = rhs + 2.0 * (mv_grade_shift(g, j, k - 1) * mv_partial(fj, j))
     sign = -1.0 if k & 1 else 1.0
     rhs = rhs + sign * (g * mv_dirac(fj))
     return mv_value(lhs - rhs)

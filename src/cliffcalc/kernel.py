@@ -28,9 +28,10 @@ from .fields import (
     grid_residual,
     grid_residuals,
     mv_value,
+    right_const_mul_field,
     scalar_of,
 )
-from .darboux import _factor_jet, as_lambda, derived_potential, potential_check, schrodinger_check
+from .darboux import FactorizedOperator, _factor_jet, as_lambda, derived_potential, potential_check, schrodinger_check
 from .riccati import riccati_check
 
 
@@ -88,26 +89,7 @@ def mode_check(mode: PseudoscalarMode, f: MultivectorField, sample_points):
 
 def operator_field(f, mode: PseudoscalarMode, g, variant="A") -> MultivectorField:
     """A g = (D g - g f) iE  or  B g = (D g + g f) iE as a derived field."""
-    ie = mode.element
-    s = -1 if variant == "A" else +1
-
-    def at(p, order):
-        return _factor_jet(g.at(p, order + 1), f.at(p, order), s) * ie
-
-    return DerivedField(g.n, at)
-
-
-def _first_order(f, mode, lam, sign, g, variant):
-    """p -> (order-1 jet of g, D g + s g (f + s sign lam iE)), with s = -1 for A
-    and +1 for B: the first-order form of (A + sign lam) g, or of (B + sign lam) g."""
-    s = -1 if variant == "A" else +1
-    shift = s * sign * lam * mode.element
-
-    def at(p):
-        gj = g.at(p, 1)
-        return gj, mv_value(_factor_jet(gj, f.at(p, 0) + shift, s))
-
-    return at
+    return right_const_mul_field(FactorizedOperator(f, -1 if variant == "A" else +1).field(g), mode.element)
 
 
 def first_order_check(f, mode, lam, sign, g, variant="A"):
@@ -118,10 +100,12 @@ def first_order_check(f, mode, lam, sign, g, variant="A"):
     lam = as_lambda(lam)
     if sign not in (+1, -1):
         raise FieldError("sign must be +1 or -1")
-    first_order = _first_order(f, mode, lam, sign, g, variant)
+    s = -1 if variant == "A" else +1
+    shift = s * sign * lam * mode.element
 
     def residual_at(p):
-        gj, r = first_order(p)
+        gj = g.at(p, 1)
+        r = mv_value(_factor_jet(gj, f.at(p, 0) + shift, s))
         return r, abs(lam) * mv_value(gj).norm()
 
     return residual_at
@@ -135,11 +119,11 @@ def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> flo
     """
     lam = as_lambda(lam)
     op = operator_field(f, mode, g, variant)
-    first_order = _first_order(f, mode, lam, sign, g, variant)
+    first_order = first_order_check(f, mode, lam, sign, g, variant)
 
     def gap_at(p):
-        gj, r = first_order(p)
-        shifted = mv_value(op.at(p, 0)) + sign * lam * mv_value(gj)
+        r, _ = first_order(p)
+        shifted = mv_value(op.at(p, 0)) + sign * lam * g.value(p)
         return abs(shifted.norm() - r.norm()), 0.0
 
     return grid_residual(gap_at, grid).sup_norm
@@ -162,10 +146,10 @@ class DecompositionResult:
                 and self.precondition_report.passed and self.reassembly_residual <= 1e-9)
 
 
-def squared_operator_check(f, mode, lam, g, variant="A"):
-    """p -> residual of (A^2 - lam^2) g (or B^2) at p."""
+def squared_operator_check(f, mode, lam, g, a_g, variant="A"):
+    """p -> residual of (A^2 - lam^2) g (or B^2) at p, given the field a_g = A g (or B g)."""
     lam2 = as_lambda(lam) ** 2
-    op2 = operator_field(f, mode, operator_field(f, mode, g, variant), variant)
+    op2 = operator_field(f, mode, a_g, variant)
 
     def residual_at(p):
         gv = g.value(p)
@@ -205,8 +189,8 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     def reassembly_at(p):
         return mv_value(g_plus.at(p, 0)) + mv_value(g_minus.at(p, 0)) - g.value(p), 0.0
 
-    squared = squared_operator_check(f, mode, lam, g, variant)
-    checks += [(squared, "input is not in the kernel of the squared operator"),
+    checks += [(squared_operator_check(f, mode, lam, g, a_g, variant),
+                "input is not in the kernel of the squared operator"),
                # membership: (A + lam) g in ker(A - lam) and vice versa
                (first_order_check(f, mode, lam, -1, g_plus, variant), None),
                (first_order_check(f, mode, lam, +1, g_minus, variant), None),
@@ -238,10 +222,8 @@ def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
     two parts land in ker(D + M^{f - lam iE}) and ker(D + M^{f + lam iE}).
     """
     lam = as_lambda(lam)
-
-    def u_at(p):
-        return mv_value(derived_potential(f.at(p, 1), 1.0)).scalar_part()
-
-    preconditions = [(potential_check(f, 1.0), "derived potential is not scalar"),
-                     (schrodinger_check(phi, u_at, lam), "phi is not an eigenfunction of the conjugate operator")]
+    u = derived_potential(f, 1.0)
+    preconditions = [(potential_check(u), "derived potential is not scalar"),
+                     (schrodinger_check(phi, lambda p: u.value(p).scalar_part(), lam),
+                      "phi is not an eigenfunction of the conjugate operator")]
     return split_kernel(f, mode, lam, phi, grid, "B", eps, preconditions)

@@ -98,12 +98,14 @@ def log_derivative(phi: MultivectorField, provenance="log_derivative") -> Riccat
     n = phi.n
 
     def f_at(p, order):
+        d = mv_dirac(phi.at(p, order + 1))  # the higher order first: the lower is its truncation
         inv = _inv_scalar(scalar_of(phi.at(p, order)))
-        return mv_dirac(phi.at(p, order + 1)).map_coeffs(lambda t: t * inv)
+        return d.map_coeffs(lambda t: t * inv)
 
     def v_at(p, order):
+        lap = mv_laplacian(phi.at(p, order + 2))
         inv = _inv_scalar(scalar_of(phi.at(p, order)))
-        return -mv_laplacian(phi.at(p, order + 2)).map_coeffs(lambda t: t * inv)
+        return -lap.map_coeffs(lambda t: t * inv)
 
     return RiccatiCandidate(DerivedField(n, f_at), DerivedField(n, v_at), provenance)
 
@@ -304,9 +306,10 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec):
     masked = grid.with_exclusion(lambda p: abs(alpha_at(p, 0).value - 1.0) < DEFAULT_DENOM_RADIUS)
 
     def f_at(p, order):
+        g1, g2 = d1.at(p, order), d2.at(p, order)  # the higher order first: alpha's is their truncation
         a = alpha_at(p, order)
         inv = _inv_scalar(a - 1.0)
-        num = d1.at(p, order).map_coeffs(lambda t: a * t) - d2.at(p, order)
+        num = g1.map_coeffs(lambda t: a * t) - g2
         return num.map_coeffs(lambda t: t * inv)
 
     return RiccatiCandidate(DerivedField(grid.n, f_at), potential, "euler_combine"), masked

@@ -7,6 +7,7 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -91,6 +92,11 @@ class SuiteEntry:
                 "samples_used": self.samples, "pass": self.passed}
 
 
+def _worse(worst, x):
+    """The worse of two residual norms; NaN compares false with everything, so it is taken as the worst."""
+    return x if x > worst or math.isnan(x) else worst
+
+
 def _algebra_entries(rng, n, rounds):
     anti = assoc = invol = grades = vector_sq = split = 0.0
     for _ in range(rounds):
@@ -98,23 +104,23 @@ def _algebra_entries(rng, n, rounds):
         b = random_multivector(rng, n)
         c = random_multivector(rng, n)
         scale = 1.0 + a.norm() * b.norm() * c.norm()
-        assoc = max(assoc, ((a * b) * c - a * (b * c)).norm() / scale)
-        invol = max(invol, (conjugate(a * b) - conjugate(b) * conjugate(a)).norm() / (1.0 + a.norm() * b.norm()))
+        assoc = _worse(assoc, ((a * b) * c - a * (b * c)).norm() / scale)
+        invol = _worse(invol, (conjugate(a * b) - conjugate(b) * conjugate(a)).norm() / (1.0 + a.norm() * b.norm()))
         total = linear_combine([1.0] * (n + 1), [a.grade(k) for k in range(n + 1)])
-        grades = max(grades, (total - a).norm())
+        grades = _worse(grades, (total - a).norm())
         for j in range(1, n + 1):
             ej = Multivector.basis(n, j)
-            anti = max(anti, (ej * ej + Multivector.scalar(n, 1.0)).norm())
+            anti = _worse(anti, (ej * ej + Multivector.scalar(n, 1.0)).norm())
             for k in range(j + 1, n + 1):
                 ek = Multivector.basis(n, k)
-                anti = max(anti, (ej * ek + ek * ej).norm())
+                anti = _worse(anti, (ej * ek + ek * ej).norm())
         x = random_multivector(rng, n, grades={1})
         y = random_multivector(rng, n, grades={1})
         sq = x * x
         norm2 = sum(abs(v) ** 2 for v in x.terms.values())
-        vector_sq = max(vector_sq, (sq + Multivector.scalar(n, sum(v * v for v in x.terms.values()))).norm() / (1 + norm2))
+        vector_sq = _worse(vector_sq, (sq + Multivector.scalar(n, sum(v * v for v in x.terms.values()))).norm() / (1 + norm2))
         dot, wedge = dot_and_wedge(x, y)
-        split = max(split, (x * y - Multivector.scalar(n, dot) - wedge).norm())
+        split = _worse(split, (x * y - Multivector.scalar(n, dot) - wedge).norm())
     return [
         SuiteEntry("algebra/anticommutation", anti, 1e-12, rounds),
         SuiteEntry("algebra/associativity", assoc, 1e-12, rounds),
@@ -134,12 +140,12 @@ def _leibniz_entries(rng, n, rounds):
         f = random_mv_field(rng, n)
         for _ in range(points_per_round):
             p = random_point(rng, n)
-            worst_scalar = max(worst_scalar, scalar_leibniz_residual(phi, f, p).norm())
+            worst_scalar = _worse(worst_scalar, scalar_leibniz_residual(phi, f, p).norm())
         for k in range(n + 1):
             gk = random_kvector_field(rng, n, k)
             for _ in range(points_per_round):
                 p = random_point(rng, n)
-                worst_k[k] = max(worst_k[k], kvector_leibniz_residual(gk, f, k, p).norm())
+                worst_k[k] = _worse(worst_k[k], kvector_leibniz_residual(gk, f, k, p).norm())
     out = [SuiteEntry("leibniz/scalar", worst_scalar, 1e-9, rounds * points_per_round)]
     for k in range(n + 1):
         out.append(SuiteEntry(f"leibniz/kvector_k{k}", worst_k[k], 1e-9, rounds * points_per_round))
@@ -158,12 +164,12 @@ def _closed_form_entries(rng, n, rounds):
                 for which in ("plus_minus", "minus_plus"):
                     closed, direct = kvector_closed_form(f, gk, k, which, p)
                     scale = 1.0 + direct.norm()
-                    worst[which] = max(worst[which], (closed - direct).norm() / scale)
+                    worst[which] = _worse(worst[which], (closed - direct).norm() / scale)
         phi = random_scalar_field(rng, n)
         for _ in range(points_per_round):
             p = random_point(rng, n)
             closed, direct = kvector_closed_form(f, phi, 0, "minus_plus_scalar", p)
-            worst["minus_plus_scalar"] = max(
+            worst["minus_plus_scalar"] = _worse(
                 worst["minus_plus_scalar"], (closed - direct).norm() / (1.0 + direct.norm()))
     return [SuiteEntry(f"closed_form/{name}", w, 1e-10, rounds) for name, w in worst.items()]
 
@@ -186,21 +192,21 @@ def _operator_entries(rng, n, rounds):
         a_of_g = mv_value(operator_field(f, mode, g, "A").at(p, 0))
         # the two factorized forms of A agree
         other = mv_value(plus_op(f).field(right_const_mul_field(g, ie)).at(p, 0))
-        worst_forms = max(worst_forms, (a_of_g - other).norm() / (1.0 + a_of_g.norm()))
+        worst_forms = _worse(worst_forms, (a_of_g - other).norm() / (1.0 + a_of_g.norm()))
         # A^2 equals the plus-minus composition
         a_sq = mv_value(operator_field(f, mode, operator_field(f, mode, g, "A"), "A").at(p, 0))
         comp = mv_value(plus_op(f).field(minus_op(f).field(g)).at(p, 0))
-        worst_square = max(worst_square, (a_sq - comp).norm() / (1.0 + comp.norm()))
+        worst_square = _worse(worst_square, (a_sq - comp).norm() / (1.0 + comp.norm()))
         # conjugation by the unit flips the factor sign
         conj = mv_value(right_const_mul_field(minus_op(f).field(right_const_mul_field(g, ie)), ie).at(p, 0))
         plus = mv_value(plus_op(f).field(g).at(p, 0))
-        worst_conj = max(worst_conj, (conj - plus).norm() / (1.0 + plus.norm()))
+        worst_conj = _worse(worst_conj, (conj - plus).norm() / (1.0 + plus.norm()))
         # right multiplication by iE is an involution
         gv = g.value(p)
-        worst_unit = max(worst_unit, ((gv * ie) * ie - gv).norm() / (1.0 + gv.norm()))
+        worst_unit = _worse(worst_unit, ((gv * ie) * ie - gv).norm() / (1.0 + gv.norm()))
         b_sq = mv_value(operator_field(f, mode, operator_field(f, mode, g, "B"), "B").at(p, 0))
         b_comp = mv_value(minus_op(f).field(plus_op(f).field(g)).at(p, 0))
-        worst_square = max(worst_square, (b_sq - b_comp).norm() / (1.0 + b_comp.norm()))
+        worst_square = _worse(worst_square, (b_sq - b_comp).norm() / (1.0 + b_comp.norm()))
     return [
         SuiteEntry("operator/two_factorized_forms", worst_forms, 1e-10, rounds),
         SuiteEntry("operator/square_matches_composition", worst_square, 1e-10, rounds),

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import cliffcalc.fields
+from cliffcalc import darboux, riccati, suites
 from cliffcalc.algebra import Multivector
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.expr import Tape
@@ -120,6 +122,25 @@ def test_verify_identities_deterministic(tmp_path, capsys):
         payload.pop("wall_time_s")
         outs.append(json.dumps(payload, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_nan_identity_residual_fails_its_entry(tmp_path, capsys, monkeypatch):
+    # max(0.0, nan) is 0.0, so a NaN residual must be taken as the entry's worst value explicitly
+    original = suites.scalar_leibniz_residual
+    calls = []
+
+    def poisoned(phi, f, p):
+        calls.append(p)
+        r = original(phi, f, p)
+        return Multivector.scalar(r.n, complex("nan")) if len(calls) == 2 else r
+
+    monkeypatch.setattr(suites, "scalar_leibniz_residual", poisoned)
+    code, out, _ = run_cli(capsys, "verify-identities", "--config",
+                           write_config(tmp_path, "c.json", {"n": 2, "rounds": 5}))
+    entries = {r["name"]: r for r in load(out)["reports"]}
+    assert code == 1
+    assert math.isnan(entries["leibniz/scalar"]["sup_norm"]) and entries["leibniz/scalar"]["pass"] is False
+    assert all(r["pass"] for name, r in entries.items() if name != "leibniz/scalar")
 
 
 def test_config_round_trip(tmp_path, capsys):
@@ -482,6 +503,12 @@ def test_first_check_in_order_decides(tmp_path, capsys, command, config, code, e
                                     "g": {"e2^e3": "exp(0.3*x1 + 0.3*x2 + 0.3*x3 + 0.3*x4)",
                                           "e1^e4": "exp(0.78102496759066544*x3)*cos(0.5*x4)"}},
                          "grid": {"samples_per_axis": 2}}, 2, 0),
+    # h, v and phi, and the mask predicate reads phi once more at order 0
+    ("euler-shift", {"n": 3, "fields": {"h": {"e1": "1"}, "phi": "exp(0 - 2*x1) + 3", "v": "0 - 1"},
+                     "grid": {"samples_per_axis": 3}}, 4, 0),
+    # phi1, phi2 and v, and the mask predicate reads phi1 and phi2 once more at order 0
+    ("euler-combine", {"n": 3, "K": [2.0, 0.5], "fields": {"phi1": "x1", "phi2": "x2", "v": "0 - 1"},
+                       "grid": {"samples_per_axis": 3}}, 5, 0),
 ])
 def test_each_field_runs_once_per_sample(tmp_path, capsys, monkeypatch, command, config, fields, extra):
     runs = []
@@ -496,3 +523,36 @@ def test_each_field_runs_once_per_sample(tmp_path, capsys, monkeypatch, command,
     assert code == 0
     samples = load(out)["reports"][0]["samples_used"]
     assert len(runs) <= fields * samples + extra
+
+
+# Dirac derivatives per sample, when each shared term is one field read through its point cache
+@pytest.mark.parametrize("command, config, per_sample, extra", [
+    # H = (D - M^f) G, and w = +/-D(f) - f^2 shared by the three checks
+    ("darboux-kvector", {"n": 4, "k": 2, "lambda": 0.8,
+                         "fields": {"f": {"e1": "0.6", "e2": "0.8"},
+                                    "g": {"e2^e3": "exp(0.3*x1 + 0.3*x2 + 0.3*x3 + 0.3*x4)",
+                                          "e1^e4": "exp(0.78102496759066544*x3)*cos(0.5*x4)"}},
+                         "grid": {"samples_per_axis": 2}}, 2, 0),
+    # D f + f^2; A g, shared by g_plus, g_minus and the squared-operator check; A(A g); the two
+    # membership residuals; and A g once more at the report's center
+    ("decompose", {"n": 2, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "phi": "1", "v": "0 - 1"},
+                   "grid": {"samples_per_axis": 3}}, 5, 1),
+    # w, shared by both preconditions, in place of D f + f^2
+    ("decompose-dual", {"n": 2, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "phi": "1"},
+                        "grid": {"samples_per_axis": 3}}, 5, 1),
+])
+def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypatch, command, config,
+                                                      per_sample, extra):
+    calls = []
+    original = cliffcalc.fields.mv_dirac
+
+    def counting(mv):
+        calls.append(mv)
+        return original(mv)
+
+    for module in (cliffcalc.fields, darboux, riccati):
+        monkeypatch.setattr(module, "mv_dirac", counting)
+    code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
+    assert code == 0
+    samples = load(out)["reports"][0]["samples_used"]
+    assert len(calls) <= per_sample * samples + extra

@@ -19,12 +19,13 @@ from cliffcalc.fields import (
     grid_residuals,
     kvector_leibniz_residual,
     mv_dirac,
+    mv_grade_shift,
     mv_laplacian,
     mv_value,
     scalar_leibniz_residual,
 )
 from cliffcalc.expr import Tape
-from cliffcalc.suites import random_mv_field, random_point
+from cliffcalc.suites import random_multivector, random_mv_field, random_point
 from cliffcalc.taylor import JetOrderError, Taylor
 
 
@@ -182,6 +183,16 @@ def test_scalar_leibniz_requires_scalar():
     f = ExprField(n, {"e2": "x2"})
     with pytest.raises(FieldError):
         scalar_leibniz_residual(notscalar, f, (0.1, 0.2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_grade_shift_is_the_projected_product(seed, n):
+    # the product form multiplies each coefficient by 1+0j, so only the sign of a zero may differ
+    g = random_multivector(random.Random(seed), n)
+    for j in range(1, n + 1):
+        for t in range(-1, n + 2):
+            assert mv_grade_shift(g, j, t) == (Multivector.basis(n, j) * g).grade(t)
 
 
 def test_kvector_leibniz_hand_example():

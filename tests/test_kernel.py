@@ -134,7 +134,7 @@ def test_squared_operator_is_schrodinger():
     phi = ExprField.scalar(n, "exp(2*x1)")
     lam = cmath.sqrt(-3)
     grid = GridSpec.cube(n, samples_per_axis=4)
-    rep = grid_residual(squared_operator_check(f, mode, lam, phi), grid)
+    rep = grid_residual(squared_operator_check(f, mode, lam, phi, operator_field(f, mode, phi)), grid)
     assert rep.passed
 
 
