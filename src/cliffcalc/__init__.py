@@ -60,7 +60,7 @@ from .darboux import (
     darboux_scalar_pipeline,
     darboux_transform,
     darboux_vector_pipeline,
-    gen_schrodinger_check,
+    eigen_check,
     kvector_closed_form,
     minus_op,
     plus_op,
@@ -75,7 +75,6 @@ from .kernel import (
     first_order_check,
     mode_check,
     split_kernel,
-    squared_operator_check,
 )
 from .suites import identity_suite
 

@@ -30,7 +30,7 @@ from .fields import (
 )
 from .riccati import riccati_check
 
-CLOSED_FORMS = ("plus_minus", "minus_plus", "minus_plus_scalar")
+CLOSED_FORMS = ("plus_minus", "minus_plus")
 
 
 def as_lambda(value) -> complex:
@@ -83,20 +83,20 @@ class PipelineResult:
         return self.conclusion.passed and all(r.passed for r in self.preconditions.values())
 
     def reports(self):
-        out = [(f"precondition:{k}", v) for k, v in self.preconditions.items()]
-        out.append(("conclusion", self.conclusion))
-        return out
+        return [(f"precondition:{k}", v) for k, v in self.preconditions.items()] + [("conclusion", self.conclusion)]
 
 
-def gen_schrodinger_check(f, g, lam):
-    """p -> residual of (D + M^f)(D - M^f) g = lam^2 g at p."""
+def eigen_check(lhs, g, lam):
+    """p -> (lhs - lam^2 g, |lam^2| |g|) at p, for an operator field lhs applied to g.
+
+    lhs is read first, so the value of g is a truncation of the jets that lhs
+    asked for at p, not a second evaluation.
+    """
     lam2 = as_lambda(lam) ** 2
 
     def residual_at(p):
-        gj = g.at(p, 2)
-        fj = f.at(p, 1)
-        lhs = _factor_jet(_factor_jet(gj, fj, -1), fj, +1)
-        return mv_value(lhs - lam2 * gj), mv_value(lhs).norm()
+        lv, gv = lhs.value(p), g.value(p)
+        return lv - lam2 * gv, abs(lam2) * gv.norm()
 
     return residual_at
 
@@ -105,21 +105,13 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
     """Map an eigenfunction g of (D+M^f)(D-M^f) to one of the swapped product.
 
     Returns h = (D - M^f) g together with the report certifying
-    (D - M^f)(D + M^f) h = lam^2 h.
+    (D - M^f)(D + M^f) h = lam^2 h. The field (D + M^f) h serves both checks.
     """
-    lam = as_lambda(lam)
     h = minus_op(f).field(g)
-    lam2 = lam * lam
-
-    def residual_at(p):
-        hj = h.at(p, 2)
-        fj = f.at(p, 1)
-        lhs = _factor_jet(_factor_jet(hj, fj, +1), fj, -1)
-        return mv_value(lhs - lam2 * hj), abs(lam2) * mv_value(hj).norm()
-
+    plus_h = plus_op(f).field(h)
     pre, conclusion = grid_residuals([
-        (gen_schrodinger_check(f, g, lam), "g is not an eigenfunction of the factorized operator"),
-        (residual_at, None)], grid, eps=eps)
+        (eigen_check(plus_h, g, lam), "g is not an eigenfunction of the factorized operator"),
+        (eigen_check(minus_op(f).field(plus_h), h, lam), None)], grid, eps=eps)
     return h, PipelineResult({"eigenfunction": pre}, conclusion)
 
 
@@ -139,19 +131,14 @@ def kvector_closed_form(f, gk, k: int, which: str, p):
     which = "plus_minus":  (D+M^f)(D-M^f) G
           = -Lap G + G((-1)^(k+1) D(f) - f^2) - 2 sum_j [e_j G]_{k-1} d_j(f)
     which = "minus_plus":  (D-M^f)(D+M^f) G
-          = -Lap G - G((-1)^(k+1) D(f) + f^2) + 2 sum_j [e_j G]_{k-1} d_j(f)
-    which = "minus_plus_scalar" (k = 0 shortcut):
-            (D-M^f)(D+M^f) phi = -Lap phi + phi (D(f) - f^2)
+          = -Lap G - G((-1)^(k+1) D(f) + f^2) + 2 sum_j [e_j G]_{k-1} d_j(f),
+          at k = 0 the scalar form -Lap phi + phi (D(f) - f^2)
     Returns the (closed_form, direct) pair of numeric multivectors at p.
     """
     if which not in CLOSED_FORMS:
         raise FieldError(f"unknown closed form {which!r}")
-    g_mv = gk.at(p, 2)
-    if not mv_value(g_mv).is_homogeneous(k):
-        raise FieldError(f"field is not a pure {k}-vector at {p} (grades {mv_value(g_mv).grades()})")
+    g_mv = pure_field(gk, k, f"field is not a pure {k}-vector at {p}").at(p, 2)
     f_mv = f.at(p, 1)
-    if which == "minus_plus_scalar" and k != 0:
-        raise FieldError("the scalar closed form needs a scalar field")
     # each form is -Lap G + G w - 2 outer sum_j [e_j G]_{k-1} d_j(f), with the derived potential
     # w of sign outer (-1)^(k+1); the sum vanishes for k = 0
     outer = +1 if which == "plus_minus" else -1
@@ -182,16 +169,42 @@ def potential_check(w):
     return residual_at
 
 
-def schrodinger_check(phi, potential_at, lam):
-    """p -> residual of (-Lap + q) phi = lam^2 phi at p, with the scalar potential q = potential_at(p)."""
-    lam2 = as_lambda(lam) ** 2
+def schrodinger_field(g, w, f, s):
+    """The field -Lap G + w G + 2s sum_m sum_j [e_j G_m]_{m-1} d_j(f) for G = g.
 
-    def residual_at(p):
-        ph = phi.at(p, 2)
-        lhs = -mv_laplacian(ph) + potential_at(p) * ph
-        return mv_value(lhs - lam2 * ph), abs(lam2) * mv_value(ph).norm()
+    G_m is the grade-m part of G, and only the scalar part of the field w
+    enters (callers that need w scalar check that separately). The drift sum
+    vanishes on a scalar G, and is not computed when s = 0.
+    """
 
-    return residual_at
+    def at(p, order):
+        gj = g.at(p, order + 2)
+        out = -mv_laplacian(gj) + scalar_of(w.at(p, order)) * gj
+        if s:
+            fj = f.at(p, order + 1)
+            drift = sum((_grade_shift_sum(gj.grade(m), fj, m - 1) for m in gj.grades()), Multivector(gj.n))
+            out = out + (2.0 * s) * drift
+        return out
+
+    return DerivedField(g.n, at)
+
+
+def pure_field(g, k, what):
+    """g as a field that raises FieldError at a point where its value has a grade other than k."""
+
+    def at(p, order):
+        gj = g.at(p, order)
+        gv = mv_value(gj)
+        if not gv.is_homogeneous(k):
+            raise FieldError(f"{what} (grades {gv.grades()})")
+        return gj
+
+    return DerivedField(g.n, at)
+
+
+def negated_potential(v):
+    """The scalar field -v, the potential of the Schroedinger operator -Lap - v."""
+    return DerivedField(v.n, lambda p, order: -v.at(p, order))
 
 
 def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:
@@ -202,27 +215,12 @@ def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT
     (-Lap - v) h - 2 sum_j h_j d_j(f) = lam^2 h, the scalar operator acting
     componentwise.
     """
-    lam2 = as_lambda(lam) ** 2
-    f, v = f_candidate.f, f_candidate.potential
-    h = minus_op(f).field(phi)
-    n = grid.n
-
-    def residual_at(p):
-        hj = h.at(p, 2)
-        hv = mv_value(hj)
-        if not hv.is_homogeneous(1) and hv.terms:
-            raise FieldError(f"transformed field is not a 1-vector (grades {hv.grades()})")
-        fj = f.at(p, 1)
-        vval = scalar_of(v.at(p, 0))
-        acc = -mv_laplacian(hj) - vval * hj - lam2 * hj
-        for j in range(1, n + 1):
-            acc = acc - 2.0 * (hj.coeff(1 << (j - 1)) * mv_partial(fj, j))
-        return mv_value(acc), abs(lam2) * hv.norm()
-
+    f, w = f_candidate.f, negated_potential(f_candidate.potential)
+    h = pure_field(minus_op(f).field(phi), 1, "transformed field is not a 1-vector")
     pre_riccati, pre_phi, conclusion = grid_residuals([
         (riccati_check(f_candidate), "riccati precondition failed"),
-        (schrodinger_check(phi, lambda p: -scalar_of(v.at(p, 0)), lam), "schrodinger precondition failed"),
-        (residual_at, None)], grid, eps=eps)
+        (eigen_check(schrodinger_field(phi, w, f, 0), phi, lam), "schrodinger precondition failed"),
+        (eigen_check(schrodinger_field(h, w, f, +1), h, lam), None)], grid, eps=eps)
     return PipelineResult({"riccati": pre_riccati, "schrodinger": pre_phi}, conclusion)
 
 
@@ -233,39 +231,19 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
 
         G (-Lap + w) - 2 sum_j [e_j G]_{k-1} d_j(f) = lam^2 G
 
-    yields H = (D - M^f) G whose grade parts H_{k-1}, H_{k+1} satisfy
+    yields H = (D - M^f) G, of grades k-1 and k+1 for a 1-vector f, with
 
-        (H_{k-1}+H_{k+1})(-Lap + w)
-          + 2 sum_j ([e_j H_{k-1}]_{k-2} + [e_j H_{k+1}]_k) d_j(f)
-          = lam^2 (H_{k-1}+H_{k+1}).
+        H (-Lap + w) + 2 sum_m sum_j [e_j H_m]_{m-1} d_j(f) = lam^2 H.
+
+    Both eigen-equations are schrodinger_field, with drift signs -1 and +1.
     """
-    lam2 = as_lambda(lam) ** 2
     w = derived_potential(f, 1.0 if (k + 1) % 2 == 0 else -1.0)
-
-    def pre_at(p):
-        g = gk.at(p, 2)
-        gv = mv_value(g)
-        if not gv.is_homogeneous(k) and gv.terms:
-            raise FieldError(f"input is not a pure {k}-vector (grades {gv.grades()})")
-        fj = f.at(p, 1)
-        lhs = -mv_laplacian(g) + scalar_of(w.at(p, 0)) * g - 2.0 * _grade_shift_sum(g, fj, k - 1)
-        return mv_value(lhs - lam2 * g), abs(lam2) * gv.norm()
-
+    g = pure_field(gk, k, f"input is not a pure {k}-vector")
     h = minus_op(f).field(gk)
-
-    def residual_at(p):
-        hj = h.at(p, 2)
-        fj = f.at(p, 1)
-        lo, hi = hj.grade(k - 1), hj.grade(k + 1)
-        total = lo + hi
-        acc = -mv_laplacian(total) + scalar_of(w.at(p, 0)) * total - lam2 * total
-        acc = acc + 2.0 * (_grade_shift_sum(lo, fj, k - 2) + _grade_shift_sum(hi, fj, k))
-        return mv_value(acc), abs(lam2) * mv_value(hj).norm()
-
     pre_w, pre_g, conclusion = grid_residuals([
         (potential_check(w), "the derived potential is not scalar-valued"),
-        (pre_at, "input field fails its eigen-equation"),
-        (residual_at, None)], grid, eps=eps)
+        (eigen_check(schrodinger_field(g, w, f, -1), g, lam), "input field fails its eigen-equation"),
+        (eigen_check(schrodinger_field(h, w, f, +1), h, lam), None)], grid, eps=eps)
     return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion)
 
 

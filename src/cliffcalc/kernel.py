@@ -29,9 +29,9 @@ from .fields import (
     grid_residuals,
     mv_value,
     right_const_mul_field,
-    scalar_of,
 )
-from .darboux import FactorizedOperator, _factor_jet, as_lambda, derived_potential, potential_check, schrodinger_check
+from .darboux import (FactorizedOperator, _factor_jet, as_lambda, derived_potential, eigen_check,
+                      negated_potential, potential_check, schrodinger_field)
 from .riccati import riccati_check
 
 
@@ -146,18 +146,6 @@ class DecompositionResult:
                 and self.precondition_report.passed and self.reassembly_residual <= 1e-9)
 
 
-def squared_operator_check(f, mode, lam, g, a_g, variant="A"):
-    """p -> residual of (A^2 - lam^2) g (or B^2) at p, given the field a_g = A g (or B g)."""
-    lam2 = as_lambda(lam) ** 2
-    op2 = operator_field(f, mode, a_g, variant)
-
-    def residual_at(p):
-        gv = g.value(p)
-        return mv_value(op2.at(p, 0)) - lam2 * gv, abs(lam2) * gv.norm()
-
-    return residual_at
-
-
 def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
                  preconditions=()) -> DecompositionResult:
     """Split g in ker(A^2 - lam^2) into its +lam and -lam eigenparts.
@@ -189,7 +177,7 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     def reassembly_at(p):
         return mv_value(g_plus.at(p, 0)) + mv_value(g_minus.at(p, 0)) - g.value(p), 0.0
 
-    checks += [(squared_operator_check(f, mode, lam, g, a_g, variant),
+    checks += [(eigen_check(operator_field(f, mode, a_g, variant), g, lam),
                 "input is not in the kernel of the squared operator"),
                # membership: (A + lam) g in ker(A - lam) and vice versa
                (first_order_check(f, mode, lam, -1, g_plus, variant), None),
@@ -206,10 +194,9 @@ def decompose_schrodinger_solution(f_candidate, mode, lam, phi, grid: GridSpec,
     Preconditions verified: f solves its Riccati equation for the claimed
     potential v, and (-Lap - v) phi = lam^2 phi. The split is the A-variant.
     """
-    lam = as_lambda(lam)
-    v = f_candidate.potential
+    w = negated_potential(f_candidate.potential)
     preconditions = [(riccati_check(f_candidate), "f does not solve its Riccati equation"),
-                     (schrodinger_check(phi, lambda p: -scalar_of(v.at(p, 0)), lam),
+                     (eigen_check(schrodinger_field(phi, w, f_candidate.f, 0), phi, lam),
                       "phi is not a Schroedinger eigenfunction")]
     return split_kernel(f_candidate.f, mode, lam, phi, grid, "A", eps, preconditions)
 
@@ -221,9 +208,8 @@ def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
     phi must satisfy (-Lap + u) phi = lam^2 phi with u scalar-valued; the
     two parts land in ker(D + M^{f - lam iE}) and ker(D + M^{f + lam iE}).
     """
-    lam = as_lambda(lam)
     u = derived_potential(f, 1.0)
     preconditions = [(potential_check(u), "derived potential is not scalar"),
-                     (schrodinger_check(phi, lambda p: u.value(p).scalar_part(), lam),
+                     (eigen_check(schrodinger_field(phi, u, f, 0), phi, lam),
                       "phi is not an eigenfunction of the conjugate operator")]
     return split_kernel(f, mode, lam, phi, grid, "B", eps, preconditions)

@@ -95,41 +95,43 @@ def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXAC
 
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
     """Candidate f = D(phi)/phi with claimed potential v = -Lap(phi)/phi."""
-    n = phi.n
+    minus_lap = DerivedField(phi.n, lambda p, order: -mv_laplacian(phi.at(p, order + 2)))
+    return RiccatiCandidate(_quotient(dirac_field(phi), phi), _quotient(minus_lap, phi), provenance)
 
-    def f_at(p, order):
-        d = mv_dirac(phi.at(p, order + 1))  # the higher order first: the lower is its truncation
+
+def _quotient(d, phi):
+    """The field d/phi, for a field d of derivatives of the scalar field phi."""
+
+    def at(p, order):
+        dj = d.at(p, order)  # d asks phi for a higher order first: the lower is its truncation
         inv = _inv_scalar(scalar_of(phi.at(p, order)))
-        return d.map_coeffs(lambda t: t * inv)
+        return dj.map_coeffs(lambda t: t * inv)
 
-    def v_at(p, order):
-        lap = mv_laplacian(phi.at(p, order + 2))
-        inv = _inv_scalar(scalar_of(phi.at(p, order)))
-        return -lap.map_coeffs(lambda t: t * inv)
-
-    return RiccatiCandidate(DerivedField(n, f_at), DerivedField(n, v_at), provenance)
+    return DerivedField(phi.n, at)
 
 
 def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
     """Reports of the full residual and its scalar and bivector parts, for grade-1 candidates.
 
     The full residual of a 1-vector candidate with scalar potential carries
-    exactly grades {0, 2}; anything else signals a malformed input.
+    exactly grades {0, 2}; anything else signals a malformed input. All three
+    reports scale their tolerance by |D(f) + f^2|, the left-hand side.
     """
     full_at = riccati_check(c)
 
     def scalar_at(p):
         if not mv_value(c.f.at(p, 1)).is_homogeneous(1):
             raise FieldError("vector split needs a pure grade-1 candidate")
-        r = full_at(p)[0]
+        r, scale = full_at(p)
         leftover = r - r.grade(0) - r.grade(2)
         if leftover.norm() > 1e-12 * (1.0 + r.norm()):
             raise FieldError("residual has grades outside {0, 2}; potential is not scalar")
-        return r.grade(0), r.norm()
+        return r.grade(0), scale
 
     def bivector_at(p):
         # the grades are scalar_at's to check: its exception stops this check too
-        return full_at(p)[0].grade(2), 0.0
+        r, scale = full_at(p)
+        return r.grade(2), scale
 
     return grid_residuals([(full_at, None), (scalar_at, None), (bivector_at, None)], grid, eps=eps)
 
@@ -270,15 +272,15 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     the same equation as h.
     """
     masked = _mask_scalar_zero(grid, [phi])
+    d = dirac_field(phi)  # one D(phi) for the shift equation and for D(phi)/phi
 
     def phi_eq_at(p):
         ph = phi.at(p, 2)
-        hv = h.f.at(p, 0)
         # <D(phi), h> = -[D(phi) h]_0
-        inner = -(mv_dirac(ph) * hv).grade(0)
+        inner = -(d.at(p, 0) * h.f.at(p, 0)).grade(0)
         return mv_value(mv_laplacian(ph) + 2.0 * inner), mv_value(ph).norm()
 
-    candidate = RiccatiCandidate(add_fields(log_derivative(phi).f, h.f), h.potential, "euler_shift")
+    candidate = RiccatiCandidate(add_fields(_quotient(d, phi), h.f), h.potential, "euler_shift")
     *_, report = grid_residuals([(riccati_check(h), "h does not solve its Riccati equation"),
                                  (phi_eq_at, "phi fails its shift equation"),
                                  (riccati_check(candidate), None)], masked, eps=eps)

@@ -434,6 +434,25 @@ def test_vector_split_follows_declared_blades(tmp_path, capsys):
     assert [r["name"] for r in load(out)["reports"]] == ["riccati", "scalar_part", "bivector_part"]
 
 
+def test_vector_split_reports_share_one_scale(tmp_path, capsys):
+    # f = x1 e1 gives D f + f^2 = -1 - x1^2 = v, so all three reports scale by max |D f + f^2| = 2
+    config = {"n": 2, "fields": {"f": {"e1": "x1"}, "v": "0 - 1 - x1^2"}, "grid": {"samples_per_axis": 5}}
+    code, out, _ = run_cli(capsys, "riccati-check", "--config", write_config(tmp_path, "c.json", config))
+    assert code == 0
+    tolerances = [r["tolerance"] for r in load(out)["reports"]]
+    assert tolerances == [tolerances[0]] * 3
+    assert tolerances[0] == pytest.approx(3e-9)
+    # a scalar residual of 10 no longer widens its own tolerance: under --tol 1 it fails its part
+    config["fields"]["v"] = "9 - x1^2"
+    code, out, _ = run_cli(capsys, "riccati-check", "--config", write_config(tmp_path, "c.json", config),
+                           "--tol", "1")
+    assert code == 1
+    reports = {r["name"]: r for r in load(out)["reports"]}
+    assert reports["scalar_part"]["sup_norm"] == 10.0 and reports["scalar_part"]["pass"] is False
+    assert reports["scalar_part"]["tolerance"] == reports["riccati"]["tolerance"] == 3.0
+    assert reports["bivector_part"]["pass"] is True
+
+
 def test_family_gap_below_dimension_three_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"n": 2, "K_samples": [2.0], "grid": {"samples_per_axis": 3}})
     code, out, err = run_cli(capsys, "family-gap", "--config", cfg)
@@ -540,6 +559,12 @@ def test_each_field_runs_once_per_sample(tmp_path, capsys, monkeypatch, command,
     # w, shared by both preconditions, in place of D f + f^2
     ("decompose-dual", {"n": 2, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "phi": "1"},
                         "grid": {"samples_per_axis": 3}}, 5, 1),
+    # D(phi), shared by D(phi)/phi and the shift equation; D h + h^2; D f + f^2 of the shifted f
+    ("euler-shift", {"n": 3, "fields": {"h": {"e1": "1"}, "phi": "exp(0 - 2*x1) + 3", "v": "0 - 1"},
+                     "grid": {"samples_per_axis": 3}}, 3, 0),
+    # h = (D - M^f) g; (D + M^f) h, shared by both checks; (D - M^f)(D + M^f) h
+    ("darboux", {"n": 3, "lambda": [0.0, 1.7320508075688772], "fields": {"f": {"e1": "1"}, "g": "exp(2*x2)"},
+                 "grid": {"samples_per_axis": 3}}, 3, 0),
 ])
 def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypatch, command, config,
                                                       per_sample, extra):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cliffcalc import darboux, suites
 from cliffcalc.algebra import Multivector
 from cliffcalc.darboux import (
     CLOSED_FORMS,
@@ -12,7 +13,7 @@ from cliffcalc.darboux import (
     darboux_scalar_pipeline,
     darboux_transform,
     darboux_vector_pipeline,
-    gen_schrodinger_check,
+    eigen_check,
     kvector_closed_form,
     minus_op,
     plus_op,
@@ -63,7 +64,9 @@ def test_gen_schrodinger_residual():
     n = 3
     phi = ExprField.scalar(n, "exp(2*x2)")
     lam = cmath.sqrt(-3)
-    rep = grid_residual(gen_schrodinger_check(e1_field(n), phi, lam), GridSpec.cube(n, samples_per_axis=4))
+    f = e1_field(n)
+    lhs = plus_op(f).field(minus_op(f).field(phi))
+    rep = grid_residual(eigen_check(lhs, phi, lam), GridSpec.cube(n, samples_per_axis=4))
     assert rep.passed
 
 
@@ -103,10 +106,12 @@ def test_scalar_closed_form():
     n = 2
     f = random_mv_field(rng, n, grades={1})
     phi = ExprField.scalar(n, "exp(x1) + x2^2")
-    closed, direct = kvector_closed_form(f, phi, 0, "minus_plus_scalar", (0.4, -0.2))
+    # the scalar closed form is minus_plus at k = 0
+    closed, direct = kvector_closed_form(f, phi, 0, "minus_plus", (0.4, -0.2))
     assert (closed - direct).norm() < 1e-12
+    assert CLOSED_FORMS == ("plus_minus", "minus_plus")
     with pytest.raises(FieldError):
-        kvector_closed_form(f, phi, 1, "minus_plus_scalar", (0.4, -0.2))
+        kvector_closed_form(f, phi, 1, "minus_plus", (0.4, -0.2))
     with pytest.raises(FieldError):
         kvector_closed_form(f, phi, 0, "nope", (0.4, -0.2))
 
@@ -184,3 +189,15 @@ def test_k1_specialization_matches_vector_pipeline():
     vec_res = darboux_vector_pipeline(cand.f, g1, lam, grid)
     k1_res = darboux_kvector_pipeline(cand.f, g1, 1, lam, grid)
     assert abs(vec_res.conclusion.sup_norm - k1_res.conclusion.sup_norm) <= 1e-12
+
+
+def test_operator_identities_share_their_operator_fields(monkeypatch):
+    calls = []
+    original = darboux._factor_jet
+    monkeypatch.setattr(darboux, "_factor_jet", lambda *args: calls.append(args) or original(*args))
+    rounds = 3
+    entries = suites._operator_entries(random.Random(4), 3, rounds)
+    assert all(e.passed for e in entries)
+    # A g and (D + M^f) g are each one field, read at order 1 by A(A g) and (D - M^f)(D + M^f) g
+    # and then truncated, so a round makes 10 operator applications instead of 12
+    assert len(calls) <= 10 * rounds

@@ -3,6 +3,7 @@ import cmath
 import pytest
 
 from cliffcalc.algebra import Multivector
+from cliffcalc.darboux import eigen_check
 from cliffcalc.fields import (
     ConstantField,
     ExprField,
@@ -24,7 +25,6 @@ from cliffcalc.kernel import (
     operator_field,
     operator_norm_gap,
     split_kernel,
-    squared_operator_check,
 )
 from cliffcalc.riccati import RiccatiCandidate
 
@@ -134,7 +134,7 @@ def test_squared_operator_is_schrodinger():
     phi = ExprField.scalar(n, "exp(2*x1)")
     lam = cmath.sqrt(-3)
     grid = GridSpec.cube(n, samples_per_axis=4)
-    rep = grid_residual(squared_operator_check(f, mode, lam, phi, operator_field(f, mode, phi)), grid)
+    rep = grid_residual(eigen_check(operator_field(f, mode, operator_field(f, mode, phi)), phi, lam), grid)
     assert rep.passed
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import cliffcalc.fields
 import cliffcalc.riccati
 from cliffcalc.algebra import Multivector
 from cliffcalc.expr import parse
@@ -67,7 +68,8 @@ def test_vector_split(monkeypatch):
     n = 2
     cand = log_derivative(ExprField.scalar(n, "exp(x1)*exp(x2)"))
     diracs = []
-    monkeypatch.setattr(cliffcalc.riccati, "mv_dirac", lambda mv: diracs.append(mv) or mv_dirac(mv))
+    for module in (cliffcalc.fields, cliffcalc.riccati):
+        monkeypatch.setattr(module, "mv_dirac", lambda mv: diracs.append(mv) or mv_dirac(mv))
     full, s_rep, b_rep = vector_split_residuals(cand, GridSpec.cube(n, samples_per_axis=4))
     assert full.passed and s_rep.passed and b_rep.passed
     # per point one for f = D(phi)/phi and one for D(f) + f f, which the three reports share
