@@ -264,6 +264,8 @@ def _cmd_darboux_bivector(c):
 def _cmd_darboux_kvector(c):
     eps = c.eps()
     k = c.require("k", int)
+    if not 0 <= k <= c.n:
+        raise ConfigError(f"config key 'k' must be in 0..{c.n}")
     result = darboux_kvector_pipeline(c.field("f"), c.field("g"), k, c.lam(), c.grid(), eps=eps)
     return result.reports(), {}, result.passed
 

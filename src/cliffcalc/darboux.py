@@ -26,7 +26,6 @@ from .fields import (
     mv_laplacian,
     mv_partial,
     mv_value,
-    scalar_of,
 )
 from .riccati import riccati_check
 
@@ -128,31 +127,27 @@ def _grade_shift_sum(g_mv, f_mv, target):
 def kvector_closed_form(f, gk, k: int, which: str, p):
     """Closed form vs direct operator composition on a grade-k field.
 
-    which = "plus_minus":  (D+M^f)(D-M^f) G
-          = -Lap G + G((-1)^(k+1) D(f) - f^2) - 2 sum_j [e_j G]_{k-1} d_j(f)
-    which = "minus_plus":  (D-M^f)(D+M^f) G
-          = -Lap G - G((-1)^(k+1) D(f) + f^2) + 2 sum_j [e_j G]_{k-1} d_j(f),
-          at k = 0 the scalar form -Lap phi + phi (D(f) - f^2)
-    Returns the (closed_form, direct) pair of numeric multivectors at p.
+    which = "plus_minus":  (D+M^f)(D-M^f) G = -Lap G + G w - 2 sum_j [e_j G]_{k-1} d_j(f)
+    which = "minus_plus":  (D-M^f)(D+M^f) G = -Lap G + G w + 2 sum_j [e_j G]_{k-1} d_j(f)
+    with w = outer (-1)^(k+1) D(f) - f^2, outer = +1 for plus_minus and -1 for
+    minus_plus: the closed form is schrodinger_field with the whole w and drift
+    sign -outer, and the sum vanishes for k = 0. Returns the (closed_form,
+    direct) pair of numeric multivectors at p.
     """
     if which not in CLOSED_FORMS:
         raise FieldError(f"unknown closed form {which!r}")
-    g_mv = pure_field(gk, k, f"field is not a pure {k}-vector at {p}").at(p, 2)
-    f_mv = f.at(p, 1)
-    # each form is -Lap G + G w - 2 outer sum_j [e_j G]_{k-1} d_j(f), with the derived potential
-    # w of sign outer (-1)^(k+1); the sum vanishes for k = 0
+    g = pure_field(gk, k, f"field is not a pure {k}-vector at {p}")
     outer = +1 if which == "plus_minus" else -1
-    w = derived_potential(f, outer * (1.0 if (k + 1) % 2 == 0 else -1.0)).at(p, 0)
-    closed = -mv_laplacian(g_mv) + g_mv * w - (2.0 * outer) * _grade_shift_sum(g_mv, f_mv, k - 1)
-    direct = _factor_jet(_factor_jet(g_mv, f_mv, -outer), f_mv, outer)
-    return mv_value(closed), mv_value(direct)
+    w = derived_potential(f, outer * (1.0 if (k + 1) % 2 == 0 else -1.0))
+    direct = FactorizedOperator(f, outer).field(FactorizedOperator(f, -outer).field(g))
+    return schrodinger_field(g, w, f, -outer).value(p), direct.value(p)
 
 
 def derived_potential(f, sign):
     """The field w = sign*D(f) - f^2, so checks that share it compute it once per point."""
 
     def at(p, order):
-        d = mv_dirac(f.at(p, order + 1))  # the higher order first: the lower is its truncation
+        d = f.dirac.at(p, order)  # the higher order first: the lower is its truncation
         fj = f.at(p, order)
         return sign * d - fj * fj
 
@@ -170,16 +165,16 @@ def potential_check(w):
 
 
 def schrodinger_field(g, w, f, s):
-    """The field -Lap G + w G + 2s sum_m sum_j [e_j G_m]_{m-1} d_j(f) for G = g.
+    """The field -Lap G + G w + 2s sum_m sum_j [e_j G_m]_{m-1} d_j(f) for G = g.
 
-    G_m is the grade-m part of G, and only the scalar part of the field w
-    enters (callers that need w scalar check that separately). The drift sum
-    vanishes on a scalar G, and is not computed when s = 0.
+    G_m is the grade-m part of G. The drift sum vanishes on a scalar G, and is
+    not computed when s = 0. The pipelines, whose potential is scalar, pass
+    its scalar part (scalar_part_field), so no empty blade of w is multiplied.
     """
 
     def at(p, order):
         gj = g.at(p, order + 2)
-        out = -mv_laplacian(gj) + scalar_of(w.at(p, order)) * gj
+        out = -mv_laplacian(gj) + gj * w.at(p, order)
         if s:
             fj = f.at(p, order + 1)
             drift = sum((_grade_shift_sum(gj.grade(m), fj, m - 1) for m in gj.grades()), Multivector(gj.n))
@@ -202,9 +197,14 @@ def pure_field(g, k, what):
     return DerivedField(g.n, at)
 
 
+def scalar_part_field(w):
+    """The grade-0 part of the field w."""
+    return DerivedField(w.n, lambda p, order: w.at(p, order).grade(0))
+
+
 def negated_potential(v):
     """The scalar field -v, the potential of the Schroedinger operator -Lap - v."""
-    return DerivedField(v.n, lambda p, order: -v.at(p, order))
+    return DerivedField(v.n, lambda p, order: -v.at(p, order).grade(0))
 
 
 def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:
@@ -238,12 +238,13 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
     Both eigen-equations are schrodinger_field, with drift signs -1 and +1.
     """
     w = derived_potential(f, 1.0 if (k + 1) % 2 == 0 else -1.0)
+    w0 = scalar_part_field(w)
     g = pure_field(gk, k, f"input is not a pure {k}-vector")
     h = minus_op(f).field(gk)
     pre_w, pre_g, conclusion = grid_residuals([
         (potential_check(w), "the derived potential is not scalar-valued"),
-        (eigen_check(schrodinger_field(g, w, f, -1), g, lam), "input field fails its eigen-equation"),
-        (eigen_check(schrodinger_field(h, w, f, +1), h, lam), None)], grid, eps=eps)
+        (eigen_check(schrodinger_field(g, w0, f, -1), g, lam), "input field fails its eigen-equation"),
+        (eigen_check(schrodinger_field(h, w0, f, +1), h, lam), None)], grid, eps=eps)
     return PipelineResult({"scalar_potential": pre_w, "eigen_equation": pre_g}, conclusion)
 
 

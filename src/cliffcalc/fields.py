@@ -114,6 +114,11 @@ class MultivectorField:
     def value(self, p) -> Multivector:
         return mv_value(self.at(p, 0))
 
+    @functools.cached_property
+    def dirac(self) -> "MultivectorField":
+        """The field D(self): one node, so every check that reads it shares its point cache."""
+        return DerivedField(self.n, lambda p, o: mv_dirac(self.at(p, o + 1)))
+
 
 class ExprField(MultivectorField):
     """Exact-mode field: one scalar expression per blade, all in one tape that
@@ -211,10 +216,6 @@ def right_const_mul_field(f, mv):
     return DerivedField(f.n, lambda p, o: f.at(p, o) * mv)
 
 
-def dirac_field(f):
-    return DerivedField(f.n, lambda p, o: mv_dirac(f.at(p, o + 1)))
-
-
 def scalar_of(mv: Multivector):
     return mv.coeff(0)
 
@@ -230,14 +231,8 @@ def _inv_scalar(c):
 # -- pointwise Leibniz residuals ---------------------------------------------
 
 def scalar_leibniz_residual(phi: MultivectorField, f: MultivectorField, p) -> Multivector:
-    """D(phi f) - [D(phi) f + phi D(f)] for scalar-valued phi."""
-    ph = phi.at(p, 1)
-    if not ph.is_homogeneous(0):
-        raise FieldError("scalar Leibniz rule needs a scalar-valued first factor")
-    fj = f.at(p, 1)
-    lhs = mv_dirac(ph * fj)
-    rhs = mv_dirac(ph) * fj + scalar_of(ph) * mv_dirac(fj)
-    return mv_value(lhs - rhs)
+    """D(phi f) - [D(phi) f + phi D(f)] for scalar-valued phi: the graded rule at k = 0."""
+    return kvector_leibniz_residual(phi, f, 0, p)
 
 
 def kvector_leibniz_residual(gk: MultivectorField, f: MultivectorField, k: int, p) -> Multivector:

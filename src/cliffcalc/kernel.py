@@ -31,7 +31,7 @@ from .fields import (
     right_const_mul_field,
 )
 from .darboux import (FactorizedOperator, _factor_jet, as_lambda, derived_potential, eigen_check,
-                      negated_potential, potential_check, schrodinger_field)
+                      negated_potential, potential_check, scalar_part_field, schrodinger_field)
 from .riccati import riccati_check
 
 
@@ -210,6 +210,6 @@ def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
     """
     u = derived_potential(f, 1.0)
     preconditions = [(potential_check(u), "derived potential is not scalar"),
-                     (eigen_check(schrodinger_field(phi, u, f, 0), phi, lam),
+                     (eigen_check(schrodinger_field(phi, scalar_part_field(u), f, 0), phi, lam),
                       "phi is not an eigenfunction of the conjugate operator")]
     return split_kernel(f, mode, lam, phi, grid, "B", eps, preconditions)

@@ -26,10 +26,8 @@ from .fields import (
     MultivectorField,
     ResidualReport,
     add_fields,
-    dirac_field,
     grid_residual,
     grid_residuals,
-    mv_dirac,
     mv_laplacian,
     mv_value,
     scalar_of,
@@ -76,7 +74,7 @@ def riccati_check(c: RiccatiCandidate):
     """p -> (D(f) + f f - v, |D(f) + f f|) at p; D(f) + f f is a field, computed once per point."""
 
     def lhs_at(p, order):
-        d = mv_dirac(c.f.at(p, order + 1))  # the higher order first: the lower is its truncation
+        d = c.f.dirac.at(p, order)  # the higher order first: the lower is its truncation
         return d + c.f.at(p, order) * c.f.at(p, order)
 
     lhs = DerivedField(c.n, lhs_at)
@@ -96,7 +94,7 @@ def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXAC
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
     """Candidate f = D(phi)/phi with claimed potential v = -Lap(phi)/phi."""
     minus_lap = DerivedField(phi.n, lambda p, order: -mv_laplacian(phi.at(p, order + 2)))
-    return RiccatiCandidate(_quotient(dirac_field(phi), phi), _quotient(minus_lap, phi), provenance)
+    return RiccatiCandidate(_quotient(phi.dirac, phi), _quotient(minus_lap, phi), provenance)
 
 
 def _quotient(d, phi):
@@ -272,7 +270,7 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     the same equation as h.
     """
     masked = _mask_scalar_zero(grid, [phi])
-    d = dirac_field(phi)  # one D(phi) for the shift equation and for D(phi)/phi
+    d = phi.dirac  # one D(phi) for the shift equation and for D(phi)/phi
 
     def phi_eq_at(p):
         ph = phi.at(p, 2)
@@ -289,7 +287,7 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
 
 def _gradient_checks(phi1, phi2, potential):
     """Checks that D(phi1) and D(phi2) both solve D(f) + f^2 = potential."""
-    return [(riccati_check(RiccatiCandidate(dirac_field(phi), potential, "euler_input")),
+    return [(riccati_check(RiccatiCandidate(phi.dirac, potential, "euler_input")),
              f"{name} does not solve the target equation") for name, phi in (("D(phi1)", phi1), ("D(phi2)", phi2))]
 
 
@@ -297,7 +295,7 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec):
     """The blend f = (alpha D(phi1) - D(phi2))/(alpha - 1), alpha = K exp(phi1 - phi2),
     for one K, and the grid with the alpha = 1 locus masked."""
     K = complex(K)
-    d1, d2 = dirac_field(phi1), dirac_field(phi2)
+    d1, d2 = phi1.dirac, phi2.dirac  # the nodes _gradient_checks reads too
 
     def alpha_at(p, order):
         a, b = phi1.at(p, order), phi2.at(p, order)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import cliffcalc.fields
-from cliffcalc import darboux, riccati, suites
+from cliffcalc import suites
 from cliffcalc.algebra import Multivector
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.expr import Tape
@@ -295,6 +295,8 @@ def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1, 1e400], [-1, 1], [-1, 1]]}}),
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1e400, 1], [-1, 1], [-1, 1]]}}),
     ("riccati-check", {"n": 1, "fields": {"f": {"e4": "1"}, "v": "0"}}),
+    ("darboux-kvector", {"n": 2, "k": -1, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "g": "1"}}),
+    ("darboux-kvector", {"n": 2, "k": 3, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "g": "1"}}),
 ])
 def test_wrong_optional_key_type_is_config_error(tmp_path, capsys, command, config):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
@@ -565,6 +567,10 @@ def test_each_field_runs_once_per_sample(tmp_path, capsys, monkeypatch, command,
     # h = (D - M^f) g; (D + M^f) h, shared by both checks; (D - M^f)(D + M^f) h
     ("darboux", {"n": 3, "lambda": [0.0, 1.7320508075688772], "fields": {"f": {"e1": "1"}, "g": "exp(2*x2)"},
                  "grid": {"samples_per_axis": 3}}, 3, 0),
+    # D(phi1) and D(phi2), shared by the blend and the two gradient checks; D(D(phi1)) and D(D(phi2));
+    # D f + f^2 of the blend
+    ("euler-combine", {"n": 3, "K": [2.0, 0.5], "fields": {"phi1": "x1", "phi2": "x2", "v": "0 - 1"},
+                       "grid": {"samples_per_axis": 3}}, 5, 0),
 ])
 def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypatch, command, config,
                                                       per_sample, extra):
@@ -575,7 +581,8 @@ def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypa
         calls.append(mv)
         return original(mv)
 
-    for module in (cliffcalc.fields, darboux, riccati):
+    # every module that binds mv_dirac, so a call is counted wherever it is made
+    for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "mv_dirac")]:
         monkeypatch.setattr(module, "mv_dirac", counting)
     code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
     assert code == 0

@@ -1,5 +1,6 @@
 import cmath
 import random
+import sys
 
 import pytest
 
@@ -24,6 +25,7 @@ from cliffcalc.fields import (
     GridSpec,
     PreconditionError,
     grid_residual,
+    mv_dirac,
     mv_value,
 )
 from cliffcalc.riccati import RiccatiCandidate
@@ -198,6 +200,19 @@ def test_operator_identities_share_their_operator_fields(monkeypatch):
     rounds = 3
     entries = suites._operator_entries(random.Random(4), 3, rounds)
     assert all(e.passed for e in entries)
-    # A g and (D + M^f) g are each one field, read at order 1 by A(A g) and (D - M^f)(D + M^f) g
-    # and then truncated, so a round makes 10 operator applications instead of 12
-    assert len(calls) <= 10 * rounds
+    # (D - M^f) g and (D + M^f) g are each one field, from which A g, B g and both compositions
+    # are built, and each is read at order 1 first and then truncated, so a round makes 8
+    # operator applications instead of 12
+    assert len(calls) <= 8 * rounds
+
+
+def test_closed_forms_share_one_dirac_of_f(monkeypatch):
+    calls = []
+    original = mv_dirac
+    for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "mv_dirac")]:
+        monkeypatch.setattr(module, "mv_dirac", lambda mv: calls.append(mv) or original(mv))
+    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    assert all(e.passed for e in entries)
+    # per k-vector point, D(f) once for both forms' potentials and D G, D(D -/+ M^f) G for each
+    # direct side: 16 such points make 80 calls; the 4 scalar points 3 each
+    assert len(calls) <= 92

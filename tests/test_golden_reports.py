@@ -5,15 +5,20 @@ exit code, the JSON report (without `wall_time_s`) and the stderr text that
 the command produced when the file was written. Refactors must reproduce
 them: floats to 1e-12 relative, everything else exactly.
 
-After an intended change of the reports, rewrite the expected outputs with
+After an intended change of the reports, rewrite the expected outputs of the
+named golden files (each holding at least its command and config) with
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    PYTHONPATH=src python tests/test_golden_reports.py tests/golden/<name>.json ...
+
+Only the named files are written, so adding a golden case leaves the others as
+they are.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -69,7 +74,9 @@ def test_every_command_has_a_golden_case():
 
 
 if __name__ == "__main__":
-    for path in CASES:
+    if len(sys.argv) < 2:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_reports.py GOLDEN.json [GOLDEN.json ...]")
+    for path in map(Path, sys.argv[1:]):
         case = json.loads(path.read_text())
         result = run_case(case)
         path.write_text(json.dumps({"command": case["command"], "config": case["config"], **result},
