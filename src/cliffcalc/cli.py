@@ -136,13 +136,15 @@ class _Config:
 
     def grid(self) -> GridSpec:
         grid = self.optional("grid", dict, {})
-        box = _optional(grid, "box", list, None) or [[-1.0, 1.0]] * self.n
+        box = _optional(grid, "box", list, [[-1.0, 1.0]] * self.n)
         if len(box) != self.n:
             raise ConfigError(f"grid box has {len(box)} axes, expected {self.n}")
+        if not all(isinstance(axis, list) and len(axis) == 2 and all(_is_a(x, NUMBER) for x in axis) for axis in box):
+            raise ConfigError("grid box axes must be [lo, hi] pairs of numbers")
         samples = _optional(grid, "samples_per_axis", int, 11)
         try:
             return GridSpec(tuple((float(lo), float(hi)) for lo, hi in box), samples)
-        except (FieldError, TypeError, ValueError) as err:
+        except (FieldError, OverflowError) as err:  # an integer bound too large for a double overflows
             raise ConfigError(f"bad grid: {err}") from err
 
     def lam(self) -> complex:

@@ -58,10 +58,7 @@ class FactorizedOperator:
             raise FieldError("sign must be +1 or -1")
 
     def field(self, g: MultivectorField) -> MultivectorField:
-        def at(p, order):
-            return _factor_jet(g.at(p, order + 1), self.f.at(p, order), self.sign)
-
-        return DerivedField(g.n, at)
+        return DerivedField(lambda gj, fj: _factor_jet(gj, fj, self.sign), (g, 1), (self.f, 0))
 
 
 def plus_op(f):
@@ -86,11 +83,7 @@ class PipelineResult:
 
 
 def eigen_check(lhs, g, lam):
-    """p -> (lhs - lam^2 g, |lam^2| |g|) at p, for an operator field lhs applied to g.
-
-    lhs is read first, so the value of g is a truncation of the jets that lhs
-    asked for at p, not a second evaluation.
-    """
+    """p -> (lhs - lam^2 g, |lam^2| |g|) at p, for an operator field lhs applied to g."""
     lam2 = as_lambda(lam) ** 2
 
     def residual_at(p):
@@ -145,13 +138,7 @@ def kvector_closed_form(f, gk, k: int, which: str, p):
 
 def derived_potential(f, sign):
     """The field w = sign*D(f) - f^2, so checks that share it compute it once per point."""
-
-    def at(p, order):
-        d = f.dirac.at(p, order)  # the higher order first: the lower is its truncation
-        fj = f.at(p, order)
-        return sign * d - fj * fj
-
-    return DerivedField(f.n, at)
+    return DerivedField(lambda d, sq: sign * d - sq, (f.dirac, 0), (f.square, 0))
 
 
 def potential_check(w):
@@ -172,39 +159,36 @@ def schrodinger_field(g, w, f, s):
     its scalar part (scalar_part_field), so no empty blade of w is multiplied.
     """
 
-    def at(p, order):
-        gj = g.at(p, order + 2)
-        out = -mv_laplacian(gj) + gj * w.at(p, order)
+    def apply(gj, wj, fj=None):
+        out = -mv_laplacian(gj) + gj * wj
         if s:
-            fj = f.at(p, order + 1)
             drift = sum((_grade_shift_sum(gj.grade(m), fj, m - 1) for m in gj.grades()), Multivector(gj.n))
             out = out + (2.0 * s) * drift
         return out
 
-    return DerivedField(g.n, at)
+    return DerivedField(apply, (g, 2), (w, 0), *([(f, 1)] if s else []))
 
 
 def pure_field(g, k, what):
     """g as a field that raises FieldError at a point where its value has a grade other than k."""
 
-    def at(p, order):
-        gj = g.at(p, order)
+    def check(gj):
         gv = mv_value(gj)
         if not gv.is_homogeneous(k):
             raise FieldError(f"{what} (grades {gv.grades()})")
         return gj
 
-    return DerivedField(g.n, at)
+    return DerivedField(check, (g, 0))
 
 
 def scalar_part_field(w):
     """The grade-0 part of the field w."""
-    return DerivedField(w.n, lambda p, order: w.at(p, order).grade(0))
+    return DerivedField(lambda wj: wj.grade(0), (w, 0))
 
 
 def negated_potential(v):
     """The scalar field -v, the potential of the Schroedinger operator -Lap - v."""
-    return DerivedField(v.n, lambda p, order: -v.at(p, order).grade(0))
+    return DerivedField(lambda vj: -vj.grade(0), (v, 0))
 
 
 def darboux_scalar_pipeline(f_candidate, phi, lam, grid: GridSpec, eps=EPS_EXACT) -> PipelineResult:

@@ -2,8 +2,10 @@
 
 A field answers `at(p, order)` with a Multivector whose coefficients are
 Taylor jets of the requested order, so Dirac derivatives, Laplacians and
-pointwise products compose freely: each derivative spends one order, and
-callers request exactly as many orders as the identity they evaluate needs.
+pointwise products compose freely: each derivative spends one order. A
+derived field declares its inputs and how many extra orders it reads of
+each, so the fields form a graph in which each node's order, the most that
+any consumer reads, is fixed when the graph is built.
 
 Two derivative providers exist: expression-backed fields (exact jets of any
 order) and black-box fields (central finite differences, orders 0 and 1).
@@ -90,34 +92,54 @@ def mv_laplacian(mv: Multivector) -> Multivector:
 class MultivectorField:
     """Base class: map from points of R^n to multivectors, with jets.
 
-    `at` keeps the jets from `evaluate` at the last point (the same tuple
-    object) and highest order asked there; a lower order is their truncation,
-    bit for bit the fresh jet, as degree-k coefficients ignore higher ones.
+    `order` is the jet order that `evaluate` computes: the most that any
+    consumer reads. Building a consumer raises it through `demand`, which
+    raises the inputs in turn, and so does a call of `at` for a higher order.
+    `at` keeps the jets of the last point (the same tuple object); a lower
+    order is their truncation, bit for bit the fresh jet, as degree-k
+    coefficients ignore higher ones.
     """
 
     n: int
-    _last = (None, -1, None)  # (point, order, jets)
+    order = 0
+    inputs = ()  # (field, extra orders read) pairs
+    _last = (None, None)  # (point, jets)
+
+    def demand(self, order: int):
+        """Raise this field's order to `order`, and its inputs' orders to match."""
+        if order > self.order:
+            self.order = order
+            self._last = (None, None)
+            for field, extra in self.inputs:
+                field.demand(order + extra)
 
     def at(self, p, order: int = 0) -> Multivector:
+        if order > self.order:
+            self.demand(order)
         p = tuple(p)
-        point, top, jets = self._last
-        if p is not point or order > top:
-            jets = self.evaluate(p, order)
-            self._last = (p, order, jets)
-        elif order < top:
+        point, jets = self._last
+        if p is not point:
+            jets = self.evaluate(p)
+            self._last = (p, jets)
+        if order < self.order:
             jets = jets.map_coeffs(lambda c: c.truncate(order) if isinstance(c, Taylor) else c)
         return jets
 
-    def evaluate(self, p: tuple, order: int) -> Multivector:
+    def evaluate(self, p: tuple) -> Multivector:
         raise NotImplementedError
 
     def value(self, p) -> Multivector:
-        return mv_value(self.at(p, 0))
+        return mv_value(self.at(p, self.order))  # a jet's value needs no truncation
 
     @functools.cached_property
     def dirac(self) -> "MultivectorField":
         """The field D(self): one node, so every check that reads it shares its point cache."""
-        return DerivedField(self.n, lambda p, o: mv_dirac(self.at(p, o + 1)))
+        return DerivedField(mv_dirac, (self, 1))
+
+    @functools.cached_property
+    def square(self) -> "MultivectorField":
+        """The field self * self, one node like `dirac`."""
+        return DerivedField(lambda fj: fj * fj, (self, 0))
 
 
 class ExprField(MultivectorField):
@@ -138,14 +160,14 @@ class ExprField(MultivectorField):
         for mask in self.components:
             if mask >= 1 << n:
                 raise FieldError(f"blade {blade_name(mask)} does not fit in dimension {n}")
-        self._order = self.tape.order(e.slot for e in self.components.values())
+        self._slots = self.tape.order(e.slot for e in self.components.values())
 
     @classmethod
     def scalar(cls, n, src):
         return cls(n, {0: src})
 
-    def evaluate(self, p, order):
-        jets = self.tape.run(self._order, p, order)
+    def evaluate(self, p):
+        jets = self.tape.run(self._slots, p, self.order)
         return Multivector(self.n, {m: jets[e.slot] for m, e in self.components.items()})
 
     def render_components(self):
@@ -157,8 +179,8 @@ class ConstantField(MultivectorField):
         self.n = mv.n
         self.mv = mv
 
-    def evaluate(self, p, order):
-        return self.mv.map_coeffs(lambda c: Taylor.constant(c, self.n, order))
+    def evaluate(self, p):
+        return self.mv.map_coeffs(lambda c: Taylor.constant(c, self.n, self.order))
 
 
 class FDField(MultivectorField):
@@ -171,7 +193,8 @@ class FDField(MultivectorField):
         self.fn = fn
         self.step = step
 
-    def evaluate(self, p, order):
+    def evaluate(self, p):
+        order = self.order
         if order > 1:
             raise JetOrderError("finite-difference fields provide jets up to order 1 only")
         n, h = self.n, self.step
@@ -188,32 +211,29 @@ class FDField(MultivectorField):
 
 
 class DerivedField(MultivectorField):
-    """Field defined by a closure over other fields' jets."""
+    """Field fn(jets of each input), for inputs given as (field, extra) pairs:
+    fn reads each field's jets at this field's order plus `extra`."""
 
-    def __init__(self, n: int, fn):
-        self.n = n
+    def __init__(self, fn, *inputs):
+        self.n = inputs[0][0].n
         self.fn = fn
+        self.inputs = inputs
+        for field, extra in inputs:
+            field.demand(extra)
 
-    def evaluate(self, p, order):
-        return self.fn(p, order)
+    def evaluate(self, p):
+        order = self.order
+        return self.fn(*[field.at(p, order + extra) for field, extra in self.inputs])
 
 
 # -- field combinators ------------------------------------------------------
 
 def add_fields(*fields):
-    n = fields[0].n
-    return DerivedField(n, lambda p, o: _sum_at(fields, p, o))
-
-
-def _sum_at(fields, p, o):
-    acc = fields[0].at(p, o)
-    for f in fields[1:]:
-        acc = acc + f.at(p, o)
-    return acc
+    return DerivedField(lambda *jets: sum(jets[1:], jets[0]), *((f, 0) for f in fields))
 
 
 def right_const_mul_field(f, mv):
-    return DerivedField(f.n, lambda p, o: f.at(p, o) * mv)
+    return DerivedField(lambda fj: fj * mv, (f, 0))
 
 
 def scalar_of(mv: Multivector):
@@ -333,19 +353,14 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
     precondition, or is None. The outcome is that of one sweep per check in
     list order: an exception from check i is held and stops checks i and
     later; then each check in turn raises it, else PreconditionError for a
-    failed precondition, else gives its report. So at a point the reported
-    checks run first: they ask for the highest jet orders, which the
-    fields' point caches then truncate for the preconditions.
+    failed precondition, else gives its report.
     """
     stats = [[0.0, 0.0, None, 0.0] for _ in checks]  # sup, sum of squares, worst point, scale
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
-    run_order = sorted(range(live), key=lambda i: checks[i][1] is not None)
     count = 0
     for p in grid.points():
         count += 1
-        for i in run_order:
-            if i >= live:
-                continue
+        for i in range(live):
             try:
                 r, s = checks[i][0](p)
                 v = r if isinstance(r, float) else r.norm()
@@ -358,6 +373,7 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
                 st[3] = max(st[3], s)
             except Exception as err:
                 errors[i], live = err, i
+                break
         if not live:  # every check stopped, so no sweep would run the exclusion predicate further
             break
     reports = []

@@ -27,7 +27,6 @@ from .fields import (
     ResidualReport,
     grid_residual,
     grid_residuals,
-    mv_value,
     right_const_mul_field,
 )
 from .darboux import (FactorizedOperator, _factor_jet, as_lambda, derived_potential, eigen_check,
@@ -102,11 +101,10 @@ def first_order_check(f, mode, lam, sign, g, variant="A"):
         raise FieldError("sign must be +1 or -1")
     s = -1 if variant == "A" else +1
     shift = s * sign * lam * mode.element
+    member = DerivedField(lambda gj, fj: _factor_jet(gj, fj + shift, s), (g, 1), (f, 0))
 
     def residual_at(p):
-        gj = g.at(p, 1)
-        r = mv_value(_factor_jet(gj, f.at(p, 0) + shift, s))
-        return r, abs(lam) * mv_value(gj).norm()
+        return member.value(p), abs(lam) * g.value(p).norm()
 
     return residual_at
 
@@ -123,7 +121,7 @@ def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> flo
 
     def gap_at(p):
         r, _ = first_order(p)
-        shifted = mv_value(op.at(p, 0)) + sign * lam * g.value(p)
+        shifted = op.value(p) + sign * lam * g.value(p)
         return abs(shifted.norm() - r.norm()), 0.0
 
     return grid_residual(gap_at, grid).sup_norm
@@ -165,17 +163,11 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     a_g = operator_field(f, mode, g, variant)
     half = 0.5 / lam
 
-    def plus_at(p, order):
-        return (a_g.at(p, order) + lam * g.at(p, order)) * half
-
-    def minus_at(p, order):
-        return (a_g.at(p, order) - lam * g.at(p, order)) * (-half)
-
-    g_plus = DerivedField(g.n, plus_at)
-    g_minus = DerivedField(g.n, minus_at)
+    g_plus = DerivedField(lambda aj, gj: (aj + lam * gj) * half, (a_g, 0), (g, 0))
+    g_minus = DerivedField(lambda aj, gj: (aj - lam * gj) * (-half), (a_g, 0), (g, 0))
 
     def reassembly_at(p):
-        return mv_value(g_plus.at(p, 0)) + mv_value(g_minus.at(p, 0)) - g.value(p), 0.0
+        return g_plus.value(p) + g_minus.value(p) - g.value(p), 0.0
 
     checks += [(eigen_check(operator_field(f, mode, a_g, variant), g, lam),
                 "input is not in the kernel of the squared operator"),

@@ -29,7 +29,6 @@ from .fields import (
     grid_residual,
     grid_residuals,
     mv_laplacian,
-    mv_value,
     scalar_of,
     _inv_scalar,
 )
@@ -72,16 +71,11 @@ class RiccatiCandidate:
 
 def riccati_check(c: RiccatiCandidate):
     """p -> (D(f) + f f - v, |D(f) + f f|) at p; D(f) + f f is a field, computed once per point."""
-
-    def lhs_at(p, order):
-        d = c.f.dirac.at(p, order)  # the higher order first: the lower is its truncation
-        return d + c.f.at(p, order) * c.f.at(p, order)
-
-    lhs = DerivedField(c.n, lhs_at)
+    lhs = DerivedField(lambda d, sq: d + sq, (c.f.dirac, 0), (c.f.square, 0))
 
     def residual_at(p):
-        lj = lhs.at(p, 0)
-        return mv_value(lj - c.potential.at(p, 0)), mv_value(lj).norm()
+        lv = lhs.value(p)
+        return lv - c.potential.value(p), lv.norm()
 
     return residual_at
 
@@ -93,19 +87,18 @@ def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXAC
 
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
     """Candidate f = D(phi)/phi with claimed potential v = -Lap(phi)/phi."""
-    minus_lap = DerivedField(phi.n, lambda p, order: -mv_laplacian(phi.at(p, order + 2)))
+    minus_lap = DerivedField(lambda ph: -mv_laplacian(ph), (phi, 2))
     return RiccatiCandidate(_quotient(phi.dirac, phi), _quotient(minus_lap, phi), provenance)
 
 
 def _quotient(d, phi):
     """The field d/phi, for a field d of derivatives of the scalar field phi."""
 
-    def at(p, order):
-        dj = d.at(p, order)  # d asks phi for a higher order first: the lower is its truncation
-        inv = _inv_scalar(scalar_of(phi.at(p, order)))
+    def quotient(dj, ph):
+        inv = _inv_scalar(scalar_of(ph))
         return dj.map_coeffs(lambda t: t * inv)
 
-    return DerivedField(phi.n, at)
+    return DerivedField(quotient, (d, 0), (phi, 0))
 
 
 def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
@@ -118,7 +111,7 @@ def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
     full_at = riccati_check(c)
 
     def scalar_at(p):
-        if not mv_value(c.f.at(p, 1)).is_homogeneous(1):
+        if not c.f.value(p).is_homogeneous(1):
             raise FieldError("vector split needs a pure grade-1 candidate")
         r, scale = full_at(p)
         leftover = r - r.grade(0) - r.grade(2)
@@ -235,9 +228,10 @@ def _mask_scalar_zero(grid: GridSpec, fields):
 
 
 def harmonic_check(phi: MultivectorField):
+    lap = DerivedField(mv_laplacian, (phi, 2))
+
     def residual_at(p):
-        ph = phi.at(p, 2)
-        return mv_value(mv_laplacian(ph)), mv_value(ph).norm()
+        return lap.value(p), phi.value(p).norm()
 
     return residual_at
 
@@ -252,12 +246,9 @@ def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT):
     a = log_derivative(phi1).f
     b = log_derivative(phi2).f
 
-    def v_at(p, order):
-        # for 1-vectors, a b + b a is the scalar -2<a, b>
-        av, bv = a.at(p, order), b.at(p, order)
-        return (av * bv + bv * av).grade(0)
-
-    candidate = RiccatiCandidate(add_fields(a, b), DerivedField(grid.n, v_at), "homogeneous_sum")
+    # for 1-vectors, a b + b a is the scalar -2<a, b>
+    v = DerivedField(lambda av, bv: (av * bv + bv * av).grade(0), (a, 0), (b, 0))
+    candidate = RiccatiCandidate(add_fields(a, b), v, "homogeneous_sum")
     checks = [(harmonic_check(phi), f"{name} is not harmonic") for name, phi in (("phi1", phi1), ("phi2", phi2))]
     *_, report = grid_residuals(checks + [(riccati_check(candidate), None)], masked, eps=eps)
     return candidate, report
@@ -272,11 +263,12 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     masked = _mask_scalar_zero(grid, [phi])
     d = phi.dirac  # one D(phi) for the shift equation and for D(phi)/phi
 
+    # <D(phi), h> = -[D(phi) h]_0
+    phi_eq = DerivedField(lambda ph, dj, hj: mv_laplacian(ph) + 2.0 * -(dj * hj).grade(0),
+                          (phi, 2), (d, 0), (h.f, 0))
+
     def phi_eq_at(p):
-        ph = phi.at(p, 2)
-        # <D(phi), h> = -[D(phi) h]_0
-        inner = -(d.at(p, 0) * h.f.at(p, 0)).grade(0)
-        return mv_value(mv_laplacian(ph) + 2.0 * inner), mv_value(ph).norm()
+        return phi_eq.value(p), phi.value(p).norm()
 
     candidate = RiccatiCandidate(add_fields(_quotient(d, phi), h.f), h.potential, "euler_shift")
     *_, report = grid_residuals([(riccati_check(h), "h does not solve its Riccati equation"),
@@ -297,22 +289,21 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec):
     K = complex(K)
     d1, d2 = phi1.dirac, phi2.dirac  # the nodes _gradient_checks reads too
 
-    def alpha_at(p, order):
-        a, b = phi1.at(p, order), phi2.at(p, order)
+    def alpha_of(a, b):
         if a.terms.keys() != {0} or b.terms.keys() != {0}:
             raise FieldError("phi1 and phi2 must be scalar fields")
-        return (scalar_of(a) - scalar_of(b)).exp() * K
+        return Multivector.scalar(a.n, (scalar_of(a) - scalar_of(b)).exp() * K)
 
-    masked = grid.with_exclusion(lambda p: abs(alpha_at(p, 0).value - 1.0) < DEFAULT_DENOM_RADIUS)
+    alpha = DerivedField(alpha_of, (phi1, 0), (phi2, 0))
+    masked = grid.with_exclusion(lambda p: abs(scalar_of(alpha.value(p)) - 1.0) < DEFAULT_DENOM_RADIUS)
 
-    def f_at(p, order):
-        g1, g2 = d1.at(p, order), d2.at(p, order)  # the higher order first: alpha's is their truncation
-        a = alpha_at(p, order)
+    def blend(g1, g2, aj):
+        a = scalar_of(aj)
         inv = _inv_scalar(a - 1.0)
         num = g1.map_coeffs(lambda t: a * t) - g2
         return num.map_coeffs(lambda t: t * inv)
 
-    return RiccatiCandidate(DerivedField(grid.n, f_at), potential, "euler_combine"), masked
+    return RiccatiCandidate(DerivedField(blend, (d1, 0), (d2, 0), (alpha, 0)), potential, "euler_combine"), masked
 
 
 def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, eps=EPS_EXACT):

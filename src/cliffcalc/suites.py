@@ -16,7 +16,6 @@ from .darboux import kvector_closed_form, minus_op, plus_op
 from .fields import (
     ExprField,
     kvector_leibniz_residual,
-    mv_value,
     right_const_mul_field,
     scalar_leibniz_residual,
 )
@@ -192,26 +191,24 @@ def _operator_entries(rng, n, rounds):
         # (D - M^f) g and (D + M^f) g are one field each, from which A g, B g and both compositions are built
         minus_g, plus_g = minus_op(f).field(g), plus_op(f).field(g)
         a_g, b_g = right_const_mul_field(minus_g, ie), right_const_mul_field(plus_g, ie)
-        # the higher orders first: A(A g) and (D - M^f)(D + M^f) g leave (D - M^f) g and (D + M^f) g
-        # at order 1 in their point caches, so their values below are truncations
-        a_sq = mv_value(operator_field(f, mode, a_g, "A").at(p, 0))
-        b_comp = mv_value(minus_op(f).field(plus_g).at(p, 0))
-        a_of_g = a_g.value(p)
+        g_ie = right_const_mul_field(g, ie)
+        squares = [(operator_field(f, mode, a_g, "A"), plus_op(f).field(minus_g)),
+                   (operator_field(f, mode, b_g, "B"), minus_op(f).field(plus_g))]
         # the two factorized forms of A agree
-        other = mv_value(plus_op(f).field(right_const_mul_field(g, ie)).at(p, 0))
+        a_of_g = a_g.value(p)
+        other = plus_op(f).field(g_ie).value(p)
         worst_forms = _worse(worst_forms, (a_of_g - other).norm() / (1.0 + a_of_g.norm()))
-        # A^2 equals the plus-minus composition
-        comp = mv_value(plus_op(f).field(minus_g).at(p, 0))
-        worst_square = _worse(worst_square, (a_sq - comp).norm() / (1.0 + comp.norm()))
+        # A^2 and B^2 equal the plus-minus and minus-plus compositions
+        for square, composition in squares:
+            sq, comp = square.value(p), composition.value(p)
+            worst_square = _worse(worst_square, (sq - comp).norm() / (1.0 + comp.norm()))
         # conjugation by the unit flips the factor sign
-        conj = mv_value(right_const_mul_field(minus_op(f).field(right_const_mul_field(g, ie)), ie).at(p, 0))
+        conj = right_const_mul_field(minus_op(f).field(g_ie), ie).value(p)
         plus = plus_g.value(p)
         worst_conj = _worse(worst_conj, (conj - plus).norm() / (1.0 + plus.norm()))
         # right multiplication by iE is an involution
         gv = g.value(p)
         worst_unit = _worse(worst_unit, ((gv * ie) * ie - gv).norm() / (1.0 + gv.norm()))
-        b_sq = mv_value(operator_field(f, mode, b_g, "B").at(p, 0))
-        worst_square = _worse(worst_square, (b_sq - b_comp).norm() / (1.0 + b_comp.norm()))
     return [
         SuiteEntry("operator/two_factorized_forms", worst_forms, 1e-10, rounds),
         SuiteEntry("operator/square_matches_composition", worst_square, 1e-10, rounds),

@@ -6,12 +6,13 @@ import sys
 import pytest
 
 import cliffcalc.fields
-from cliffcalc import suites
+from cliffcalc import darboux, suites
 from cliffcalc.algebra import Multivector
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.expr import Tape
 from cliffcalc.fields import ConstantField, GridSpec, ResidualReport
 from cliffcalc.kernel import DecompositionResult
+from test_golden_reports import CASES as GOLDEN_CASES, run_case
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +298,10 @@ def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base
     ("riccati-check", {"n": 1, "fields": {"f": {"e4": "1"}, "v": "0"}}),
     ("darboux-kvector", {"n": 2, "k": -1, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "g": "1"}}),
     ("darboux-kvector", {"n": 2, "k": 3, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "g": "1"}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": []}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": [["-1", "1"], [-1, 1], [-1, 1]]}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[True, 2], [-1, 1], [-1, 1]]}}),
+    ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1, 10 ** 400], [-1, 1], [-1, 1]]}}),
 ])
 def test_wrong_optional_key_type_is_config_error(tmp_path, capsys, command, config):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))
@@ -524,12 +529,14 @@ def test_first_check_in_order_decides(tmp_path, capsys, command, config, code, e
                                     "g": {"e2^e3": "exp(0.3*x1 + 0.3*x2 + 0.3*x3 + 0.3*x4)",
                                           "e1^e4": "exp(0.78102496759066544*x3)*cos(0.5*x4)"}},
                          "grid": {"samples_per_axis": 2}}, 2, 0),
-    # h, v and phi, and the mask predicate reads phi once more at order 0
+    # h, v and phi
     ("euler-shift", {"n": 3, "fields": {"h": {"e1": "1"}, "phi": "exp(0 - 2*x1) + 3", "v": "0 - 1"},
-                     "grid": {"samples_per_axis": 3}}, 4, 0),
-    # phi1, phi2 and v, and the mask predicate reads phi1 and phi2 once more at order 0
+                     "grid": {"samples_per_axis": 3}}, 3, 0),
+    # phi1, phi2 and v
     ("euler-combine", {"n": 3, "K": [2.0, 0.5], "fields": {"phi1": "x1", "phi2": "x2", "v": "0 - 1"},
-                       "grid": {"samples_per_axis": 3}}, 5, 0),
+                       "grid": {"samples_per_axis": 3}}, 3, 0),
+    # phi1, phi2 and v = -1 on the full grid, then phi1 and phi2 once on each K's masked grid
+    ("family-gap", {"n": 3, "K_samples": [2.0, [-3.0, 1.0], 0.5], "grid": {"samples_per_axis": 3}}, 9, 0),
 ])
 def test_each_field_runs_once_per_sample(tmp_path, capsys, monkeypatch, command, config, fields, extra):
     runs = []
@@ -588,3 +595,53 @@ def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypa
     assert code == 0
     samples = load(out)["reports"][0]["samples_used"]
     assert len(calls) <= per_sample * samples + extra
+
+
+# (Tape.run, mv_dirac, _factor_jet) calls of one invocation on each golden config: ceilings that a
+# change may lower but not raise. euler-combine, euler-shift and family-gap evaluate each field once
+# per sample, their mask predicates included.
+GOLDEN_CALLS = {
+    "darboux": (54, 81, 81),
+    "darboux-bivector": (54, 54, 27),
+    "darboux-bivector-nonconstant-f": (128, 128, 64),
+    "darboux-bivector-precondition": (18, 18, 9),
+    "darboux-kvector": (32, 32, 16),
+    "darboux-vector": (81, 54, 27),
+    "darboux-vector-nonconstant-f": (192, 128, 64),
+    "decompose": (32, 46, 37),
+    "decompose-dual": (23, 46, 37),
+    "decompose-nonconstant-f": (197, 321, 257),
+    "decompose-precondition": (30, 45, 36),
+    "euler-combine": (81, 135, 0),
+    "euler-shift": (81, 81, 0),
+    "family-gap": (189, 243, 0),
+    "riccati-check": (54, 27, 0),
+    "riccati-separable": (12953, 9, 0),
+    "verify-identities": (104, 198, 88),
+}
+
+
+@pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])
+def test_golden_call_counts_stay_within_their_ceilings(monkeypatch, path):
+    counts = {"Tape.run": 0, "mv_dirac": 0, "_factor_jet": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(Tape, "run", counting("Tape.run", Tape.run))
+    # every binding in the package, so a call is counted wherever it is made; fields keep the
+    # functions they are built with, and the invocation below builds them after this
+    for name, original in (("mv_dirac", cliffcalc.fields.mv_dirac), ("_factor_jet", darboux._factor_jet)):
+        counted = counting(name, original)
+        for module in [m for key, m in sys.modules.items() if key.startswith("cliffcalc") and m is not None]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    case = json.loads(path.read_text())
+    assert run_case(case)["exit_code"] == case["exit_code"]
+    ceiling = dict(zip(counts, GOLDEN_CALLS[path.stem]))
+    assert all(counts[name] <= ceiling[name] for name in counts), (counts, ceiling)

@@ -216,3 +216,14 @@ def test_closed_forms_share_one_dirac_of_f(monkeypatch):
     # per k-vector point, D(f) once for both forms' potentials and D G, D(D -/+ M^f) G for each
     # direct side: 16 such points make 80 calls; the 4 scalar points 3 each
     assert len(calls) <= 92
+
+
+def test_closed_forms_share_one_square_of_f(monkeypatch):
+    calls = []
+    original = Multivector.__mul__
+    monkeypatch.setattr(Multivector, "__mul__", lambda self, other: calls.append(other) or original(self, other))
+    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    assert all(e.passed for e in entries)
+    # f * f is the one field f.square, which both forms' potentials read: 16 products fewer than
+    # with one square per form at each of the 16 k-vector points
+    assert len(calls) <= 184

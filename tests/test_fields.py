@@ -25,8 +25,9 @@ from cliffcalc.fields import (
     scalar_leibniz_residual,
 )
 from cliffcalc.expr import Tape
+from cliffcalc.riccati import harmonic_check
 from cliffcalc.suites import random_multivector, random_mv_field, random_point
-from cliffcalc.taylor import JetOrderError, Taylor
+from cliffcalc.taylor import JetOrderError
 
 
 def test_expr_field_value_and_blade_keys():
@@ -67,17 +68,17 @@ def test_lower_order_at_the_last_point_is_the_fresh_jet(seed, n, low, extra):
 
 
 class _Counting(DerivedField):
-    def __init__(self, n, fn):
-        super().__init__(n, fn)
+    def __init__(self, fn, *inputs):
+        super().__init__(fn, *inputs)
         self.points = []
 
-    def evaluate(self, p, order):
+    def evaluate(self, p):
         self.points.append(p)
-        return super().evaluate(p, order)
+        return super().evaluate(p)
 
 
 def test_point_cache_holds_one_point():
-    f = _Counting(1, lambda p, o: Multivector.scalar(1, Taylor.variable(0, p[0], 1, o)))
+    f = _Counting(lambda xj: xj, (ExprField.scalar(1, "x1"), 0))
     p, q = (0.25,), (0.5,)
     f.at(p, 2)
     f.at(p, 1)
@@ -93,7 +94,8 @@ def test_point_cache_holds_one_point():
 
 def test_negative_zero_is_its_own_point(monkeypatch):
     # a field may depend on the sign of a zero coordinate, so (0.0,) does not answer for (-0.0,)
-    f = _Counting(1, lambda p, o: Multivector.scalar(1, Taylor.constant(math.copysign(1.0, p[0]), 1, o)))
+    sign = FDField(1, lambda p: Multivector.scalar(1, math.copysign(1.0, p[0])))
+    f = _Counting(lambda sj: sj, (sign, 0))
     assert f.value((0.0,)).coeff(0) == 1.0
     assert f.value((-0.0,)).coeff(0) == -1.0
     assert len(f.points) == 2
@@ -105,6 +107,28 @@ def test_negative_zero_is_its_own_point(monkeypatch):
     jet = x1.at((-0.0,), 1).coeff(1)
     assert [math.copysign(1.0, p[0]) for p in runs] == [1.0, -1.0]
     assert jet.value == 0 and jet.grad(0) == 1
+
+
+def test_building_a_consumer_raises_the_orders_it_reads():
+    phi = ExprField.scalar(2, "x1*x2")
+    d = phi.dirac
+    assert (phi.order, d.order) == (1, 0)
+    lap = DerivedField(mv_laplacian, (d, 2))
+    assert (phi.order, d.order, lap.order) == (3, 2, 0)
+    DerivedField(lambda dj: dj, (d, 0))  # a lower demand leaves the orders as they are
+    assert (phi.order, d.order) == (3, 2)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["value-first", "laplacian-first"])
+def test_check_order_does_not_change_the_evaluations(monkeypatch, reverse):
+    runs = []
+    original = Tape.run
+    monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
+    phi = ExprField.scalar(2, "x1*x2")
+    checks = [(lambda p: (phi.value(p), 0.0), None), (harmonic_check(phi), None)]
+    grid_residuals(checks[::-1] if reverse else checks, GridSpec.cube(2, samples_per_axis=3))
+    # phi is read at order 0 and, through its Laplacian, at order 2: one run at order 2 per sample
+    assert len(runs) == 9
 
 
 def test_expr_field_dimension_mismatch():
@@ -126,11 +150,7 @@ def test_dirac_squared_is_minus_laplacian():
     phi = ExprField.scalar(n, "exp(x1)*sin(2*x2)")
     p = (0.4, -0.3)
 
-    def dd(pt, order):
-        return mv_dirac(mv_dirac(phi.at(pt, order + 2)))
-
-    from cliffcalc.fields import DerivedField
-    dsq = DerivedField(n, dd).value(p)
+    dsq = DerivedField(lambda ph: mv_dirac(mv_dirac(ph)), (phi, 2)).value(p)
     lap = mv_value(mv_laplacian(phi.at(p, 2)))
     assert (dsq + lap).norm() < 1e-11
 

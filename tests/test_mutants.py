@@ -28,7 +28,7 @@ def _left_factor_jet(original):
 
 def _riccati_check_minus_square(original):
     def mutant(c):
-        lhs = DerivedField(c.n, lambda p, o: c.f.dirac.at(p, o) - c.f.at(p, o) * c.f.at(p, o))
+        lhs = DerivedField(lambda d, sq: d - sq, (c.f.dirac, 0), (c.f.square, 0))
 
         def residual_at(p):
             lj = lhs.at(p, 0)

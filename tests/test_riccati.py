@@ -66,10 +66,11 @@ def test_log_derivative_known_value():
 
 def test_vector_split(monkeypatch):
     n = 2
-    cand = log_derivative(ExprField.scalar(n, "exp(x1)*exp(x2)"))
     diracs = []
+    # a field keeps the function it is built with, so the counter is installed first
     for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "mv_dirac")]:
         monkeypatch.setattr(module, "mv_dirac", lambda mv: diracs.append(mv) or mv_dirac(mv))
+    cand = log_derivative(ExprField.scalar(n, "exp(x1)*exp(x2)"))
     full, s_rep, b_rep = vector_split_residuals(cand, GridSpec.cube(n, samples_per_axis=4))
     assert full.passed and s_rep.passed and b_rep.passed
     # per point one for f = D(phi)/phi and one for D(f) + f f, which the three reports share
