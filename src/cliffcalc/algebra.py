@@ -16,6 +16,8 @@ import math
 import re
 from functools import lru_cache
 
+from .batch import Batch
+
 MAX_DIM = 12
 
 
@@ -88,9 +90,9 @@ def product_sign(a: int, b: int) -> int:
 
 
 def _is_zero(c) -> bool:
-    # only numeric zeros are dropped; a jet that vanishes at one point is
-    # not the zero coefficient and must be kept
-    return isinstance(c, (int, float, complex)) and c == 0
+    # only numeric zeros are dropped, and a Batch that is zero at every point; a
+    # jet that vanishes at one point is not the zero coefficient and must be kept
+    return isinstance(c, (int, float, complex, Batch)) and not c
 
 
 class Multivector:
@@ -201,9 +203,11 @@ class Multivector:
     def map_coeffs(self, fn) -> "Multivector":
         return _multivector(self.n, {m: fn(c) for m, c in self.terms.items()})
 
-    def norm(self) -> float:
-        """Euclidean norm of the coefficient vector (numeric coefficients only)."""
-        return math.sqrt(sum(abs(c) ** 2 for c in self.terms.values()))
+    def norm(self):
+        """Euclidean norm of the coefficient vector, for numeric or Batch coefficients:
+        a float, or the Batch of the norms at each point."""
+        total = sum(abs(c) ** 2 for c in self.terms.values())
+        return Batch(map(math.sqrt, total)) if type(total) is Batch else math.sqrt(total)
 
     def scalar_part(self):
         return self.coeff(0)

@@ -9,6 +9,10 @@ any consumer reads, is fixed when the graph is built.
 
 Two derivative providers exist: expression-backed fields (exact jets of any
 order) and black-box fields (central finite differences, orders 0 and 1).
+
+A point is a tuple of coordinates. grid_residuals also hands the fields a
+chunk of grid points as one point whose coordinates are Batches (batch.py),
+and the same code then computes every point of the chunk at once.
 """
 
 from __future__ import annotations
@@ -16,15 +20,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 from .algebra import Multivector, _multivector, blade_name, parse_blade, product_sign
+from .batch import Batch, Flags
 from .expr import ScalarExpr, Tape
-from .taylor import JetOrderError, Taylor
+from .taylor import JetOrderError, Taylor, coefficient
 
 EPS_EXACT = 1e-9
 EPS_FD = 1e-4
 FD_STEP = 1e-5
+CHUNK = 1024  # grid points that grid_residuals evaluates together
 
 
 class FieldError(ValueError):
@@ -39,8 +46,10 @@ class PreconditionError(ValueError):
         self.report = report
 
 
-def coeff_value(c) -> complex:
-    return c.value if isinstance(c, Taylor) else complex(c)
+def coeff_value(c):
+    """The value of a jet coefficient: a jet's value, or the coefficient itself as a
+    complex number, or as a Batch of complex numbers when it holds one per point."""
+    return c.value if isinstance(c, Taylor) else coefficient(c)
 
 
 def mv_value(mv: Multivector) -> Multivector:
@@ -131,15 +140,28 @@ class MultivectorField:
     def value(self, p) -> Multivector:
         return mv_value(self.at(p, self.order))  # a jet's value needs no truncation
 
-    @functools.cached_property
+    @property
     def dirac(self) -> "MultivectorField":
-        """The field D(self): one node, so every check that reads it shares its point cache."""
-        return DerivedField(mv_dirac, (self, 1))
+        """The field D(self): one node while anything holds it, so every check that
+        reads it shares its point cache."""
+        return self._consumer("dirac", lambda: DerivedField(mv_dirac, (self, 1)))
 
-    @functools.cached_property
+    @property
     def square(self) -> "MultivectorField":
         """The field self * self, one node like `dirac`."""
-        return DerivedField(lambda fj: fj * fj, (self, 0))
+        return self._consumer("square", lambda: DerivedField(lambda fj: fj * fj, (self, 0)))
+
+    def _consumer(self, name, build):
+        """The node `name` built on this field, held by weak reference. A consumer holds
+        its inputs, so a strong reference back would make a cycle, and a command's
+        fields, with the jets of their last chunk, would outlive it until the
+        garbage collector ran."""
+        ref = self.__dict__.get("_" + name)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = build()
+            self.__dict__["_" + name] = weakref.ref(node)
+        return node
 
 
 class ExprField(MultivectorField):
@@ -186,6 +208,8 @@ class ConstantField(MultivectorField):
 class FDField(MultivectorField):
     """Black-box field differentiated by central differences (orders 0 and 1)."""
 
+    _recent = {}  # repr of each point of the last chunk -> its coefficients
+
     def __init__(self, n: int, fn, step: float = FD_STEP):
         if step <= 0:
             raise FieldError("finite-difference step must be positive")
@@ -194,20 +218,33 @@ class FDField(MultivectorField):
         self.step = step
 
     def evaluate(self, p):
-        order = self.order
-        if order > 1:
+        if self.order > 1:
             raise JetOrderError("finite-difference fields provide jets up to order 1 only")
+        if type(p[0]) is not Batch:
+            coefs = self._recent.get(repr(p)) or self._coefficients(p)
+        else:  # a chunk: the black box is called at each point, and the results packed into Batches
+            points = list(zip(*p))
+            each = [self._coefficients(q) for q in points]
+            # kept, so that evaluating the chunk again point by point calls the black box no more
+            self._recent = dict(zip(map(repr, points), each))
+            layout = [(m, list(cf)) for m, cf in each[0].items()]
+            if any([(m, list(cf)) for m, cf in c.items()] != layout for c in each):
+                raise FieldError("the black box gave different blades or derivatives at points of one chunk")
+            coefs = {m: {a: Batch(c[m][a] for c in each) for a in alphas} for m, alphas in layout}
+        return Multivector(self.n, {m: Taylor(self.n, self.order, cf) for m, cf in coefs.items()})
+
+    def _coefficients(self, p):
+        """Blade -> {alpha: coefficient} of the jets at the point p, from 1 + 2n black-box calls at order 1."""
         n, h = self.n, self.step
-        base = self.fn(p)
-        coefs = {m: {(0,) * n: c} for m, c in mv_value(base).terms.items()}
-        if order >= 1:
+        coefs = {m: {(0,) * n: c} for m, c in mv_value(self.fn(p)).terms.items()}
+        if self.order >= 1:
             scale = 1.0 / (2 * h)
             for j in range(n):
                 alpha = tuple(1 if i == j else 0 for i in range(n))
                 diff = self.fn(p[:j] + (p[j] + h,) + p[j + 1:]) - self.fn(p[:j] + (p[j] - h,) + p[j + 1:])
                 for m, c in mv_value(diff).terms.items():
                     coefs.setdefault(m, {})[alpha] = c * scale
-        return Multivector(n, {m: Taylor(n, order, cf) for m, cf in coefs.items()})
+        return coefs
 
 
 class DerivedField(MultivectorField):
@@ -312,6 +349,13 @@ class GridSpec:
                 continue
             yield p
 
+    def chunks(self):
+        """(points, batch point) for each run of CHUNK grid points in order, excluded ones
+        included; the batch point is the tuple of the points' coordinates as Batches."""
+        total = self.samples_per_axis ** self.n
+        for start in range(0, total, CHUNK):
+            yield _chunk(self.box, self.samples_per_axis, start, CHUNK)
+
     def with_exclusion(self, pred):
         old = self.exclusion
         combined = pred if old is None else (lambda p: old(p) or pred(p))
@@ -320,6 +364,27 @@ class GridSpec:
     @classmethod
     def cube(cls, n, lo=-1.0, hi=1.0, samples_per_axis=11):
         return cls(tuple((lo, hi) for _ in range(n)), samples_per_axis)
+
+
+@functools.lru_cache(maxsize=1)
+def _chunk(box, samples_per_axis, start, size):
+    """Grid points start, start + 1, ... of the grid with this box, at most size of them.
+
+    The last chunk made is kept, so passes over grids with the same box and
+    samples (a masked grid, say) hand the fields the same batch point, and a
+    grid of one chunk is evaluated once for all its passes.
+    """
+    grid = GridSpec(box, samples_per_axis)
+    axes = [grid.axis_samples(a) for a in range(grid.n)]
+    stop = min(start + size, samples_per_axis ** grid.n)
+    points = []
+    for k in range(start, stop):
+        digits = []
+        for _ in axes:
+            k, d = divmod(k, samples_per_axis)
+            digits.append(d)
+        points.append(tuple(axis[d] for axis, d in zip(axes, reversed(digits))))
+    return points, _batch_point(points)
 
 
 @dataclass(frozen=True)
@@ -354,27 +419,50 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
     list order: an exception from check i is held and stops checks i and
     later; then each check in turn raises it, else PreconditionError for a
     failed precondition, else gives its report.
+
+    The grid is evaluated CHUNK points at a time, each chunk as one point
+    whose coordinates are Batches. A chunk in which anything raises, or in
+    which a kept point has a non-finite residual or scale, is evaluated again
+    one point at a time, so the outcome is that of a sweep point by point.
     """
     stats = [[0.0, 0.0, None, 0.0] for _ in checks]  # sup, sum of squares, worst point, scale
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
     count = 0
-    for p in grid.points():
-        count += 1
-        for i in range(live):
-            try:
-                r, s = checks[i][0](p)
-                v = r if isinstance(r, float) else r.norm()
-                st = stats[i]
-                # NaN compares false with everything: take it as the worst sample
-                # explicitly, or it would never reach sup and the check would pass
-                if v >= st[0] or math.isnan(v):
-                    st[0], st[2] = v, p
-                st[1] += v * v
-                st[3] = max(st[3], s)
-            except Exception as err:
-                errors[i], live = err, i
+
+    def take(i, p, v, s):
+        st = stats[i]
+        # NaN compares false with everything: take it as the worst sample
+        # explicitly, or it would never reach sup and the check would pass
+        if v >= st[0] or math.isnan(v):
+            st[0], st[2] = v, p
+        st[1] += v * v
+        st[3] = max(st[3], s)
+
+    for points, batch_point in grid.chunks():
+        try:
+            kept, outcomes = _chunk_outcomes(checks[:live], grid.exclusion, points, batch_point)
+        except Exception:
+            kept = None
+        if kept is not None:
+            count += len(kept)
+            for i, (vs, ss) in enumerate(outcomes):
+                for k in kept:
+                    take(i, points[k], vs[k], ss[k])
+            continue
+        for p in points:  # the chunk again, one point at a time
+            if grid.exclusion is not None and grid.exclusion(p):
+                continue
+            count += 1
+            for i in range(live):
+                try:
+                    r, s = checks[i][0](p)
+                    take(i, p, r if isinstance(r, float) else r.norm(), s)
+                except Exception as err:
+                    errors[i], live = err, i
+                    break
+            if not live:  # every check stopped, so no sweep would run the exclusion predicate further
                 break
-        if not live:  # every check stopped, so no sweep would run the exclusion predicate further
+        if not live:
             break
     reports = []
     for (_, what), err, (sup, sumsq, worst, scale) in zip(checks, errors, stats):
@@ -390,6 +478,32 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
             raise PreconditionError(f"{what} (sup {report.sup_norm:.3g})", report)
         reports.append(report)
     return reports
+
+
+def _chunk_outcomes(checks, exclusion, points, batch_point):
+    """(indices of the kept points, [(residual norms, scales) of each check]) on a chunk,
+    or (None, None) where a kept point has a non-finite residual or scale."""
+    size = len(points)
+
+    def each(x):
+        """x at each point of the chunk: a number is the same at every point."""
+        return x if type(x) in (Batch, Flags) else [x] * size
+
+    skip = each(exclusion(batch_point)) if exclusion is not None else [False] * size
+    kept = [k for k in range(size) if not skip[k]]
+    outcomes = []
+    for residual_at, _ in checks:
+        r, s = residual_at(batch_point)
+        vs, ss = each(r if isinstance(r, (float, Batch)) else r.norm()), each(s)
+        if not all(math.isfinite(vs[k]) and math.isfinite(ss[k]) for k in kept):
+            return None, None
+        outcomes.append((vs, ss))
+    return kept, outcomes
+
+
+def _batch_point(points):
+    """The point whose coordinates are the Batches of the points' coordinates."""
+    return tuple(Batch(p[a] for p in points) for a in range(len(points[0])))
 
 
 def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:

@@ -156,6 +156,7 @@ def _closed_form_entries(rng, n, rounds):
     worst = {name: 0.0 for name in ("plus_minus", "minus_plus", "minus_plus_scalar")}
     for _ in range(rounds):
         f = random_mv_field(rng, n, grades={1})
+        shared = f.dirac, f.square  # held, so both forms at a point read one D(f) and one f^2
         for k in range(n + 1):
             gk = random_kvector_field(rng, n, k)
             for _ in range(points_per_round):

@@ -12,6 +12,8 @@ alpha. Degree never decreases with the index, so the numbering for order k
 is a prefix of the numbering for order k + 1, and "degree <= k" is "index
 < comb(n + k, k)". A jet stores a dict from monomial index to the
 coefficient (partial^alpha f)/alpha!, with exactly-zero entries dropped.
+A coefficient is a complex number, or a Batch (batch.py) of complex numbers,
+one per point of a chunk; functions of a jet's value map over a Batch.
 Products, derivatives and compositions look indices up in tables built
 once per (n, order) by _basis, so no exponent tuple is built or summed per
 coefficient pair. The coef attribute is a read-only view of the same
@@ -28,6 +30,8 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
+from .batch import Batch
+
 
 class JetDomainError(ArithmeticError):
     """Evaluation left the domain of an elementary function."""
@@ -40,9 +44,14 @@ class JetOrderError(ValueError):
 def _cmath(fn, z):
     # cmath raises ValueError where the result is undefined, e.g. sin at infinity
     try:
-        return fn(z)
+        return Batch(map(fn, z)) if type(z) is Batch else fn(z)
     except ValueError:
         raise JetDomainError(f"{fn.__name__} of {z!r} is undefined") from None
+
+
+def coefficient(value):
+    """value as a jet coefficient: a complex number, or a Batch of them for a Batch."""
+    return Batch(map(complex, value)) if type(value) is Batch else complex(value)
 
 
 def _monomials(n, d):
@@ -98,13 +107,14 @@ def _jet(n, order, coef):
     """Jet owning coef, a fresh index-keyed dict within the order, such as an
     operation's result.
 
-    Drops exact zeros and skips the checks the public constructor makes.
+    Drops exact zeros (a Batch only where it is zero at every point) and skips
+    the checks the public constructor makes.
     """
     t = object.__new__(Taylor)
     t.n = n
     t.order = order
-    if 0 in coef.values():
-        coef = {i: c for i, c in coef.items() if c != 0}
+    if not all(coef.values()):
+        coef = {i: c for i, c in coef.items() if c}
     t._coef = coef
     return t
 
@@ -129,14 +139,14 @@ class Taylor:
 
     @classmethod
     def constant(cls, value, n, order):
-        return _jet(n, order, {0: complex(value)})
+        return _jet(n, order, {0: coefficient(value)})
 
     @classmethod
     def variable(cls, j, x0, n, order):
         """Seed for the j-th coordinate (0-based) at base value x0."""
         if not 0 <= j < n:
             raise ValueError(f"variable index {j} out of range for {n} variables")
-        coef = {0: complex(x0)}
+        coef = {0: coefficient(x0)}
         if order >= 1:
             coef[1 + j] = 1.0 + 0j
         return _jet(n, order, coef)
@@ -280,7 +290,7 @@ class Taylor:
         u0 = self.value
         if u0.imag == 0 and u0.real <= 0:
             raise JetDomainError(f"log of non-positive real value {u0.real!r}")
-        derivs = [cmath.log(u0)]
+        derivs = [_cmath(cmath.log, u0)]
         if self.order >= 1:
             derivs.append(1.0 / u0)
             for m in range(2, self.order + 1):
@@ -301,7 +311,7 @@ class Taylor:
         u0 = self.value
         if u0 == 0:
             raise JetDomainError("sqrt at zero has no derivatives")
-        derivs = [cmath.sqrt(u0)]
+        derivs = [_cmath(cmath.sqrt, u0)]
         for m in range(1, self.order + 1):
             derivs.append(derivs[-1] * (0.5 - (m - 1)) / u0)
         return self._compose(derivs)

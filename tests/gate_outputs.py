@@ -8,6 +8,8 @@ For each gate config this writes the exit code, the JSON report without
 - every golden case in tests/golden/;
 - every benchmark case of perfbench/workloads.py at FULL and TINY size, at
   seeds 1, 2 and 77;
+- the grid-riccati cases at 11 samples per axis (1,331 points) and the
+  grid-darboux case at 7 (2,401 points), grids of more than one chunk;
 - verify-identities at n = 2..5 with 10 rounds, at seeds 1, 2, 7 and 77.
 
 Run it in two checkouts and diff the two files: a change that keeps the
@@ -24,6 +26,9 @@ from test_golden_reports import CASES, run_case
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
+# grids larger than the 1,024 points that grid_residuals evaluates together
+LARGE = {"grid-riccati": 11, "grid-darboux": 7}
+
 
 def gate_cases():
     """(label, command, config) for every gate config."""
@@ -35,6 +40,9 @@ def gate_cases():
             for workload in workloads.WORKLOADS:
                 for case in workloads.build(workload, seed, sizes):
                     yield f"bench/{workload}/{size_name}/seed{seed}/{case.label}", case.command, case.config
+    for workload, samples in LARGE.items():
+        for case in workloads.build(workload, 1, {workload: samples}):
+            yield f"bench/{workload}/LARGE/{case.label}", case.command, case.config
     for n in range(2, 6):
         for seed in (1, 2, 7, 77):
             yield f"identities/n{n}/seed{seed}", "verify-identities", {"n": n, "rounds": 10, "seed": seed}

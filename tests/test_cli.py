@@ -8,6 +8,7 @@ import pytest
 import cliffcalc.fields
 from cliffcalc import darboux, suites
 from cliffcalc.algebra import Multivector
+from cliffcalc.batch import Batch
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.expr import Tape
 from cliffcalc.fields import ConstantField, GridSpec, ResidualReport
@@ -598,27 +599,44 @@ def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypa
 
 
 # (Tape.run, mv_dirac, _factor_jet) calls of one invocation on each golden config: ceilings that a
-# change may lower but not raise. euler-combine, euler-shift and family-gap evaluate each field once
-# per sample, their mask predicates included.
+# change may lower but not raise. A call on a chunk of grid points counts once, and every golden grid
+# is one chunk; euler-combine, euler-shift and family-gap evaluate each field once per chunk, their
+# mask predicates and family-gap's passes for each K included.
 GOLDEN_CALLS = {
-    "darboux": (54, 81, 81),
-    "darboux-bivector": (54, 54, 27),
-    "darboux-bivector-nonconstant-f": (128, 128, 64),
-    "darboux-bivector-precondition": (18, 18, 9),
-    "darboux-kvector": (32, 32, 16),
-    "darboux-vector": (81, 54, 27),
-    "darboux-vector-nonconstant-f": (192, 128, 64),
-    "decompose": (32, 46, 37),
-    "decompose-dual": (23, 46, 37),
-    "decompose-nonconstant-f": (197, 321, 257),
-    "decompose-precondition": (30, 45, 36),
-    "euler-combine": (81, 135, 0),
-    "euler-shift": (81, 81, 0),
-    "family-gap": (189, 243, 0),
-    "riccati-check": (54, 27, 0),
+    "darboux": (2, 3, 3),
+    "darboux-bivector": (2, 2, 1),
+    "darboux-bivector-nonconstant-f": (2, 2, 1),
+    "darboux-bivector-precondition": (2, 2, 1),
+    "darboux-kvector": (2, 2, 1),
+    "darboux-vector": (3, 2, 1),
+    "darboux-vector-nonconstant-f": (3, 2, 1),
+    "decompose": (8, 6, 5),
+    "decompose-dual": (7, 6, 5),
+    "decompose-nonconstant-f": (8, 6, 5),
+    "decompose-precondition": (6, 5, 4),
+    "euler-combine": (3, 5, 0),
+    "euler-shift": (3, 3, 0),
+    "family-gap": (3, 5, 0),
+    "riccati-check": (2, 1, 0),
     "riccati-separable": (12953, 9, 0),
     "verify-identities": (104, 198, 88),
 }
+
+
+def test_family_gap_reads_its_gradient_inputs_once_per_point(monkeypatch):
+    # every K's pass reuses the jets of phi1 = x1 and phi2 = x2 that the base pass computed
+    covered = {}
+    original = Tape.run
+
+    def counting(self, slots, p, order):
+        key = tuple(self.nodes)
+        covered[key] = covered.get(key, 0) + (len(p[0]) if type(p[0]) is Batch else 1)
+        return original(self, slots, p, order)
+
+    monkeypatch.setattr(Tape, "run", counting)
+    case = json.loads((GOLDEN_CASES[0].parent / "family-gap.json").read_text())
+    assert run_case(case)["exit_code"] == case["exit_code"] == 0
+    assert covered[(("x", 0, None),)] == covered[(("x", 1, None),)] == 27
 
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cliffcalc.fields
 from cliffcalc.algebra import Multivector
+from cliffcalc.batch import Batch
 from cliffcalc.fields import (
     EPS_EXACT,
     ConstantField,
@@ -23,10 +26,13 @@ from cliffcalc.fields import (
     mv_laplacian,
     mv_value,
     scalar_leibniz_residual,
+    scalar_of,
 )
-from cliffcalc.expr import Tape
-from cliffcalc.riccati import harmonic_check
-from cliffcalc.suites import random_multivector, random_mv_field, random_point
+from cliffcalc.cli import main
+from cliffcalc.darboux import eigen_check, minus_op, plus_op
+from cliffcalc.expr import ExprDomainError, Tape
+from cliffcalc.riccati import RiccatiCandidate, harmonic_check, riccati_check
+from cliffcalc.suites import random_multivector, random_mv_field, random_point, random_scalar_field
 from cliffcalc.taylor import JetOrderError
 
 
@@ -51,6 +57,11 @@ def test_expr_field_rejects_a_blade_outside_the_dimension():
     with pytest.raises(FieldError, match=r"^blade e2\^e3 does not fit in dimension 2$"):
         ExprField(2, {"e1": "x1", 0b110: "x2"})
     assert ExprField(2, {0b11: "x1"}).value((0.5, 0.0)).coeff(0b11) == 0.5
+
+
+def points_in(p):
+    """The number of grid points that the point p stands for: a chunk's, or one."""
+    return len(p[0]) if type(p[0]) is Batch else 1
 
 
 def _bits(mv):
@@ -128,7 +139,7 @@ def test_check_order_does_not_change_the_evaluations(monkeypatch, reverse):
     checks = [(lambda p: (phi.value(p), 0.0), None), (harmonic_check(phi), None)]
     grid_residuals(checks[::-1] if reverse else checks, GridSpec.cube(2, samples_per_axis=3))
     # phi is read at order 0 and, through its Laplacian, at order 2: one run at order 2 per sample
-    assert len(runs) == 9
+    assert sum(points_in(p) for p in runs) == 9
 
 
 def test_expr_field_dimension_mismatch():
@@ -304,3 +315,93 @@ def test_require_passes_reports_through_and_names_failures():
         grid_residuals([(lambda p: (0.5, 0.0), "phi is not harmonic")], g)
     assert str(err.value) == "phi is not harmonic (sup 0.5)"
     assert err.value.report == grid_residual(lambda p: (0.5, 0.0), g)
+
+
+# -- chunked evaluation --------------------------------------------------------
+
+def _outcome(checks, grid, chunk):
+    """The reports of grid_residuals (or its exception) with CHUNK = chunk, bit for bit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cliffcalc.fields, "CHUNK", chunk)
+        try:
+            return [repr(r) for r in grid_residuals(checks, grid)]
+        except Exception as err:
+            return type(err).__name__, str(err)
+
+
+def _random_checks(seed, n):
+    """Checks over random expression fields: a Laplacian, a Riccati residual and a
+    composition of factorized operators, each built anew so no jet is cached.
+
+    The fields are the suites' random fields, sums of monomials and of exp, sin
+    and cos of one variable. Products of such sums at order 2 or more can round
+    differently in a chunk (README, numerical conventions); this test does not
+    build them."""
+    rng = random.Random(seed)
+    phi = random_scalar_field(rng, n)
+    f = random_mv_field(rng, n, grades={1})
+    g = random_mv_field(rng, n)
+    composed = plus_op(f).field(minus_op(f).field(g))
+    return [(harmonic_check(phi), None),
+            (riccati_check(RiccatiCandidate(f, phi)), None),
+            (eigen_check(composed, g, 0.7), None)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), samples=st.integers(2, 6),
+       lo=st.sampled_from([-1.0, -0.5, 0.0]), chunk=st.sampled_from([7, 1024]), masked=st.booleans())
+def test_chunked_reports_equal_chunk_of_one_reports(seed, n, samples, lo, chunk, masked):
+    def grid():
+        g = GridSpec(tuple((lo, 1.0) for _ in range(n)), samples)
+        return g.with_exclusion(lambda p: p[0] * p[0] < 0.1) if masked else g
+
+    assert _outcome(_random_checks(seed, n), grid(), chunk) == _outcome(_random_checks(seed, n), grid(), 1)
+
+
+def test_worst_point_tie_across_a_chunk_boundary():
+    # x1^2 = 1 at grid indices 0-2 and 6-8; with 7 points a chunk, the last of them is in the second chunk
+    grid = GridSpec.cube(2, samples_per_axis=3)
+    check = [(lambda p: (p[0] * p[0], 0.0), None)]
+    report, = grid_residuals(check, grid)
+    assert report.worst_point == (1.0, 1.0) and report.sup_norm == 1.0
+    assert _outcome(check, grid, 7) == _outcome(check, grid, 1) == [repr(report)]
+
+
+@pytest.mark.parametrize("src", ["log(0.6 - x1)", "1/(x1 - 0.75)"])
+def test_domain_error_in_a_later_chunk_names_its_first_point(src):
+    # on 9 points -1, -0.75, ..., 1 the expression first leaves its domain at x1 = 0.75, index 7
+    field = ExprField.scalar(1, src)
+    with pytest.raises(ExprDomainError) as err:
+        ExprField.scalar(1, src).value((0.75,))
+    check = [(lambda p: (field.value(p), 0.0), None)]
+    grid = GridSpec.cube(1, samples_per_axis=9)
+    assert _outcome(check, grid, 7) == _outcome(check, grid, 1) == ("ExprDomainError", str(err.value))
+
+
+def test_masked_point_inside_a_chunk():
+    phi = ExprField.scalar(1, "x1")
+    grid = GridSpec.cube(1, samples_per_axis=9).with_exclusion(lambda p: abs(scalar_of(phi.value(p))) < 0.3)
+    check = [(lambda p: (phi.value(p), 1.0), None)]
+    # x1 = -0.25, 0 and 0.25 (indices 3 to 5) are masked, inside the first chunk of 7
+    assert grid_residuals(check, grid)[0].samples_used == 6
+    assert _outcome(check, grid, 7) == _outcome(check, grid, 1)
+
+
+@pytest.mark.parametrize("f", [
+    {"e1": "exp(700)*exp(700)*x1 - exp(700)*exp(700)*x1"},  # inf - inf: NaN at every point
+    {"e1": "exp(1000*x1)"},  # overflows from x1 = 0.75 on, in the second chunk
+])
+def test_non_finite_and_overflowing_residuals_keep_their_exit_codes(tmp_path, capsys, f):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"n": 1, "fields": {"f": f, "v": "0"}, "grid": {"samples_per_axis": 9}}))
+    outcomes = []
+    for chunk in (7, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cliffcalc.fields, "CHUNK", chunk)
+            code = main(["riccati-check", "--config", str(path)])
+        out = capsys.readouterr()
+        report = json.loads(out.out) if out.out else None
+        if report is not None:
+            report.pop("wall_time_s")
+        outcomes.append((code, repr(report), out.err))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1
