@@ -31,7 +31,9 @@ from .taylor import JetOrderError, Taylor, coefficient
 EPS_EXACT = 1e-9
 EPS_FD = 1e-4
 FD_STEP = 1e-5
-CHUNK = 1024  # grid points that grid_residuals evaluates together
+# grid points that grid_residuals evaluates together; each field keeps the jets of the
+# chunk it evaluated last, so the bound holds down peak memory (README)
+CHUNK = 32
 
 
 class FieldError(ValueError):
@@ -206,9 +208,10 @@ class ConstantField(MultivectorField):
 
 
 class FDField(MultivectorField):
-    """Black-box field differentiated by central differences (orders 0 and 1)."""
+    """Black-box field differentiated by central differences (orders 0 and 1).
 
-    _recent = {}  # repr of each point of the last chunk -> its coefficients
+    The black box takes one point, so a chunk of points is refused: grid_residuals
+    then evaluates that chunk one point at a time."""
 
     def __init__(self, n: int, fn, step: float = FD_STEP):
         if step <= 0:
@@ -218,33 +221,22 @@ class FDField(MultivectorField):
         self.step = step
 
     def evaluate(self, p):
-        if self.order > 1:
+        order = self.order
+        if order > 1:
             raise JetOrderError("finite-difference fields provide jets up to order 1 only")
-        if type(p[0]) is not Batch:
-            coefs = self._recent.get(repr(p)) or self._coefficients(p)
-        else:  # a chunk: the black box is called at each point, and the results packed into Batches
-            points = list(zip(*p))
-            each = [self._coefficients(q) for q in points]
-            # kept, so that evaluating the chunk again point by point calls the black box no more
-            self._recent = dict(zip(map(repr, points), each))
-            layout = [(m, list(cf)) for m, cf in each[0].items()]
-            if any([(m, list(cf)) for m, cf in c.items()] != layout for c in each):
-                raise FieldError("the black box gave different blades or derivatives at points of one chunk")
-            coefs = {m: {a: Batch(c[m][a] for c in each) for a in alphas} for m, alphas in layout}
-        return Multivector(self.n, {m: Taylor(self.n, self.order, cf) for m, cf in coefs.items()})
-
-    def _coefficients(self, p):
-        """Blade -> {alpha: coefficient} of the jets at the point p, from 1 + 2n black-box calls at order 1."""
+        if type(p[0]) is Batch:
+            raise FieldError("a finite-difference field is evaluated one point at a time")
         n, h = self.n, self.step
-        coefs = {m: {(0,) * n: c} for m, c in mv_value(self.fn(p)).terms.items()}
-        if self.order >= 1:
+        base = self.fn(p)
+        coefs = {m: {(0,) * n: c} for m, c in mv_value(base).terms.items()}
+        if order >= 1:
             scale = 1.0 / (2 * h)
             for j in range(n):
                 alpha = tuple(1 if i == j else 0 for i in range(n))
                 diff = self.fn(p[:j] + (p[j] + h,) + p[j + 1:]) - self.fn(p[:j] + (p[j] - h,) + p[j + 1:])
                 for m, c in mv_value(diff).terms.items():
                     coefs.setdefault(m, {})[alpha] = c * scale
-        return coefs
+        return Multivector(n, {m: Taylor(n, order, cf) for m, cf in coefs.items()})
 
 
 class DerivedField(MultivectorField):

@@ -26,7 +26,7 @@ from test_golden_reports import CASES, run_case
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
-# grids larger than the 1,024 points that grid_residuals evaluates together
+# grids of many chunks (1,331 and 2,401 points)
 LARGE = {"grid-riccati": 11, "grid-darboux": 7}
 
 

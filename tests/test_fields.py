@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cliffcalc.fields
@@ -32,7 +32,13 @@ from cliffcalc.cli import main
 from cliffcalc.darboux import eigen_check, minus_op, plus_op
 from cliffcalc.expr import ExprDomainError, Tape
 from cliffcalc.riccati import RiccatiCandidate, harmonic_check, riccati_check
-from cliffcalc.suites import random_multivector, random_mv_field, random_point, random_scalar_field
+from cliffcalc.suites import (
+    random_expr_str,
+    random_multivector,
+    random_mv_field,
+    random_point,
+    random_scalar_field,
+)
 from cliffcalc.taylor import JetOrderError
 
 
@@ -192,6 +198,21 @@ def test_fd_field_matches_exact_jets():
         assert abs(te.grad(j) - tf.grad(j)) < 1e-9
 
 
+def test_fd_field_is_called_at_single_points_of_a_grid_pass():
+    calls = []
+
+    def box(p):
+        calls.append(p)
+        return Multivector.scalar(1, complex(p[0]))
+
+    f = FDField(1, box)
+    report = grid_residual(lambda p: (f.value(p), 0.0), GridSpec.cube(1, samples_per_axis=5))
+    # the chunk is refused before the black box runs, and replayed one point at a time at order 0
+    assert calls == [(x,) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    # raised to order 1 afterwards, the field differentiates again at a point of that pass
+    assert f.at(report.worst_point, 1).coeff(0).grad(0) == pytest.approx(1.0)
+
+
 def test_fd_field_order_cap():
     fd = FDField(1, lambda p: Multivector.scalar(1, complex(p[0])))
     with pytest.raises(JetOrderError):
@@ -329,33 +350,47 @@ def _outcome(checks, grid, chunk):
             return type(err).__name__, str(err)
 
 
-def _random_checks(seed, n):
+def _random_checks(seed, n, products):
     """Checks over random expression fields: a Laplacian, a Riccati residual and a
-    composition of factorized operators, each built anew so no jet is cached.
+    composition of factorized operators, each built anew so no jet is cached, and
+    with `products` the Laplacian of a product of two random sums as well.
 
     The fields are the suites' random fields, sums of monomials and of exp, sin
-    and cos of one variable. Products of such sums at order 2 or more can round
-    differently in a chunk (README, numerical conventions); this test does not
-    build them."""
+    and cos of one variable."""
     rng = random.Random(seed)
     phi = random_scalar_field(rng, n)
     f = random_mv_field(rng, n, grades={1})
     g = random_mv_field(rng, n)
     composed = plus_op(f).field(minus_op(f).field(g))
-    return [(harmonic_check(phi), None),
-            (riccati_check(RiccatiCandidate(f, phi)), None),
-            (eigen_check(composed, g, 0.7), None)]
+    checks = [(harmonic_check(phi), None),
+              (riccati_check(RiccatiCandidate(f, phi)), None),
+              (eigen_check(composed, g, 0.7), None)]
+    if products:
+        product = "*".join(f"({random_expr_str(rng, n)})" for _ in range(2))
+        checks.append((harmonic_check(ExprField.scalar(n, product)), None))
+    return checks
 
 
+# Open gap (ROADMAP item 11): a jet coefficient that is zero at some points of a chunk is
+# kept there, where point by point it is dropped, so a sum of jets can hold its monomials in
+# another order, and a product of such sums at order 2 can add its terms in another order
+# and round differently in the last bit. The example's product, (0.441*x1*x1 + 0.832 -
+# sin(0.143*x1))*(exp(0.607*x1) - sin(0.120*x1)), does so at x1 = 0.
+@pytest.mark.parametrize("products", [
+    False,
+    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason="chunks are not bit-exact for products of sums")),
+])
 @settings(max_examples=25, deadline=None)
+@example(seed=259, n=1, samples=5, lo=0.0, chunk=1024, masked=False)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), samples=st.integers(2, 6),
        lo=st.sampled_from([-1.0, -0.5, 0.0]), chunk=st.sampled_from([7, 1024]), masked=st.booleans())
-def test_chunked_reports_equal_chunk_of_one_reports(seed, n, samples, lo, chunk, masked):
+def test_chunked_reports_equal_chunk_of_one_reports(products, seed, n, samples, lo, chunk, masked):
     def grid():
         g = GridSpec(tuple((lo, 1.0) for _ in range(n)), samples)
         return g.with_exclusion(lambda p: p[0] * p[0] < 0.1) if masked else g
 
-    assert _outcome(_random_checks(seed, n), grid(), chunk) == _outcome(_random_checks(seed, n), grid(), 1)
+    assert (_outcome(_random_checks(seed, n, products), grid(), chunk)
+            == _outcome(_random_checks(seed, n, products), grid(), 1))
 
 
 def test_worst_point_tie_across_a_chunk_boundary():
