@@ -12,7 +12,9 @@ order) and black-box fields (central finite differences, orders 0 and 1).
 
 A point is a tuple of coordinates. grid_residuals also hands the fields a
 chunk of grid points as one point whose coordinates are Batches (batch.py),
-and the same code then computes every point of the chunk at once.
+and the same code then computes every point of the chunk at once;
+point_norms does the same with any few points, such as the random points of
+the identity suite.
 """
 
 from __future__ import annotations
@@ -431,10 +433,7 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
         st[3] = max(st[3], s)
 
     for points, batch_point in grid.chunks():
-        try:
-            kept, outcomes = _chunk_outcomes(checks[:live], grid.exclusion, points, batch_point)
-        except Exception:
-            kept = None
+        kept, outcomes = _chunk_outcomes(checks[:live], grid.exclusion, points, batch_point)
         if kept is not None:
             count += len(kept)
             for i, (vs, ss) in enumerate(outcomes):
@@ -448,7 +447,7 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
             for i in range(live):
                 try:
                     r, s = checks[i][0](p)
-                    take(i, p, r if isinstance(r, float) else r.norm(), s)
+                    take(i, p, _norm(r), s)
                 except Exception as err:
                     errors[i], live = err, i
                     break
@@ -474,28 +473,54 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
 
 def _chunk_outcomes(checks, exclusion, points, batch_point):
     """(indices of the kept points, [(residual norms, scales) of each check]) on a chunk,
-    or (None, None) where a kept point has a non-finite residual or scale."""
+    or (None, None) where anything raises or a kept point has a non-finite residual or
+    scale: the caller then evaluates the chunk again one point at a time."""
     size = len(points)
 
     def each(x):
         """x at each point of the chunk: a number is the same at every point."""
         return x if type(x) in (Batch, Flags) else [x] * size
 
-    skip = each(exclusion(batch_point)) if exclusion is not None else [False] * size
-    kept = [k for k in range(size) if not skip[k]]
-    outcomes = []
-    for residual_at, _ in checks:
-        r, s = residual_at(batch_point)
-        vs, ss = each(r if isinstance(r, (float, Batch)) else r.norm()), each(s)
-        if not all(math.isfinite(vs[k]) and math.isfinite(ss[k]) for k in kept):
-            return None, None
-        outcomes.append((vs, ss))
+    try:
+        skip = each(exclusion(batch_point)) if exclusion is not None else [False] * size
+        kept = [k for k in range(size) if not skip[k]]
+        outcomes = []
+        for residual_at, _ in checks:
+            r, s = residual_at(batch_point)
+            vs, ss = each(_norm(r)), each(s)
+            if not all(math.isfinite(vs[k]) and math.isfinite(ss[k]) for k in kept):
+                return None, None
+            outcomes.append((vs, ss))
+    except Exception:
+        return None, None
     return kept, outcomes
+
+
+def _norm(r):
+    """The norm of a residual: a number is its own norm, a multivector's is taken."""
+    return r if isinstance(r, (float, Batch)) else r.norm()
 
 
 def _batch_point(points):
     """The point whose coordinates are the Batches of the points' coordinates."""
     return tuple(Batch(p[a] for p in points) for a in range(len(points[0])))
+
+
+def point_norms(residuals, points) -> list:
+    """[the norm of residual(p) at each of the points, in order] for each residual.
+
+    residual(p) returns a number or a multivector. The points are evaluated as
+    one chunk, as grid_residuals evaluates grid points, and again one point at a
+    time if anything raises or a norm is not finite. So the outcome is that of
+    evaluating every residual at the first point, then at the next: the first
+    point and residual that raise give the exception, and a NaN is kept.
+    """
+    checks = [(lambda p, residual=residual: (residual(p), 0.0), None) for residual in residuals]
+    kept, outcomes = _chunk_outcomes(checks, None, points, _batch_point(points))
+    if kept is not None:
+        return [list(vs) for vs, _ in outcomes]
+    per_point = [[_norm(residual(p)) for residual in residuals] for p in points]  # again, one at a time
+    return [list(norms) for norms in zip(*per_point)]
 
 
 def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:

@@ -10,7 +10,7 @@ For each gate config this writes the exit code, the JSON report without
   seeds 1, 2 and 77;
 - the grid-riccati cases at 11 samples per axis (1,331 points) and the
   grid-darboux case at 7 (2,401 points), grids of more than one chunk;
-- verify-identities at n = 2..5 with 10 rounds, at seeds 1, 2, 7 and 77.
+- verify-identities at n = 2..7 with 10 rounds, at seeds 1, 2, 7 and 77.
 
 Run it in two checkouts and diff the two files: a change that keeps the
 reports leaves them equal. This is a script, not a test.
@@ -43,7 +43,7 @@ def gate_cases():
     for workload, samples in LARGE.items():
         for case in workloads.build(workload, 1, {workload: samples}):
             yield f"bench/{workload}/LARGE/{case.label}", case.command, case.config
-    for n in range(2, 6):
+    for n in range(2, 8):
         for seed in (1, 2, 7, 77):
             yield f"identities/n{n}/seed{seed}", "verify-identities", {"n": n, "rounds": 10, "seed": seed}
 

@@ -37,6 +37,11 @@ def points_in(p):
     return len(p[0]) if type(p[0]) is Batch else 1
 
 
+def points_of(p):
+    """The points that the point p stands for: those of a chunk, or p itself."""
+    return list(zip(*p)) if type(p[0]) is Batch else [p]
+
+
 RICCATI_CFG = {
     "n": 3,
     "fields": {"f": {"e1": "1"}, "v": "0 - 1"},
@@ -134,12 +139,14 @@ def test_verify_identities_deterministic(tmp_path, capsys):
 def test_nan_identity_residual_fails_its_entry(tmp_path, capsys, monkeypatch):
     # max(0.0, nan) is 0.0, so a NaN residual must be taken as the entry's worst value explicitly
     original = suites.scalar_leibniz_residual
-    calls = []
+    seen = []  # the points of the residual, in the order drawn
 
     def poisoned(phi, f, p):
-        calls.append(p)
+        points = points_of(p)
+        seen.extend(q for q in points if q not in seen)
         r = original(phi, f, p)
-        return Multivector.scalar(r.n, complex("nan")) if len(calls) == 2 else r
+        # NaN at the second point drawn, whether it is read alone or with the other points
+        return Multivector.scalar(r.n, complex("nan")) if len(seen) > 1 and seen[1] in points else r
 
     monkeypatch.setattr(suites, "scalar_leibniz_residual", poisoned)
     code, out, _ = run_cli(capsys, "verify-identities", "--config",
@@ -615,6 +622,8 @@ def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypa
 # change may lower but not raise. A call on a chunk of grid points counts once; the grids of 64
 # points are two chunks, the others one. euler-combine, euler-shift and family-gap evaluate each
 # field once per chunk, their mask predicates and family-gap's passes for each K included.
+# verify-identities evaluates the points of each random field of its Leibniz rules and closed
+# forms together, so a call there also covers several points.
 GOLDEN_CALLS = {
     "darboux": (2, 3, 3),
     "darboux-bivector": (2, 2, 1),
@@ -632,7 +641,7 @@ GOLDEN_CALLS = {
     "family-gap": (3, 5, 0),
     "riccati-check": (2, 1, 0),
     "riccati-separable": (12953, 9, 0),
-    "verify-identities": (104, 198, 88),
+    "verify-identities": (44, 92, 52),
 }
 
 
@@ -650,6 +659,26 @@ def test_family_gap_reads_its_gradient_inputs_once_per_point(monkeypatch):
     case = json.loads((GOLDEN_CASES[0].parent / "family-gap.json").read_text())
     assert run_case(case)["exit_code"] == case["exit_code"] == 0
     assert covered[(("x", 0, None),)] == covered[(("x", 1, None),)] == 27
+
+
+def test_verify_identities_reads_each_field_once_per_drawn_point(monkeypatch):
+    # n = 3 and 5 rounds give 2 rounds of each field family. Each round reads: in the Leibniz
+    # rules phi at 3 points, f at 3 points for phi and for each of the 4 gk, and each gk at its
+    # 3 points (30); in the closed forms f at 2 points for each gk and for phi, each gk and phi
+    # at 2 points (20); in the operator identities f and g at 1 point (2). Point by point this
+    # was 104 tape runs of one point each; batched, the points covered stay 104.
+    covered = {}  # tape -> the points it was run at
+    original = Tape.run
+
+    def counting(self, slots, p, order):
+        covered.setdefault(self, []).extend(points_of(p))
+        return original(self, slots, p, order)
+
+    monkeypatch.setattr(Tape, "run", counting)
+    case = json.loads((GOLDEN_CASES[0].parent / "verify-identities.json").read_text())
+    assert run_case(case)["exit_code"] == case["exit_code"] == 0
+    assert all(len(set(points)) == len(points) for points in covered.values())
+    assert sum(len(points) for points in covered.values()) == 2 * (30 + 20 + 2) == 104
 
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])

@@ -25,14 +25,16 @@ from cliffcalc.fields import (
     mv_grade_shift,
     mv_laplacian,
     mv_value,
+    point_norms,
     scalar_leibniz_residual,
     scalar_of,
 )
 from cliffcalc.cli import main
-from cliffcalc.darboux import eigen_check, minus_op, plus_op
+from cliffcalc.darboux import eigen_check, kvector_closed_form, minus_op, plus_op
 from cliffcalc.expr import ExprDomainError, Tape
 from cliffcalc.riccati import RiccatiCandidate, harmonic_check, riccati_check
 from cliffcalc.suites import (
+    identity_suite,
     random_expr_str,
     random_multivector,
     random_mv_field,
@@ -440,3 +442,68 @@ def test_non_finite_and_overflowing_residuals_keep_their_exit_codes(tmp_path, ca
             report.pop("wall_time_s")
         outcomes.append((code, repr(report), out.err))
     assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1
+
+
+# -- points evaluated together: point_norms and the identity suite ----------------
+
+def test_point_norms_raises_the_first_failing_point_in_order():
+    # log(0.6 - x1) leaves its domain at the 2nd and the 3rd point; the 2nd names its own value
+    field = ExprField.scalar(1, "log(0.6 - x1)")
+    with pytest.raises(ExprDomainError) as alone:
+        ExprField.scalar(1, "log(0.6 - x1)").value((0.75,))
+    with pytest.raises(ExprDomainError) as together:
+        point_norms([field.value], [(0.0,), (0.75,), (0.9,)])
+    assert str(together.value) == str(alone.value)
+
+
+def test_point_norms_raises_the_first_residual_at_the_first_failing_point():
+    def failing_from(x):
+        def residual(p):
+            if p[0] >= x:
+                raise ValueError(f"residual from {x} fails at {p}")
+            return p[0]
+        return residual
+
+    # the second residual fails from the 2nd point on, the first only at the 3rd
+    with pytest.raises(ValueError, match=r"^residual from 0.5 fails at \(0.5,\)$"):
+        point_norms([failing_from(1.0), failing_from(0.5)], [(0.0,), (0.5,), (1.0,)])
+
+
+def test_point_norms_keeps_a_nan_at_its_point():
+    # x1*1e308 overflows at x1 = 10, and inf - inf is NaN there only
+    src = "x1 + (x1*1e308 - x1*1e308)"
+    points = [(0.5,), (10.0,), (-0.25,)]
+    norms, = point_norms([ExprField.scalar(1, src).value], points)
+    alone = [ExprField.scalar(1, src).value(p).norm() for p in points]
+    assert math.isnan(norms[1]) and math.isnan(alone[1])
+    assert [norms[0], norms[2]] == [alone[0], alone[2]] == [0.5, 0.25]
+
+
+def test_point_norms_names_the_point_where_a_field_is_not_pure():
+    # the bivector part x2 - 0.25 vanishes at the first point only
+    f = ExprField(2, {"e1": "0.5"})
+    g = ExprField(2, {"e1": "x1", "e1^e2": "x2 - 0.25"})
+    with pytest.raises(FieldError) as alone:
+        kvector_closed_form(f, ExprField(2, {"e1": "x1", "e1^e2": "x2 - 0.25"}), 1, "plus_minus", (0.5, 0.75))
+    with pytest.raises(FieldError) as together:
+        point_norms([lambda p: kvector_closed_form(f, g, 1, "plus_minus", p)[0]], [(0.5, 0.25), (0.5, 0.75)])
+    assert str(together.value) == str(alone.value) == "field is not a pure 1-vector at (0.5, 0.75) (grades [1, 2])"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [1, 7, 77])
+def test_identity_suite_equals_its_point_by_point_replay(monkeypatch, n, seed):
+    batched = [repr(e) for e in identity_suite(n, seed, 10)]
+    original = Tape.run
+    plain = []
+
+    def refusing(self, slots, p, order):
+        if type(p[0]) is Batch:
+            raise RuntimeError("points evaluated together")
+        plain.append(p)
+        return original(self, slots, p, order)
+
+    # every batch of points then raises, and is evaluated again one point at a time
+    monkeypatch.setattr(Tape, "run", refusing)
+    assert [repr(e) for e in identity_suite(n, seed, 10)] == batched
+    assert plain
