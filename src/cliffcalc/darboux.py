@@ -117,23 +117,31 @@ def _grade_shift_sum(g_mv, f_mv, target):
     return acc
 
 
-def kvector_closed_form(f, gk, k: int, which: str, p):
-    """Closed form vs direct operator composition on a grade-k field.
+def closed_forms(f, g, k: int):
+    """Closed form vs direct operator composition on the grade-k field g, as fields.
 
-    which = "plus_minus":  (D+M^f)(D-M^f) G = -Lap G + G w - 2 sum_j [e_j G]_{k-1} d_j(f)
-    which = "minus_plus":  (D-M^f)(D+M^f) G = -Lap G + G w + 2 sum_j [e_j G]_{k-1} d_j(f)
+    plus_minus:  (D+M^f)(D-M^f) G = -Lap G + G w - 2 sum_j [e_j G]_{k-1} d_j(f)
+    minus_plus:  (D-M^f)(D+M^f) G = -Lap G + G w + 2 sum_j [e_j G]_{k-1} d_j(f)
     with w = outer (-1)^(k+1) D(f) - f^2, outer = +1 for plus_minus and -1 for
     minus_plus: the closed form is schrodinger_field with the whole w and drift
-    sign -outer, and the sum vanishes for k = 0. Returns the (closed_form,
-    direct) pair of numeric multivectors at p.
+    sign -outer, and the sum vanishes for k = 0. Returns {which: (closed_form,
+    direct)}; both forms are one graph, so they share G, D(f) and f^2.
     """
+    forms = {}
+    for which, outer in zip(CLOSED_FORMS, (+1, -1)):
+        w = derived_potential(f, outer * (1.0 if (k + 1) % 2 == 0 else -1.0))
+        direct = FactorizedOperator(f, outer).field(FactorizedOperator(f, -outer).field(g))
+        forms[which] = schrodinger_field(g, w, f, -outer), direct
+    return forms
+
+
+def kvector_closed_form(f, gk, k: int, which: str, p):
+    """The (closed_form, direct) pair of closed_forms(f, gk, k)[which] at p, as multivectors."""
     if which not in CLOSED_FORMS:
         raise FieldError(f"unknown closed form {which!r}")
     g = pure_field(gk, k, f"field is not a pure {k}-vector at {p}")
-    outer = +1 if which == "plus_minus" else -1
-    w = derived_potential(f, outer * (1.0 if (k + 1) % 2 == 0 else -1.0))
-    direct = FactorizedOperator(f, outer).field(FactorizedOperator(f, -outer).field(g))
-    return schrodinger_field(g, w, f, -outer).value(p), direct.value(p)
+    closed, direct = closed_forms(f, g, k)[which]
+    return closed.value(p), direct.value(p)
 
 
 def derived_potential(f, sign):

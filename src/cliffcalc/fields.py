@@ -11,10 +11,10 @@ Two derivative providers exist: expression-backed fields (exact jets of any
 order) and black-box fields (central finite differences, orders 0 and 1).
 
 A point is a tuple of coordinates. grid_residuals also hands the fields a
-chunk of grid points as one point whose coordinates are Batches (batch.py),
-and the same code then computes every point of the chunk at once;
-point_norms does the same with any few points, such as the random points of
-the identity suite.
+chunk of points as one point whose coordinates are Batches (batch.py), and
+the same code then computes every point of the chunk at once. It sweeps a
+GridSpec, CHUNK points at a time, or a few Points as one chunk, such as the
+random points of the identity suite.
 """
 
 from __future__ import annotations
@@ -272,11 +272,10 @@ def scalar_of(mv: Multivector):
 
 
 def _inv_scalar(c):
-    if isinstance(c, Taylor):
-        return c.reciprocal()
-    if c == 0:
+    """1/c for a jet c; a blade with no jet reads as 0j, so any other c vanishes."""
+    if not isinstance(c, Taylor):
         raise FieldError("vanishing scalar denominator")
-    return 1.0 / c
+    return c.reciprocal()
 
 
 # -- pointwise Leibniz residuals ---------------------------------------------
@@ -360,6 +359,15 @@ class GridSpec:
         return cls(tuple((lo, hi) for _ in range(n)), samples_per_axis)
 
 
+class Points(tuple):
+    """A few points that grid_residuals sweeps as one chunk, in their order."""
+
+    exclusion = None
+
+    def chunks(self):
+        yield list(self), _batch_point(self)
+
+
 @functools.lru_cache(maxsize=1)
 def _chunk(box, samples_per_axis, start, size):
     """Grid points start, start + 1, ... of the grid with this box, at most size of them.
@@ -401,8 +409,8 @@ class ResidualReport:
         }
 
 
-def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
-    """Reports of several pointwise residuals from one pass over the grid.
+def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> list:
+    """Reports of several pointwise residuals from one pass over the grid or the points.
 
     `checks` lists (residual_at, what) pairs in report order. residual_at(p)
     returns (residual, scale): the residual as a number or multivector, and
@@ -414,10 +422,10 @@ def grid_residuals(checks, grid: GridSpec, tol=None, eps=EPS_EXACT) -> list:
     later; then each check in turn raises it, else PreconditionError for a
     failed precondition, else gives its report.
 
-    The grid is evaluated CHUNK points at a time, each chunk as one point
-    whose coordinates are Batches. A chunk in which anything raises, or in
-    which a kept point has a non-finite residual or scale, is evaluated again
-    one point at a time, so the outcome is that of a sweep point by point.
+    A grid is evaluated CHUNK points at a time and Points as one chunk, each
+    chunk as one point of Batch coordinates. A chunk in which anything raises,
+    or in which a kept point has a non-finite residual or scale, is evaluated
+    again one point at a time, so the outcome is that of a sweep point by point.
     """
     stats = [[0.0, 0.0, None, 0.0] for _ in checks]  # sup, sum of squares, worst point, scale
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
@@ -504,23 +512,6 @@ def _norm(r):
 def _batch_point(points):
     """The point whose coordinates are the Batches of the points' coordinates."""
     return tuple(Batch(p[a] for p in points) for a in range(len(points[0])))
-
-
-def point_norms(residuals, points) -> list:
-    """[the norm of residual(p) at each of the points, in order] for each residual.
-
-    residual(p) returns a number or a multivector. The points are evaluated as
-    one chunk, as grid_residuals evaluates grid points, and again one point at a
-    time if anything raises or a norm is not finite. So the outcome is that of
-    evaluating every residual at the first point, then at the next: the first
-    point and residual that raise give the exception, and a NaN is kept.
-    """
-    checks = [(lambda p, residual=residual: (residual(p), 0.0), None) for residual in residuals]
-    kept, outcomes = _chunk_outcomes(checks, None, points, _batch_point(points))
-    if kept is not None:
-        return [list(vs) for vs, _ in outcomes]
-    per_point = [[_norm(residual(p)) for residual in residuals] for p in points]  # again, one at a time
-    return [list(norms) for norms in zip(*per_point)]
 
 
 def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:

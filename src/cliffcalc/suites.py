@@ -5,9 +5,9 @@ generation is driven by one random.Random instance, so a fixed seed gives
 byte-identical reports.
 
 The Leibniz rules and the closed forms draw all the points of a random
-field first and evaluate them together (fields.point_norms); each entry
-reduces the norms in draw order. Evaluation draws no random numbers, so the
-stream, and every report, is that of a field evaluated point by point.
+field first and sweep them together (fields.Points, by the grid's rule).
+Evaluation draws no random numbers, so the stream, and every report, is
+that of a field evaluated point by point.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 
 from .algebra import Multivector, conjugate, dot_and_wedge, linear_combine
-from .darboux import kvector_closed_form, minus_op, plus_op
+from .darboux import CLOSED_FORMS, closed_forms, minus_op, plus_op, pure_field
 from .fields import (
     ExprField,
+    Points,
+    grid_residuals,
     kvector_leibniz_residual,
-    point_norms,
     right_const_mul_field,
     scalar_leibniz_residual,
 )
@@ -141,6 +141,12 @@ def _random_points(rng, n, count):
     return [random_point(rng, n) for _ in range(count)]
 
 
+def _sups(residuals, points):
+    """The sup over the points of each residual's norm, from one sweep of the points."""
+    checks = [(lambda p, residual=residual: (residual(p), 0.0), None) for residual in residuals]
+    return [report.sup_norm for report in grid_residuals(checks, Points(points))]
+
+
 def _leibniz_entries(rng, n, rounds):
     points_per_round = 3
     worst_scalar = 0.0
@@ -148,47 +154,42 @@ def _leibniz_entries(rng, n, rounds):
     for _ in range(rounds):
         phi = random_scalar_field(rng, n)
         f = random_mv_field(rng, n)
-        norms, = point_norms([lambda p: scalar_leibniz_residual(phi, f, p)],
-                             _random_points(rng, n, points_per_round))
-        worst_scalar = reduce(_worse, norms, worst_scalar)
+        sup, = _sups([lambda p: scalar_leibniz_residual(phi, f, p)], _random_points(rng, n, points_per_round))
+        worst_scalar = _worse(worst_scalar, sup)
         for k in range(n + 1):
             gk = random_kvector_field(rng, n, k)
-            norms, = point_norms([lambda p: kvector_leibniz_residual(gk, f, k, p)],
-                                 _random_points(rng, n, points_per_round))
-            worst_k[k] = reduce(_worse, norms, worst_k[k])
+            sup, = _sups([lambda p: kvector_leibniz_residual(gk, f, k, p)], _random_points(rng, n, points_per_round))
+            worst_k[k] = _worse(worst_k[k], sup)
     out = [SuiteEntry("leibniz/scalar", worst_scalar, 1e-9, rounds * points_per_round)]
     for k in range(n + 1):
         out.append(SuiteEntry(f"leibniz/kvector_k{k}", worst_k[k], 1e-9, rounds * points_per_round))
     return out
 
 
-def _closed_form_gap(f, g, k, which):
-    """p -> the gap between the closed form and the direct composition at p, relative to the latter."""
+def _gap(a, b):
+    """p -> the gap between the fields a and b at p, relative to b; reads a, then b."""
 
     def gap(p):
-        closed, direct = kvector_closed_form(f, g, k, which, p)
-        return (closed - direct).norm() / (1.0 + direct.norm())
+        av, bv = a.value(p), b.value(p)
+        return (av - bv).norm() / (1.0 + bv.norm())
 
     return gap
 
 
 def _closed_form_entries(rng, n, rounds):
     points_per_round = 2
-    forms = ("plus_minus", "minus_plus")
-    worst = {name: 0.0 for name in forms + ("minus_plus_scalar",)}
+    worst = {name: 0.0 for name in CLOSED_FORMS + ("minus_plus_scalar",)}
     for _ in range(rounds):
         f = random_mv_field(rng, n, grades={1})
-        shared = f.dirac, f.square  # held, so both forms at the points read one D(f) and one f^2
         for k in range(n + 1):
-            gk = random_kvector_field(rng, n, k)
-            norms = point_norms([_closed_form_gap(f, gk, k, which) for which in forms],
-                                _random_points(rng, n, points_per_round))
-            for which, form_norms in zip(forms, norms):
-                worst[which] = reduce(_worse, form_norms, worst[which])
-        phi = random_scalar_field(rng, n)
-        norms, = point_norms([_closed_form_gap(f, phi, 0, "minus_plus")],
-                             _random_points(rng, n, points_per_round))
-        worst["minus_plus_scalar"] = reduce(_worse, norms, worst["minus_plus_scalar"])
+            g = pure_field(random_kvector_field(rng, n, k), k, f"field is not a pure {k}-vector")
+            forms = closed_forms(f, g, k)
+            sups = _sups([_gap(*forms[which]) for which in CLOSED_FORMS], _random_points(rng, n, points_per_round))
+            for which, sup in zip(CLOSED_FORMS, sups):
+                worst[which] = _worse(worst[which], sup)
+        phi = pure_field(random_scalar_field(rng, n), 0, "field is not a pure 0-vector")
+        sup, = _sups([_gap(*closed_forms(f, phi, 0)["minus_plus"])], _random_points(rng, n, points_per_round))
+        worst["minus_plus_scalar"] = _worse(worst["minus_plus_scalar"], sup)
     return [SuiteEntry(f"closed_form/{name}", w, 1e-10, rounds) for name, w in worst.items()]
 
 

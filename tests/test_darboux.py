@@ -218,6 +218,25 @@ def test_closed_forms_share_one_dirac_of_f(monkeypatch):
     assert len(calls) <= 92
 
 
+def test_closed_forms_share_one_grade_check_of_g(monkeypatch):
+    calls = []
+    original = darboux.pure_field
+
+    def counting(g, k, what):
+        field = original(g, k, what)
+        check = field.fn
+        field.fn = lambda gj: calls.append(gj) or check(gj)
+        return field
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "pure_field")]:
+        monkeypatch.setattr(module, "pure_field", counting)
+    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    assert all(e.passed for e in entries)
+    # both forms of a field are one graph on one pure_field: per round, one grade check for the
+    # points of each of the 4 k-vector fields and one for those of phi, not one per form
+    assert len(calls) == 10
+
+
 def test_closed_forms_share_one_square_of_f(monkeypatch):
     calls = []
     original = Multivector.__mul__

@@ -17,6 +17,7 @@ from cliffcalc.fields import (
     FDField,
     FieldError,
     GridSpec,
+    Points,
     PreconditionError,
     grid_residual,
     grid_residuals,
@@ -25,7 +26,6 @@ from cliffcalc.fields import (
     mv_grade_shift,
     mv_laplacian,
     mv_value,
-    point_norms,
     scalar_leibniz_residual,
     scalar_of,
 )
@@ -444,19 +444,24 @@ def test_non_finite_and_overflowing_residuals_keep_their_exit_codes(tmp_path, ca
     assert outcomes[0] == outcomes[1] and outcomes[0][0] == 1
 
 
-# -- points evaluated together: point_norms and the identity suite ----------------
+# -- points swept together: Points and the identity suite -------------------------
 
-def test_point_norms_raises_the_first_failing_point_in_order():
+def _norms_of(*residuals):
+    """The checks of grid_residuals for residuals that return a number or a multivector."""
+    return [(lambda p, residual=residual: (residual(p), 0.0), None) for residual in residuals]
+
+
+def test_points_raise_the_first_failing_point_in_order():
     # log(0.6 - x1) leaves its domain at the 2nd and the 3rd point; the 2nd names its own value
     field = ExprField.scalar(1, "log(0.6 - x1)")
     with pytest.raises(ExprDomainError) as alone:
         ExprField.scalar(1, "log(0.6 - x1)").value((0.75,))
     with pytest.raises(ExprDomainError) as together:
-        point_norms([field.value], [(0.0,), (0.75,), (0.9,)])
+        grid_residuals(_norms_of(field.value), Points([(0.0,), (0.75,), (0.9,)]))
     assert str(together.value) == str(alone.value)
 
 
-def test_point_norms_raises_the_first_residual_at_the_first_failing_point():
+def test_points_raise_the_first_check_in_list_order():
     def failing_from(x):
         def residual(p):
             if p[0] >= x:
@@ -464,29 +469,31 @@ def test_point_norms_raises_the_first_residual_at_the_first_failing_point():
             return p[0]
         return residual
 
-    # the second residual fails from the 2nd point on, the first only at the 3rd
-    with pytest.raises(ValueError, match=r"^residual from 0.5 fails at \(0.5,\)$"):
-        point_norms([failing_from(1.0), failing_from(0.5)], [(0.0,), (0.5,), (1.0,)])
+    # the second check fails from the 2nd point on, the first only at the 3rd: the first decides
+    with pytest.raises(ValueError, match=r"^residual from 1.0 fails at \(1.0,\)$"):
+        grid_residuals(_norms_of(failing_from(1.0), failing_from(0.5)), Points([(0.0,), (0.5,), (1.0,)]))
 
 
-def test_point_norms_keeps_a_nan_at_its_point():
+def test_points_take_a_nan_as_the_sup_at_its_point():
     # x1*1e308 overflows at x1 = 10, and inf - inf is NaN there only
     src = "x1 + (x1*1e308 - x1*1e308)"
-    points = [(0.5,), (10.0,), (-0.25,)]
-    norms, = point_norms([ExprField.scalar(1, src).value], points)
+    points = Points([(0.5,), (10.0,), (-0.25,)])
+    report, = grid_residuals(_norms_of(ExprField.scalar(1, src).value), points)
     alone = [ExprField.scalar(1, src).value(p).norm() for p in points]
-    assert math.isnan(norms[1]) and math.isnan(alone[1])
-    assert [norms[0], norms[2]] == [alone[0], alone[2]] == [0.5, 0.25]
+    assert math.isnan(report.sup_norm) and math.isnan(alone[1])
+    assert report.worst_point is points[1] and not report.passed
+    assert [alone[0], alone[2]] == [0.5, 0.25]
 
 
-def test_point_norms_names_the_point_where_a_field_is_not_pure():
+def test_points_name_the_point_where_a_field_is_not_pure():
     # the bivector part x2 - 0.25 vanishes at the first point only
     f = ExprField(2, {"e1": "0.5"})
     g = ExprField(2, {"e1": "x1", "e1^e2": "x2 - 0.25"})
     with pytest.raises(FieldError) as alone:
         kvector_closed_form(f, ExprField(2, {"e1": "x1", "e1^e2": "x2 - 0.25"}), 1, "plus_minus", (0.5, 0.75))
     with pytest.raises(FieldError) as together:
-        point_norms([lambda p: kvector_closed_form(f, g, 1, "plus_minus", p)[0]], [(0.5, 0.25), (0.5, 0.75)])
+        grid_residuals(_norms_of(lambda p: kvector_closed_form(f, g, 1, "plus_minus", p)[0]),
+                       Points([(0.5, 0.25), (0.5, 0.75)]))
     assert str(together.value) == str(alone.value) == "field is not a pure 1-vector at (0.5, 0.75) (grades [1, 2])"
 
 

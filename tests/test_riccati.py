@@ -55,6 +55,12 @@ def test_log_derivative_round_trip():
     assert rep.sup_norm < 1e-12
 
 
+def test_log_derivative_of_a_field_with_no_scalar_part_is_a_field_error():
+    # phi has no scalar blade, so its scalar part reads as 0j, not a jet
+    with pytest.raises(FieldError, match="^vanishing scalar denominator$"):
+        riccati_residual(log_derivative(ExprField(2, {"e1": "x1 + 2"})), GridSpec.cube(2, samples_per_axis=3))
+
+
 def test_log_derivative_known_value():
     # phi = exp(a x1): f = a e1, v = -a^2
     n = 2
