@@ -155,9 +155,10 @@ class Multivector:
                 for b, cb in other.terms.items():
                     m = a ^ b
                     c = ca * cb
-                    if product_sign(a, b) < 0:
-                        c = -c
-                    out[m] = out[m] + c if m in out else c
+                    if product_sign(a, b) > 0:
+                        out[m] = out[m] + c if m in out else c
+                    else:
+                        out[m] = out[m] - c if m in out else -c
             return _multivector(self.n, out)
         return _multivector(self.n, {m: c * other for m, c in self.terms.items()})
 

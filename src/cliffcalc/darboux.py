@@ -6,6 +6,10 @@ admits closed forms on homogeneous k-vector fields; applying the opposite
 factor maps eigenfunctions of one composition to the other (the Darboux
 transform). Pipelines verify both the hypotheses and the conclusions of
 these constructions numerically.
+
+Each operator term on a field G is one node on G (MultivectorField.node), so every
+operator on G computes it once per point: D(G) and G f for the factors, -Lap G and
+the drift sum for schrodinger_field. A closed form and its direct side share none.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .fields import (
     MultivectorField,
     ResidualReport,
     grid_residuals,
-    mv_dirac,
     mv_grade_shift,
     mv_laplacian,
     mv_partial,
@@ -39,11 +42,14 @@ def as_lambda(value) -> complex:
     return lam
 
 
-def _factor_jet(gj: Multivector, fj: Multivector, sign: int) -> Multivector:
-    """D g + g f (sign=+1) or D g - g f (sign=-1) from jets, gj one order above fj."""
-    prod = gj * fj
-    d = mv_dirac(gj)
-    return d + prod if sign > 0 else d - prod
+def _right_mul(gj: Multivector, fj: Multivector) -> Multivector:
+    """g f, right multiplication M^f of jets: the product node of every factor D +/- M^f."""
+    return gj * fj
+
+
+def _factor_jet(dj: Multivector, prodj: Multivector, sign: int) -> Multivector:
+    """D g + g f (sign=+1) or D g - g f (sign=-1), from the jets of D g and of g f."""
+    return dj + prodj if sign > 0 else dj - prodj
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,10 @@ class FactorizedOperator:
             raise FieldError("sign must be +1 or -1")
 
     def field(self, g: MultivectorField) -> MultivectorField:
-        return DerivedField(lambda gj, fj: _factor_jet(gj, fj, self.sign), (g, 1), (self.f, 0))
+        """(D +/- M^f) g from the nodes D(g) and g f on g, which both factors on g share."""
+        # g as D(g) reads it, so its jets are not truncated: the product truncates to f's order
+        prod = g.node(("times", id(self.f)), lambda: DerivedField(_right_mul, (g, 1), (self.f, 0)))
+        return DerivedField(lambda dj, pj: _factor_jet(dj, pj, self.sign), (g.dirac, 0), (prod, 0))
 
 
 def plus_op(f):
@@ -125,7 +134,9 @@ def closed_forms(f, g, k: int):
     with w = outer (-1)^(k+1) D(f) - f^2, outer = +1 for plus_minus and -1 for
     minus_plus: the closed form is schrodinger_field with the whole w and drift
     sign -outer, and the sum vanishes for k = 0. Returns {which: (closed_form,
-    direct)}; both forms are one graph, so they share G, D(f) and f^2.
+    direct)}; both forms are one graph. The closed sides share G, D(f), f^2, -Lap G and
+    the drift sum, the direct sides G, D(G) and G f; a closed and a direct side share only
+    G, f and what those are built on, so a wrong closed form cannot agree with itself.
     """
     forms = {}
     for which, outer in zip(CLOSED_FORMS, (+1, -1)):
@@ -159,22 +170,24 @@ def potential_check(w):
     return residual_at
 
 
+def _drift(gj, fj):
+    """sum_m sum_j [e_j G_m]_{m-1} d_j(f), G_m the grade-m part of G = gj."""
+    return sum((_grade_shift_sum(gj.grade(m), fj, m - 1) for m in gj.grades()), Multivector(gj.n))
+
+
 def schrodinger_field(g, w, f, s):
     """The field -Lap G + G w + 2s sum_m sum_j [e_j G_m]_{m-1} d_j(f) for G = g.
 
-    G_m is the grade-m part of G. The drift sum vanishes on a scalar G, and is
-    not computed when s = 0. The pipelines, whose potential is scalar, pass
+    G_m is the grade-m part of G. -Lap G and the drift sum, without its factor
+    2s, are nodes on G, shared by every schrodinger_field on G (and f); G w is
+    not, as no two of them share a w. The drift sum vanishes on a scalar G, and
+    is not computed when s = 0. The pipelines, whose potential is scalar, pass
     its scalar part (scalar_part_field), so no empty blade of w is multiplied.
     """
-
-    def apply(gj, wj, fj=None):
-        out = -mv_laplacian(gj) + gj * wj
-        if s:
-            drift = sum((_grade_shift_sum(gj.grade(m), fj, m - 1) for m in gj.grades()), Multivector(gj.n))
-            out = out + (2.0 * s) * drift
-        return out
-
-    return DerivedField(apply, (g, 2), (w, 0), *([(f, 1)] if s else []))
+    lap = g.node("neg_laplacian", lambda: DerivedField(lambda gj: -mv_laplacian(gj), (g, 2)))
+    drift = [(g.node(("drift", id(f)), lambda: DerivedField(_drift, (g, 2), (f, 1))), 0)] if s else []
+    return DerivedField(lambda lj, gj, wj, *dj: sum([(2.0 * s) * d for d in dj], lj + gj * wj),
+                        (lap, 0), (g, 2), (w, 0), *drift)
 
 
 def pure_field(g, k, what):

@@ -76,11 +76,11 @@ def mv_dirac(mv: Multivector) -> Multivector:
     for j in range(mv.n):
         bit = 1 << j
         for m, c in mv.terms.items():
-            d = c.diff(j)
-            if product_sign(bit, m) < 0:
-                d = -d
-            key = bit ^ m
-            out[key] = out[key] + d if key in out else d
+            d, key = c.diff(j), bit ^ m
+            if product_sign(bit, m) > 0:
+                out[key] = out[key] + d if key in out else d
+            else:
+                out[key] = out[key] - d if key in out else -d
     return _multivector(mv.n, out)
 
 
@@ -148,23 +148,22 @@ class MultivectorField:
     def dirac(self) -> "MultivectorField":
         """The field D(self): one node while anything holds it, so every check that
         reads it shares its point cache."""
-        return self._consumer("dirac", lambda: DerivedField(mv_dirac, (self, 1)))
+        return self.node("dirac", lambda: DerivedField(mv_dirac, (self, 1)))
 
     @property
     def square(self) -> "MultivectorField":
         """The field self * self, one node like `dirac`."""
-        return self._consumer("square", lambda: DerivedField(lambda fj: fj * fj, (self, 0)))
+        return self.node("square", lambda: DerivedField(lambda fj: fj * fj, (self, 0)))
 
-    def _consumer(self, name, build):
-        """The node `name` built on this field, held by weak reference. A consumer holds
-        its inputs, so a strong reference back would make a cycle, and a command's
-        fields, with the jets of their last chunk, would outlive it until the
-        garbage collector ran."""
-        ref = self.__dict__.get("_" + name)
-        node = ref() if ref is not None else None
+    def node(self, key, build):
+        """The node `key` on this field, built by build() unless a consumer holds it. Nodes are
+        held by weak reference: a node holds its inputs, so a strong reference back would make a
+        cycle, and a command's fields, with the jets of their last chunk, would outlive it until
+        the garbage collector ran. A key may name another input by id; the node keeps it alive."""
+        nodes = self.__dict__.setdefault("_nodes", weakref.WeakValueDictionary())
+        node = nodes.get(key)
         if node is None:
-            node = build()
-            self.__dict__["_" + name] = weakref.ref(node)
+            node = nodes[key] = build()
         return node
 
 

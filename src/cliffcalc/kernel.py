@@ -29,7 +29,7 @@ from .fields import (
     grid_residuals,
     right_const_mul_field,
 )
-from .darboux import (FactorizedOperator, _factor_jet, as_lambda, derived_potential, eigen_check,
+from .darboux import (FactorizedOperator, as_lambda, derived_potential, eigen_check,
                       negated_potential, potential_check, scalar_part_field, schrodinger_field)
 from .riccati import riccati_check
 
@@ -101,7 +101,7 @@ def first_order_check(f, mode, lam, sign, g, variant="A"):
         raise FieldError("sign must be +1 or -1")
     s = -1 if variant == "A" else +1
     shift = s * sign * lam * mode.element
-    member = DerivedField(lambda gj, fj: _factor_jet(gj, fj + shift, s), (g, 1), (f, 0))
+    member = FactorizedOperator(DerivedField(lambda fj: fj + shift, (f, 0)), s).field(g)
 
     def residual_at(p):
         return member.value(p), abs(lam) * g.value(p).norm()

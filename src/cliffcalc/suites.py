@@ -208,22 +208,23 @@ def _operator_entries(rng, n, rounds):
             f = ExprField(n, {m: random_expr_str(rng, n) for m in chosen})
         g = random_mv_field(rng, n)
         p = random_point(rng, n)
-        # (D - M^f) g and (D + M^f) g are one field each, from which A g, B g and both compositions are built
+        # each factor on g and on g iE is built once; the two on g share D(g) and g f, and so on g iE
         minus_g, plus_g = minus_op(f).field(g), plus_op(f).field(g)
         a_g, b_g = right_const_mul_field(minus_g, ie), right_const_mul_field(plus_g, ie)
         g_ie = right_const_mul_field(g, ie)
+        plus_g_ie, minus_g_ie = plus_op(f).field(g_ie), minus_op(f).field(g_ie)
         squares = [(operator_field(f, mode, a_g, "A"), plus_op(f).field(minus_g)),
                    (operator_field(f, mode, b_g, "B"), minus_op(f).field(plus_g))]
         # the two factorized forms of A agree
         a_of_g = a_g.value(p)
-        other = plus_op(f).field(g_ie).value(p)
+        other = plus_g_ie.value(p)
         worst_forms = _worse(worst_forms, (a_of_g - other).norm() / (1.0 + a_of_g.norm()))
         # A^2 and B^2 equal the plus-minus and minus-plus compositions
         for square, composition in squares:
             sq, comp = square.value(p), composition.value(p)
             worst_square = _worse(worst_square, (sq - comp).norm() / (1.0 + comp.norm()))
         # conjugation by the unit flips the factor sign
-        conj = right_const_mul_field(minus_op(f).field(g_ie), ie).value(p)
+        conj = right_const_mul_field(minus_g_ie, ie).value(p)
         plus = plus_g.value(p)
         worst_conj = _worse(worst_conj, (conj - plus).norm() / (1.0 + plus.norm()))
         # right multiplication by iE is an involution

@@ -11,7 +11,9 @@ monomials, and so on, each degree in descending lexicographic order of
 alpha. Degree never decreases with the index, so the numbering for order k
 is a prefix of the numbering for order k + 1, and "degree <= k" is "index
 < comb(n + k, k)". A jet stores a dict from monomial index to the
-coefficient (partial^alpha f)/alpha!, with exactly-zero entries dropped.
+coefficient (partial^alpha f)/alpha!. Exact zeros are kept, so a jet's keys,
+and their order, depend only on the operations that made it, never on the
+values: a chunk's jets hold the keys of each of its points' jets.
 A coefficient is a complex number, or a Batch (batch.py) of complex numbers,
 one per point of a chunk; functions of a jet's value map over a Batch.
 Products, derivatives and compositions look indices up in tables built
@@ -105,16 +107,10 @@ class _CoefView(Mapping):
 
 def _jet(n, order, coef):
     """Jet owning coef, a fresh index-keyed dict within the order, such as an
-    operation's result.
-
-    Drops exact zeros (a Batch only where it is zero at every point) and skips
-    the checks the public constructor makes.
-    """
+    operation's result; skips the checks the public constructor makes."""
     t = object.__new__(Taylor)
     t.n = n
     t.order = order
-    if not all(coef.values()):
-        coef = {i: c for i, c in coef.items() if c}
     t._coef = coef
     return t
 
@@ -124,14 +120,14 @@ class Taylor:
 
     def __init__(self, n, order, coef=None):
         """Jet from coefficients keyed by exponent tuple; terms above the order
-        and exact zeros are dropped."""
+        are dropped."""
         self.n = n
         self.order = order
         self._coef = {}
         if coef:
             index = _basis(n, order).index
             for a, c in coef.items():
-                if c != 0 and sum(a) <= order:
+                if sum(a) <= order:
                     i = index.get(a)
                     if i is None:
                         raise ValueError(f"{a!r} is not a multi-index in {n} variables")
@@ -195,7 +191,7 @@ class Taylor:
             return Taylor.constant(other, self.n, self.order)
         return None
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -204,16 +200,13 @@ class Taylor:
         out = {i: c for i, c in self._coef.items() if i < size}
         for i, c in other._coef.items():
             if i < size:
-                out[i] = out.get(i, 0j) + c
+                out[i] = out.get(i, 0j) + c if sign > 0 else out.get(i, 0j) - c
         return _jet(self.n, k, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

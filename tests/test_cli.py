@@ -619,8 +619,9 @@ def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypa
 
 
 # (Tape.run, mv_dirac, _factor_jet) calls of one invocation on each golden config: ceilings that a
-# change may lower but not raise. A call on a chunk of grid points counts once; the grids of 64
-# points are two chunks, the others one. euler-combine, euler-shift and family-gap evaluate each
+# change may lower but not raise. _factor_jet is the last step of every factor D +/- M^f applied,
+# D g +/- g f. A call on a chunk of grid points counts once; the grids of 64 points are two
+# chunks, the others one. euler-combine, euler-shift and family-gap evaluate each
 # field once per chunk, their mask predicates and family-gap's passes for each K included.
 # verify-identities evaluates the points of each random field of its Leibniz rules and closed
 # forms together, so a call there also covers several points.
@@ -641,7 +642,7 @@ GOLDEN_CALLS = {
     "family-gap": (3, 5, 0),
     "riccati-check": (2, 1, 0),
     "riccati-separable": (12953, 9, 0),
-    "verify-identities": (44, 92, 52),
+    "verify-identities": (44, 80, 52),
 }
 
 
@@ -681,8 +682,8 @@ def test_verify_identities_reads_each_field_once_per_drawn_point(monkeypatch):
     assert sum(len(points) for points in covered.values()) == 2 * (30 + 20 + 2) == 104
 
 
-@pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])
-def test_golden_call_counts_stay_within_their_ceilings(monkeypatch, path):
+def golden_call_counts(monkeypatch, path):
+    """The (Tape.run, mv_dirac, _factor_jet) calls of the golden case at path, by name."""
     counts = {"Tape.run": 0, "mv_dirac": 0, "_factor_jet": 0}
 
     def counting(name, fn):
@@ -703,5 +704,17 @@ def test_golden_call_counts_stay_within_their_ceilings(monkeypatch, path):
                     monkeypatch.setattr(module, attr, counted)
     case = json.loads(path.read_text())
     assert run_case(case)["exit_code"] == case["exit_code"]
+    return counts
+
+
+@pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])
+def test_golden_call_counts_stay_within_their_ceilings(monkeypatch, path):
+    counts = golden_call_counts(monkeypatch, path)
     ceiling = dict(zip(counts, GOLDEN_CALLS[path.stem]))
     assert all(counts[name] <= ceiling[name] for name in counts), (counts, ceiling)
+
+
+def test_golden_call_counts_reach_every_counted_function(monkeypatch):
+    # a ceiling on a function that no invocation calls any more would hold at 0 calls
+    counts = golden_call_counts(monkeypatch, GOLDEN_CASES[0].parent / "darboux.json")
+    assert all(counts.values()), counts

@@ -26,6 +26,7 @@ from cliffcalc.fields import (
     PreconditionError,
     grid_residual,
     mv_dirac,
+    mv_laplacian,
     mv_value,
 )
 from cliffcalc.riccati import RiccatiCandidate
@@ -193,29 +194,72 @@ def test_k1_specialization_matches_vector_pipeline():
     assert abs(vec_res.conclusion.sup_norm - k1_res.conclusion.sup_norm) <= 1e-12
 
 
-def test_operator_identities_share_their_operator_fields(monkeypatch):
+def _count_calls(monkeypatch, original):
+    """The list of argument tuples of every call of `original`, through any binding in the package."""
     calls = []
-    original = darboux._factor_jet
-    monkeypatch.setattr(darboux, "_factor_jet", lambda *args: calls.append(args) or original(*args))
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and m is not None]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_operator_identities_share_their_operator_fields(monkeypatch):
+    factors, diracs = _count_calls(monkeypatch, darboux._factor_jet), _count_calls(monkeypatch, mv_dirac)
     rounds = 3
     entries = suites._operator_entries(random.Random(4), 3, rounds)
     assert all(e.passed for e in entries)
     # (D - M^f) g and (D + M^f) g are each one field, from which A g, B g and both compositions
     # are built, and each is read at order 1 first and then truncated, so a round makes 8
     # operator applications instead of 12
-    assert len(calls) <= 8 * rounds
+    assert len(factors) == 8 * rounds
+    # the two factors on g share D(g), and so do the two on g iE: of the 8 applications' Dirac
+    # derivatives, a round computes 6
+    assert len(diracs) == 6 * rounds
 
 
 def test_closed_forms_share_one_dirac_of_f(monkeypatch):
-    calls = []
-    original = mv_dirac
-    for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "mv_dirac")]:
-        monkeypatch.setattr(module, "mv_dirac", lambda mv: calls.append(mv) or original(mv))
+    calls = _count_calls(monkeypatch, mv_dirac)
     entries = suites._closed_form_entries(random.Random(5), 3, 2)
     assert all(e.passed for e in entries)
-    # per k-vector point, D(f) once for both forms' potentials and D G, D(D -/+ M^f) G for each
-    # direct side: 16 such points make 80 calls; the 4 scalar points 3 each
-    assert len(calls) <= 92
+    # per round, the points of each of the 4 k-vector fields as one batch: D(f) once for both
+    # forms' potentials, D(G) once for both inner factors (D -/+ M^f) G, and the outer D of each
+    # direct side (4 calls); the points of phi: D(f), D(phi) and the outer D of minus_plus (3)
+    assert len(calls) == 2 * (4 * 4 + 3) == 38
+
+
+def test_closed_forms_share_one_laplacian_of_g(monkeypatch):
+    calls = _count_calls(monkeypatch, mv_laplacian)
+    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    assert all(e.passed for e in entries)
+    # -Lap G is one node on G that both closed forms read: per round one call for the points of
+    # each of the 4 k-vector fields and one for those of phi, not one per form
+    assert len(calls) == 2 * (4 + 1) == 10
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("which", CLOSED_FORMS)
+def test_closed_and_direct_sides_share_only_their_inputs(which, k):
+    def reachable(field):
+        seen, todo = set(), [field]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(input_field for input_field, _ in node.inputs)
+        return seen
+
+    rng = random.Random(k)
+    f = random_mv_field(rng, 3, grades={1})
+    g = darboux.pure_field(random_kvector_field(rng, 3, k), k, "not pure")
+    closed, direct = darboux.closed_forms(f, g, k)[which]
+    # a node shared across the sides could make a wrong closed form agree with itself
+    assert reachable(closed) & reachable(direct) == reachable(g) | reachable(f)
 
 
 def test_closed_forms_share_one_grade_check_of_g(monkeypatch):

@@ -373,15 +373,9 @@ def _random_checks(seed, n, products):
     return checks
 
 
-# Open gap (ROADMAP item 11): a jet coefficient that is zero at some points of a chunk is
-# kept there, where point by point it is dropped, so a sum of jets can hold its monomials in
-# another order, and a product of such sums at order 2 can add its terms in another order
-# and round differently in the last bit. The example's product, (0.441*x1*x1 + 0.832 -
-# sin(0.143*x1))*(exp(0.607*x1) - sin(0.120*x1)), does so at x1 = 0.
-@pytest.mark.parametrize("products", [
-    False,
-    pytest.param(True, marks=pytest.mark.xfail(strict=True, reason="chunks are not bit-exact for products of sums")),
-])
+# seed 259: the jet coefficients of a product of two sums vanish at the point x1 = 0 only; a
+# chunk's jets hold each point's keys in its order because jets keep their exact zeros
+@pytest.mark.parametrize("products", [False, True])
 @settings(max_examples=25, deadline=None)
 @example(seed=259, n=1, samples=5, lo=0.0, chunk=1024, masked=False)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), samples=st.integers(2, 6),

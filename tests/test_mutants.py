@@ -14,16 +14,8 @@ import pytest
 
 from cliffcalc import darboux, fields, kernel, riccati
 from cliffcalc.algebra import Multivector
-from cliffcalc.fields import DerivedField, mv_dirac, mv_partial, mv_value
+from cliffcalc.fields import DerivedField, mv_partial, mv_value
 from test_golden_reports import GOLDEN, run_case
-
-
-def _left_factor_jet(original):
-    def mutant(gj, fj, sign):
-        d, prod = mv_dirac(gj), fj * gj  # f on the left of g
-        return d + prod if sign > 0 else d - prod
-
-    return mutant
 
 
 def _riccati_check_minus_square(original):
@@ -61,7 +53,7 @@ MUTANTS = {
                                lambda orig: lambda f, sign: orig(f, -sign)),
     "eigen-lambda-not-squared": ("darboux", darboux, "eigen_check",
                                  lambda orig: lambda lhs, g, lam: orig(lhs, g, cmath.sqrt(lam))),
-    "factor-left-multiplication": ("darboux", darboux, "_factor_jet", _left_factor_jet),
+    "factor-left-multiplication": ("darboux", darboux, "_right_mul", lambda orig: lambda gj, fj: fj * gj),
     "dirac-sign": ("riccati-check", fields, "mv_dirac", lambda orig: lambda mv: -orig(mv)),
     "first-order-shift-sign": ("decompose", kernel, "first_order_check",
                                lambda orig: lambda f, mode, lam, sign, g, variant="A":

@@ -173,7 +173,7 @@ def test_numbering_is_graded_and_prefix_closed(n):
 # so the results must agree bit for bit, insertion order included.
 
 def ref_jet(coef, order):
-    return order, {a: c for a, c in coef.items() if c != 0 and sum(a) <= order}
+    return order, {a: c for a, c in coef.items() if sum(a) <= order}
 
 
 def ref_add(x, y):
@@ -199,6 +199,10 @@ def ref_mul(x, y):
             c = ca * cb
             out[m] = out[m] + c if m in out else c
     return ref_jet(out, k)
+
+
+def ref_neg(x):
+    return ref_jet({a: -c for a, c in x[1].items()}, x[0])
 
 
 def ref_scale(x, s):
@@ -285,6 +289,7 @@ def test_index_arithmetic_matches_tuple_reference(data):
     rx, ry = ref_jet(x[1], x[0]), ref_jet(y[1], y[0])
     assert_same(tx, rx)
     assert_same(tx + ty, ref_add(rx, ry))
+    assert_same(tx - ty, ref_add(rx, ref_neg(ry)))  # one pass, bit for bit tx + (-ty)
     assert_same(tx * ty, ref_mul(rx, ry))
     assert_same(tx * s, ref_scale(rx, s))
     assert_same(s * tx, ref_rscale(s, rx))
