@@ -79,6 +79,9 @@ def _optional(config, key, kind, default):
 def _complex(raw, what) -> complex:
     """A number, [re, im] or {"re": re, "im": im} as a complex number."""
     if isinstance(raw, dict):
+        stray = [key for key in raw if key not in ("re", "im")]
+        if stray:
+            raise ConfigError(f"{what} has the unknown key {stray[0]!r}: an object holds only re and im")
         raw = [raw.get("re", 0.0), raw.get("im", 0.0)]
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
     if not all(_is_a(x, NUMBER) for x in parts):

@@ -14,7 +14,8 @@ A point is a tuple of coordinates. grid_residuals also hands the fields a
 chunk of points as one point whose coordinates are Batches (batch.py), and
 the same code then computes every point of the chunk at once. It sweeps a
 GridSpec, CHUNK points at a time, or a few Points as one chunk, such as the
-random points of the identity suite.
+random points of the identity suite, once for all the checks of a command:
+a check that needs a masked grid carries its own exclusion predicate.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from .taylor import JetOrderError, Taylor, coefficient
 EPS_EXACT = 1e-9
 EPS_FD = 1e-4
 FD_STEP = 1e-5
-# grid points that grid_residuals evaluates together; each field keeps the jets of the
-# chunk it evaluated last, so the bound holds down peak memory (README)
-CHUNK = 32
+# grid points that grid_residuals evaluates together: each benchmark grid (125, 81 and 64
+# points) is one chunk. Each field keeps the jets of the chunk it evaluated last, about
+# 6 to 8 KB a point, so the bound holds down peak memory (README)
+CHUNK = 128
 
 
 class FieldError(ValueError):
@@ -343,10 +345,11 @@ class GridSpec:
 
     def chunks(self):
         """(points, batch point) for each run of CHUNK grid points in order, excluded ones
-        included; the batch point is the tuple of the points' coordinates as Batches."""
-        total = self.samples_per_axis ** self.n
-        for start in range(0, total, CHUNK):
-            yield _chunk(self.box, self.samples_per_axis, start, CHUNK)
+        included; the batch point is the tuple of the points' coordinates as Batches. Each
+        chunk is made when the sweep reaches it, and no sweep shares it with another."""
+        points = itertools.product(*(self.axis_samples(a) for a in range(self.n)))
+        while chunk := list(itertools.islice(points, CHUNK)):
+            yield chunk, _batch_point(chunk)
 
     def with_exclusion(self, pred):
         old = self.exclusion
@@ -365,27 +368,6 @@ class Points(tuple):
 
     def chunks(self):
         yield list(self), _batch_point(self)
-
-
-@functools.lru_cache(maxsize=1)
-def _chunk(box, samples_per_axis, start, size):
-    """Grid points start, start + 1, ... of the grid with this box, at most size of them.
-
-    The last chunk made is kept, so passes over grids with the same box and
-    samples (a masked grid, say) hand the fields the same batch point, and a
-    grid of one chunk is evaluated once for all its passes.
-    """
-    grid = GridSpec(box, samples_per_axis)
-    axes = [grid.axis_samples(a) for a in range(grid.n)]
-    stop = min(start + size, samples_per_axis ** grid.n)
-    points = []
-    for k in range(start, stop):
-        digits = []
-        for _ in axes:
-            k, d = divmod(k, samples_per_axis)
-            digits.append(d)
-        points.append(tuple(axis[d] for axis, d in zip(axes, reversed(digits))))
-    return points, _batch_point(points)
 
 
 @dataclass(frozen=True)
@@ -409,26 +391,32 @@ class ResidualReport:
 
 
 def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> list:
-    """Reports of several pointwise residuals from one pass over the grid or the points.
+    """Reports of several pointwise residuals from one sweep of the grid or the points.
 
-    `checks` lists (residual_at, what) pairs in report order. residual_at(p)
-    returns (residual, scale): the residual as a number or multivector, and
-    the size at p that the tolerance scales with (usually the norm of the
-    identity's left-hand side); without tol, tol = eps * (1 + max scale),
-    which is invariant under rescaling the inputs. `what` names a
-    precondition, or is None. The outcome is that of one sweep per check in
-    list order: an exception from check i is held and stops checks i and
-    later; then each check in turn raises it, else PreconditionError for a
-    failed precondition, else gives its report.
+    `checks` lists (residual_at, what) pairs, or (residual_at, what, exclusion)
+    triples, in report order. residual_at(p) returns (residual, scale): the
+    residual as a number or multivector, and the size at p that the tolerance
+    scales with (usually the norm of the identity's left-hand side); without
+    tol, tol = eps * (1 + max scale), which is invariant under rescaling the
+    inputs. `what` names a precondition, or is None. `exclusion`, a predicate
+    point -> bool (True = skip), masks the check's points on top of the grid's
+    own exclusion, which holds for every check. The outcome is that of one
+    sweep per check in list order, each over its own masked grid: an exception
+    from check i, or from its predicate, is held and stops checks i and later;
+    then each check in turn raises it, else FieldError if it kept no point,
+    else PreconditionError for a failed precondition, else gives its report.
 
     A grid is evaluated CHUNK points at a time and Points as one chunk, each
-    chunk as one point of Batch coordinates. A chunk in which anything raises,
-    or in which a kept point has a non-finite residual or scale, is evaluated
-    again one point at a time, so the outcome is that of a sweep point by point.
+    chunk as one point of Batch coordinates. A check on which anything raises
+    in a chunk, or whose residual or scale is non-finite at a kept point, is
+    evaluated on the chunk again one point at a time, so the outcome is that of
+    a sweep point by point. That replay skips the checks that succeeded: a
+    check never raises on the points where its chunk did not, and a check after
+    one that raises is stopped, so its samples are never reported.
     """
-    stats = [[0.0, 0.0, None, 0.0] for _ in checks]  # sup, sum of squares, worst point, scale
+    masks = [check[2] if len(check) > 2 else None for check in checks]
+    stats = [[0.0, 0.0, None, 0.0, 0] for _ in checks]  # sup, sum of squares, worst point, scale, samples
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
-    count = 0
 
     def take(i, p, v, s):
         st = stats[i]
@@ -438,32 +426,32 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
             st[0], st[2] = v, p
         st[1] += v * v
         st[3] = max(st[3], s)
+        st[4] += 1
 
     for points, batch_point in grid.chunks():
-        kept, outcomes = _chunk_outcomes(checks[:live], grid.exclusion, points, batch_point)
-        if kept is not None:
-            count += len(kept)
-            for i, (vs, ss) in enumerate(outcomes):
-                for k in kept:
-                    take(i, points[k], vs[k], ss[k])
-            continue
-        for p in points:  # the chunk again, one point at a time
+        outcomes = _chunk_outcomes(checks[:live], masks, grid.exclusion, points, batch_point)
+        for i, outcome in enumerate(outcomes):
+            for k, v, s in zip(*outcome) if outcome else ():
+                take(i, points[k], v, s)
+        again = [i for i, outcome in enumerate(outcomes) if outcome is None]  # one point at a time
+        for p in points:
+            again = [i for i in again if i < live]
+            if not again:  # no check is left to replay, so no sweep would run a predicate further
+                break
             if grid.exclusion is not None and grid.exclusion(p):
                 continue
-            count += 1
-            for i in range(live):
+            for i in again:
                 try:
-                    r, s = checks[i][0](p)
-                    take(i, p, _norm(r), s)
+                    if masks[i] is None or not masks[i](p):
+                        r, s = checks[i][0](p)
+                        take(i, p, _norm(r), s)
                 except Exception as err:
                     errors[i], live = err, i
                     break
-            if not live:  # every check stopped, so no sweep would run the exclusion predicate further
-                break
         if not live:
             break
     reports = []
-    for (_, what), err, (sup, sumsq, worst, scale) in zip(checks, errors, stats):
+    for check, err, (sup, sumsq, worst, scale, count) in zip(checks, errors, stats):
         if err is not None:
             raise err
         if count == 0:
@@ -472,35 +460,42 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
         # sup is finite only if every sample was: an infinite one fails even an infinite tolerance
         report = ResidualReport(sup, math.sqrt(sumsq / count), worst, count, tolerance,
                                 math.isfinite(sup) and sup <= tolerance)
-        if what is not None and not report.passed:
-            raise PreconditionError(f"{what} (sup {report.sup_norm:.3g})", report)
+        if check[1] is not None and not report.passed:
+            raise PreconditionError(f"{check[1]} (sup {report.sup_norm:.3g})", report)
         reports.append(report)
     return reports
 
 
-def _chunk_outcomes(checks, exclusion, points, batch_point):
-    """(indices of the kept points, [(residual norms, scales) of each check]) on a chunk,
-    or (None, None) where anything raises or a kept point has a non-finite residual or
-    scale: the caller then evaluates the chunk again one point at a time."""
+def _chunk_outcomes(checks, masks, exclusion, points, batch_point):
+    """(indices of the points it keeps, residual norms and scales there) of each check on a
+    chunk, or None where anything raises or a value is not finite: the caller evaluates those
+    checks again one point at a time. A check is evaluated at the points it keeps only, as point
+    by point, so a point masked as singular fails nothing; equal subsets share one batch point."""
     size = len(points)
 
-    def each(x):
-        """x at each point of the chunk: a number is the same at every point."""
-        return x if type(x) in (Batch, Flags) else [x] * size
+    def each(x, count):
+        """x at each of count points: a number is the same at every point."""
+        return x if type(x) in (Batch, Flags) else [x] * count
 
     try:
-        skip = each(exclusion(batch_point)) if exclusion is not None else [False] * size
-        kept = [k for k in range(size) if not skip[k]]
-        outcomes = []
-        for residual_at, _ in checks:
-            r, s = residual_at(batch_point)
-            vs, ss = each(_norm(r)), each(s)
-            if not all(math.isfinite(vs[k]) and math.isfinite(ss[k]) for k in kept):
-                return None, None
-            outcomes.append((vs, ss))
+        skip = each(exclusion(batch_point), size) if exclusion is not None else [False] * size
     except Exception:
-        return None, None
-    return kept, outcomes
+        return [None] * len(checks)
+    subsets = {tuple(range(size)): batch_point}
+    outcomes = []
+    for check, mask in zip(checks, masks):
+        try:
+            own = each(mask(batch_point), size) if mask is not None else skip
+            kept = tuple(k for k in range(size) if not (skip[k] or own[k]))
+            if kept and kept not in subsets:
+                subsets[kept] = _batch_point([points[k] for k in kept])
+            r, s = check[0](subsets[kept]) if kept else (0.0, 0.0)  # no point, no value to take
+            vs, ss = each(_norm(r), len(kept)), each(s, len(kept))
+            finite = all(map(math.isfinite, vs)) and all(map(math.isfinite, ss))
+        except Exception:
+            finite = False
+        outcomes.append((kept, vs, ss) if finite else None)
+    return outcomes
 
 
 def _norm(r):

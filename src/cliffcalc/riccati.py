@@ -283,9 +283,9 @@ def _gradient_checks(phi1, phi2, potential):
              f"{name} does not solve the target equation") for name, phi in (("D(phi1)", phi1), ("D(phi2)", phi2))]
 
 
-def _blend(phi1, phi2, K, potential, grid: GridSpec):
+def _blend(phi1, phi2, K, potential):
     """The blend f = (alpha D(phi1) - D(phi2))/(alpha - 1), alpha = K exp(phi1 - phi2),
-    for one K, and the grid with the alpha = 1 locus masked."""
+    for one K, and the predicate that masks the alpha = 1 locus."""
     K = complex(K)
     d1, d2 = phi1.dirac, phi2.dirac  # the nodes _gradient_checks reads too
 
@@ -295,7 +295,6 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec):
         return Multivector.scalar(a.n, (scalar_of(a) - scalar_of(b)).exp() * K)
 
     alpha = DerivedField(alpha_of, (phi1, 0), (phi2, 0))
-    masked = grid.with_exclusion(lambda p: abs(scalar_of(alpha.value(p)) - 1.0) < DEFAULT_DENOM_RADIUS)
 
     def blend(g1, g2, aj):
         a = scalar_of(aj)
@@ -303,7 +302,8 @@ def _blend(phi1, phi2, K, potential, grid: GridSpec):
         num = g1.map_coeffs(lambda t: a * t) - g2
         return num.map_coeffs(lambda t: t * inv)
 
-    return RiccatiCandidate(DerivedField(blend, (d1, 0), (d2, 0), (alpha, 0)), potential, "euler_combine"), masked
+    return (RiccatiCandidate(DerivedField(blend, (d1, 0), (d2, 0), (alpha, 0)), potential, "euler_combine"),
+            lambda p: abs(scalar_of(alpha.value(p)) - 1.0) < DEFAULT_DENOM_RADIUS)
 
 
 def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, eps=EPS_EXACT):
@@ -312,9 +312,9 @@ def euler_combine(phi1, phi2, K, potential: MultivectorField, grid: GridSpec, ep
     With alpha = K exp(phi1 - phi2), f = (alpha D(phi1) - D(phi2))/(alpha - 1)
     solves the same equation away from the alpha = 1 locus, which is masked.
     """
-    candidate, masked = _blend(phi1, phi2, K, potential, grid)
+    candidate, mask = _blend(phi1, phi2, K, potential)
     *_, report = grid_residuals(_gradient_checks(phi1, phi2, potential) + [(riccati_check(candidate), None)],
-                                masked, eps=eps)
+                                grid.with_exclusion(mask), eps=eps)
     return candidate, report
 
 
@@ -341,16 +341,17 @@ def combination_family_gap(n: int, grid: GridSpec, K_samples, margin=0.1,
     e3 = RiccatiCandidate(ConstantField(Multivector.basis(n, 3)), minus_one, "constant")
     phi1 = ExprField.scalar(n, "x1")
     phi2 = ExprField.scalar(n, "x2")
-    # the unmasked grid holds every per-K masked grid, so one check covers all K; the
-    # checks, kept to the end, hold D(phi1) and D(phi2), whose jets every K's blend reads
-    base_checks = [(riccati_check(e3), None)] + _gradient_checks(phi1, phi2, minus_one)
-    base_report, *_ = grid_residuals(base_checks, grid, eps=eps)
+    # the unmasked grid holds every per-K masked grid, so one check covers all K; each K's
+    # distance is a check under its own mask in the same sweep, so where the mask keeps a whole
+    # chunk its blend reads the jets of D(phi1) and D(phi2) that the gradient checks computed
+    checks = [(riccati_check(e3), None)] + _gradient_checks(phi1, phi2, minus_one)
     target = Multivector.basis(n, 3)
-    distances = {}
+    K_samples = [complex(K) for K in K_samples]
     for K in K_samples:
-        candidate, masked = _blend(phi1, phi2, K, minus_one, grid)
-        distances[complex(K)] = grid_residual(
-            lambda p: ((candidate.f.value(p) - target).norm(), 0.0), masked).sup_norm
+        candidate, mask = _blend(phi1, phi2, K, minus_one)
+        checks.append((lambda p, f=candidate.f: ((f.value(p) - target).norm(), 0.0), None, mask))
+    base_report, _, _, *reports = grid_residuals(checks, grid, eps=eps)
+    distances = {K: report.sup_norm for K, report in zip(K_samples, reports)}
     min_gap = min(distances.values())
     passed = base_report.passed and min_gap >= margin
     return FamilyGapResult(base_report, distances, margin, passed, min_gap)

@@ -10,6 +10,8 @@ For each gate config this writes the exit code, the JSON report without
   seeds 1, 2 and 77;
 - the grid-riccati cases at 11 samples per axis (1,331 points) and the
   grid-darboux case at 7 (2,401 points), grids of more than one chunk;
+- the family-gap and euler-combine golden configs at 11 samples per axis
+  (1,331 points), with a K whose mask excludes points in every chunk;
 - verify-identities at n = 2..7 with 10 rounds, at seeds 1, 2, 7 and 77.
 
 Run it in two checkouts and diff the two files: a change that keeps the
@@ -20,7 +22,7 @@ import json
 import sys
 from pathlib import Path
 
-from test_golden_reports import CASES, run_case
+from test_golden_reports import CASES, GOLDEN, run_case
 
 # perfbench is not a package: its case builder is imported from its directory, and imports nothing of cliffcalc
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -28,6 +30,10 @@ import workloads  # noqa: E402
 
 # grids of many chunks (1,331 and 2,401 points)
 LARGE = {"grid-riccati": 11, "grid-darboux": 7}
+# golden configs on grids of many chunks (1,331 points), with K = exp(0.2): the masked locus
+# alpha = K exp(x1 - x2) = 1, x2 = x1 + 0.2, holds grid points in every chunk
+LARGE_K = 1.2214027581601699
+LARGE_GOLDEN = {"family-gap": ("K_samples", [2.0, [-3.0, 1.0], LARGE_K]), "euler-combine": ("K", LARGE_K)}
 
 
 def gate_cases():
@@ -43,6 +49,9 @@ def gate_cases():
     for workload, samples in LARGE.items():
         for case in workloads.build(workload, 1, {workload: samples}):
             yield f"bench/{workload}/LARGE/{case.label}", case.command, case.config
+    for name, (key, K) in LARGE_GOLDEN.items():
+        case = json.loads((GOLDEN / f"{name}.json").read_text())
+        yield f"golden/{name}/LARGE", case["command"], {**case["config"], key: K, "grid": {"samples_per_axis": 11}}
     for n in range(2, 8):
         for seed in (1, 2, 7, 77):
             yield f"identities/n{n}/seed{seed}", "verify-identities", {"n": n, "rounds": 10, "seed": seed}

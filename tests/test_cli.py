@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,8 @@ from cliffcalc.expr import Tape
 from cliffcalc.fields import ConstantField, GridSpec, MultivectorField, ResidualReport
 from cliffcalc.kernel import DecompositionResult
 from test_golden_reports import CASES as GOLDEN_CASES, run_case
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(capsys, *argv):
@@ -278,12 +282,18 @@ def test_complex_value_forms_agree(tmp_path, capsys, command, base, key, forms):
     ("darboux", DARBOUX_CFG, "lambda", "1"),
     ("darboux", DARBOUX_CFG, "lambda", [1.0, False]),
     ("family-gap", {"n": 3, "grid": {"samples_per_axis": 3}}, "K_samples", []),
+    # an object with a key besides re and im
+    ("family-gap", {"n": 3, "grid": {"samples_per_axis": 3}}, "K_samples", [{"a": 1}]),
+    ("euler-combine", EULER_CFG, "K", {"re": 2.0, "img": 0.5}),
 ])
 def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base, key, value):
     cfg = write_config(tmp_path, "c.json", {**base, key: value})
     code, out, err = run_cli(capsys, command, "--config", cfg)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    stray = [k for item in (value if isinstance(value, list) else [value]) if isinstance(item, dict)
+             for k in item if k not in ("re", "im")]
+    assert all(repr(k) in err for k in stray), err
 
 
 @pytest.mark.parametrize("command, config", [
@@ -620,22 +630,22 @@ def test_each_shared_term_is_computed_once_per_sample(tmp_path, capsys, monkeypa
 
 # (Tape.run, mv_dirac, _factor_jet) calls of one invocation on each golden config: ceilings that a
 # change may lower but not raise. _factor_jet is the last step of every factor D +/- M^f applied,
-# D g +/- g f. A call on a chunk of grid points counts once; the grids of 64 points are two
-# chunks, the others one. euler-combine, euler-shift and family-gap evaluate each
-# field once per chunk, their mask predicates and family-gap's passes for each K included.
+# D g +/- g f. A call on a chunk of grid points counts once; every golden grid (at most 64
+# points) is one chunk. euler-combine, euler-shift and family-gap evaluate each field once
+# per chunk, their mask predicates and family-gap's distance for each K included.
 # verify-identities evaluates the points of each random field of its Leibniz rules and closed
 # forms together, so a call there also covers several points.
 GOLDEN_CALLS = {
     "darboux": (2, 3, 3),
     "darboux-bivector": (2, 2, 1),
-    "darboux-bivector-nonconstant-f": (4, 4, 2),
+    "darboux-bivector-nonconstant-f": (2, 2, 1),
     "darboux-bivector-precondition": (2, 2, 1),
     "darboux-kvector": (2, 2, 1),
     "darboux-vector": (3, 2, 1),
-    "darboux-vector-nonconstant-f": (6, 4, 2),
+    "darboux-vector-nonconstant-f": (3, 2, 1),
     "decompose": (8, 6, 5),
     "decompose-dual": (7, 6, 5),
-    "decompose-nonconstant-f": (11, 11, 9),
+    "decompose-nonconstant-f": (8, 6, 5),
     "decompose-precondition": (6, 5, 4),
     "euler-combine": (3, 5, 0),
     "euler-shift": (3, 3, 0),
@@ -647,7 +657,10 @@ GOLDEN_CALLS = {
 
 
 def test_family_gap_reads_its_gradient_inputs_once_per_point(monkeypatch):
-    # every K's pass reuses the jets of phi1 = x1 and phi2 = x2 that the base pass computed
+    # every K's distance reads the jets of phi1 = x1 and phi2 = x2 that the gradient checks
+    # computed, in the same sweep: on the golden grid (27 points, one chunk) and at 6 samples
+    # per axis (216 points, two chunks), where a pass per K, each making its chunks anew,
+    # covered 648 points, 3 passes x 216
     covered = {}
     original = Tape.run
 
@@ -658,8 +671,30 @@ def test_family_gap_reads_its_gradient_inputs_once_per_point(monkeypatch):
 
     monkeypatch.setattr(Tape, "run", counting)
     case = json.loads((GOLDEN_CASES[0].parent / "family-gap.json").read_text())
-    assert run_case(case)["exit_code"] == case["exit_code"] == 0
-    assert covered[(("x", 0, None),)] == covered[(("x", 1, None),)] == 27
+    for samples in (3, 6):
+        covered.clear()
+        case["config"]["grid"]["samples_per_axis"] = samples
+        assert run_case(case)["exit_code"] == case["exit_code"] == 0
+        assert covered[(("x", 0, None),)] == covered[(("x", 1, None),)] == samples ** 3
+
+
+def test_benchmark_grid_is_one_chunk(monkeypatch):
+    # the grid-darboux benchmark config at FULL size: 3 samples per axis in 4 dimensions
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    case, = workloads.build("grid-darboux", 1, workloads.FULL)
+    runs = []
+    original = Tape.run
+
+    def counting(self, slots, p, order):
+        runs.append(points_in(p))
+        return original(self, slots, p, order)
+
+    monkeypatch.setattr(Tape, "run", counting)
+    assert run_case({"command": case.command, "config": case.config})["exit_code"] == 0
+    assert runs and all(points == 81 for points in runs)
 
 
 def test_verify_identities_reads_each_field_once_per_drawn_point(monkeypatch):

@@ -352,13 +352,17 @@ def _outcome(checks, grid, chunk):
             return type(err).__name__, str(err)
 
 
-def _random_checks(seed, n, products):
+def _random_checks(seed, n, products, mask=None):
     """Checks over random expression fields: a Laplacian, a Riccati residual and a
     composition of factorized operators, each built anew so no jet is cached, and
     with `products` the Laplacian of a product of two random sums as well.
 
     The fields are the suites' random fields, sums of monomials and of exp, sin
-    and cos of one variable."""
+    and cos of one variable. `mask` gives the Riccati check, between two unmasked
+    checks, a predicate of its own: "near" masks the points with x_n near 0.3, and
+    "raising" a predicate that raises from x1 = 0.6 on. "raising twice" also gives
+    the first check one that raises from x1 = 0.9 on: the Riccati check's raise
+    must not stop it, so its own raise decides."""
     rng = random.Random(seed)
     phi = random_scalar_field(rng, n)
     f = random_mv_field(rng, n, grades={1})
@@ -367,26 +371,57 @@ def _random_checks(seed, n, products):
     checks = [(harmonic_check(phi), None),
               (riccati_check(RiccatiCandidate(f, phi)), None),
               (eigen_check(composed, g, 0.7), None)]
+    if mask == "near":
+        checks[1] += (lambda p: abs(p[-1] - 0.3) < 0.3,)
+    elif mask in ("raising", "raising twice"):
+        checks[1] += (_log_mask(n, 0.6),)
+    if mask == "raising twice":
+        checks[0] += (_log_mask(n, 0.9),)
     if products:
         product = "*".join(f"({random_expr_str(rng, n)})" for _ in range(2))
         checks.append((harmonic_check(ExprField.scalar(n, product)), None))
     return checks
 
 
+def _log_mask(n, at):
+    """A predicate that masks at - 1/e < x1 < at, through log(at - x1) < -1, and raises
+    from x1 = at on, where the log leaves its domain."""
+    log = ExprField.scalar(n, f"log({at} - x1)")
+    return lambda p: scalar_of(log.value(p)).real < -1.0
+
+
+def _separate_sweeps(checks, grid):
+    """The outcome of one sweep per check, in order, each over the grid with its own mask
+    added: the first exception, or the reports, bit for bit."""
+    try:
+        return [repr(grid_residual(residual_at, grid.with_exclusion(mask[0]) if mask else grid))
+                for residual_at, _, *mask in checks]
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
 # seed 259: the jet coefficients of a product of two sums vanish at the point x1 = 0 only; a
-# chunk's jets hold each point's keys in its order because jets keep their exact zeros
+# chunk's jets hold each point's keys in its order because jets keep their exact zeros. The
+# other examples mask a check beside unmasked ones on a masked grid of 6 chunks, and raise
+# from a check's predicate partway through a chunk of 7 (x1 = 0.6 at point 24 of 36) and
+# of 128 (x1 = 0.7 at point 144 of 216)
 @pytest.mark.parametrize("products", [False, True])
-@settings(max_examples=25, deadline=None)
-@example(seed=259, n=1, samples=5, lo=0.0, chunk=1024, masked=False)
+@settings(max_examples=30, deadline=None)
+@example(seed=259, n=1, samples=5, lo=0.0, chunk=1024, masked=False, mask=None)
+@example(seed=5, n=2, samples=6, lo=-1.0, chunk=7, masked=True, mask="near")
+@example(seed=5, n=2, samples=6, lo=-1.0, chunk=7, masked=False, mask="raising")
+@example(seed=5, n=3, samples=6, lo=-0.5, chunk=128, masked=True, mask="raising twice")
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), samples=st.integers(2, 6),
-       lo=st.sampled_from([-1.0, -0.5, 0.0]), chunk=st.sampled_from([7, 1024]), masked=st.booleans())
-def test_chunked_reports_equal_chunk_of_one_reports(products, seed, n, samples, lo, chunk, masked):
+       lo=st.sampled_from([-1.0, -0.5, 0.0]), chunk=st.sampled_from([7, 128, 1024]), masked=st.booleans(),
+       mask=st.sampled_from([None, "near", "raising", "raising twice"]))
+def test_chunked_reports_equal_chunk_of_one_reports(products, seed, n, samples, lo, chunk, masked, mask):
     def grid():
         g = GridSpec(tuple((lo, 1.0) for _ in range(n)), samples)
         return g.with_exclusion(lambda p: p[0] * p[0] < 0.1) if masked else g
 
-    assert (_outcome(_random_checks(seed, n, products), grid(), chunk)
-            == _outcome(_random_checks(seed, n, products), grid(), 1))
+    outcome = _outcome(_random_checks(seed, n, products, mask), grid(), chunk)
+    assert outcome == _outcome(_random_checks(seed, n, products, mask), grid(), 1)
+    assert outcome == _separate_sweeps(_random_checks(seed, n, products, mask), grid())
 
 
 def test_worst_point_tie_across_a_chunk_boundary():
@@ -416,6 +451,31 @@ def test_masked_point_inside_a_chunk():
     # x1 = -0.25, 0 and 0.25 (indices 3 to 5) are masked, inside the first chunk of 7
     assert grid_residuals(check, grid)[0].samples_used == 6
     assert _outcome(check, grid, 7) == _outcome(check, grid, 1)
+
+
+def test_a_point_masked_for_being_singular_leaves_its_chunk_one_batch(monkeypatch):
+    # 1/x1 has no value at x1 = 0, which the first check masks: it is evaluated once, at the 6
+    # points it keeps, as one batch point. The second check raises at x1 = 1; it alone is
+    # evaluated again, one point at a time
+    runs = {}
+    original = Tape.run
+
+    def counting(self, slots, p, order):
+        runs.setdefault(self, []).append(points_in(p))
+        return original(self, slots, p, order)
+
+    monkeypatch.setattr(Tape, "run", counting)
+    inverse, log = ExprField.scalar(1, "1/x1"), ExprField.scalar(1, "log(0.9 - x1)")
+    checks = [(lambda p: (inverse.value(p), 1.0), None, lambda p: abs(p[0]) < 0.3),
+              (lambda p: (log.value(p), 1.0), None)]
+    grid = GridSpec.cube(1, samples_per_axis=9)
+    report, = grid_residuals(checks[:1], grid)
+    assert report.samples_used == 6 and report.sup_norm == 2.0
+    assert _outcome(checks[:1], grid, 7) == _outcome(checks[:1], grid, 1) == [repr(report)]
+    runs.clear()
+    with pytest.raises(ExprDomainError):
+        grid_residuals(checks, grid)
+    assert runs[inverse.tape] == [6] and runs[log.tape] == [9] + [1] * 9
 
 
 @pytest.mark.parametrize("f", [
