@@ -76,6 +76,12 @@ def _optional(config, key, kind, default):
     return _require(config, key, kind) if key in config else default
 
 
+def _positive(value, key):
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
+    return value
+
+
 def _complex(raw, what) -> complex:
     """A number, [re, im] or {"re": re, "im": im} as a complex number."""
     if isinstance(raw, dict):
@@ -107,10 +113,8 @@ class _Config:
         return _optional(self.raw, key, kind, default)
 
     def eps(self, default=EPS_EXACT):
-        eps = self.args.tol if self.args.tol is not None else self.optional("tolerance", NUMBER, default)
-        if not (math.isfinite(eps) and eps > 0):
-            raise ConfigError(f"tolerance must be a finite positive number, got {eps!r}")
-        return eps
+        return _positive(self.args.tol if self.args.tol is not None else self.optional("tolerance", NUMBER, default),
+                         "tolerance")
 
     def number_list(self, key):
         """An optional list of n finite numbers, all zero by default."""
@@ -235,7 +239,7 @@ def _cmd_family_gap(c):
     K_samples = [_complex(s, "K_samples entry") for s in c.require("K_samples", list)]
     if not K_samples:
         raise ConfigError("config key 'K_samples' must be a non-empty list")
-    margin = c.optional("margin", NUMBER, 0.1)
+    margin = _positive(c.optional("margin", NUMBER, 0.1), "margin")
     grid = c.grid()
     if c.n < 3:
         raise ConfigError("family-gap needs n >= 3")

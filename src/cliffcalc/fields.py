@@ -14,8 +14,10 @@ A point is a tuple of coordinates. grid_residuals also hands the fields a
 chunk of points as one point whose coordinates are Batches (batch.py), and
 the same code then computes every point of the chunk at once. It sweeps a
 GridSpec, CHUNK points at a time, or a few Points as one chunk, such as the
-random points of the identity suite, once for all the checks of a command:
-a check that needs a masked grid carries its own exclusion predicate.
+random points of the identity suite, once for all the checks of a command.
+Each check reads one exclusion chain: the grid's predicates, then its own
+predicate if it has one, each read only where the ones before it keep a
+point, alike on a chunk and at a single point.
 """
 
 from __future__ import annotations
@@ -308,9 +310,13 @@ def kvector_leibniz_residual(gk: MultivectorField, f: MultivectorField, k: int, 
 
 @dataclass(frozen=True)
 class GridSpec:
+    """samples_per_axis evenly spaced samples on each axis of a box, swept in
+    itertools.product order. `exclusion` is a tuple of predicates point -> bool
+    (True = skip): the head of every check's exclusion chain in grid_residuals."""
+
     box: tuple
     samples_per_axis: int = 11
-    exclusion: object = None  # optional predicate point -> bool (True = skip)
+    exclusion: tuple = ()
 
     def __post_init__(self):
         if not self.box:
@@ -336,13 +342,6 @@ class GridSpec:
         s = self.samples_per_axis
         return [lo + (hi - lo) * i / (s - 1) for i in range(s)]
 
-    def points(self):
-        axes = [self.axis_samples(a) for a in range(self.n)]
-        for p in itertools.product(*axes):
-            if self.exclusion is not None and self.exclusion(p):
-                continue
-            yield p
-
     def chunks(self):
         """(points, batch point) for each run of CHUNK grid points in order, excluded ones
         included; the batch point is the tuple of the points' coordinates as Batches. Each
@@ -352,9 +351,8 @@ class GridSpec:
             yield chunk, _batch_point(chunk)
 
     def with_exclusion(self, pred):
-        old = self.exclusion
-        combined = pred if old is None else (lambda p: old(p) or pred(p))
-        return GridSpec(self.box, self.samples_per_axis, combined)
+        """The grid with pred appended to its exclusion, read where the earlier predicates keep a point."""
+        return GridSpec(self.box, self.samples_per_axis, self.exclusion + (pred,))
 
     @classmethod
     def cube(cls, n, lo=-1.0, hi=1.0, samples_per_axis=11):
@@ -364,7 +362,7 @@ class GridSpec:
 class Points(tuple):
     """A few points that grid_residuals sweeps as one chunk, in their order."""
 
-    exclusion = None
+    exclusion = ()
 
     def chunks(self):
         yield list(self), _batch_point(self)
@@ -398,56 +396,54 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
     residual as a number or multivector, and the size at p that the tolerance
     scales with (usually the norm of the identity's left-hand side); without
     tol, tol = eps * (1 + max scale), which is invariant under rescaling the
-    inputs. `what` names a precondition, or is None. `exclusion`, a predicate
-    point -> bool (True = skip), masks the check's points on top of the grid's
-    own exclusion, which holds for every check. The outcome is that of one
-    sweep per check in list order, each over its own masked grid: an exception
-    from check i, or from its predicate, is held and stops checks i and later;
+    inputs. `what` names a precondition, or is None. A check's exclusion chain
+    is the grid's predicates followed by its own `exclusion`, if it has one:
+    predicates point -> bool (True = skip), each read only at the points that
+    the ones before it keep. The outcome is that of one sweep per check in list
+    order, each point by point through its own chain: an exception from check
+    i, or from a predicate of its chain, is held and stops checks i and later;
     then each check in turn raises it, else FieldError if it kept no point,
     else PreconditionError for a failed precondition, else gives its report.
 
     A grid is evaluated CHUNK points at a time and Points as one chunk, each
-    chunk as one point of Batch coordinates. A check on which anything raises
-    in a chunk, or whose residual or scale is non-finite at a kept point, is
-    evaluated on the chunk again one point at a time, so the outcome is that of
-    a sweep point by point. That replay skips the checks that succeeded: a
-    check never raises on the points where its chunk did not, and a check after
-    one that raises is stopped, so its samples are never reported.
+    chunk as one point of Batch coordinates (_outcomes). A check on which
+    anything raises in a chunk, or whose residual or scale is non-finite at a
+    kept point, is replayed through the same routine one plain point at a
+    time, so the outcome is that of a sweep point by point. The replay skips
+    the checks that succeeded: a check never raises on the points where its
+    chunk did not, and a check after one that raises is stopped, so its
+    samples are never reported.
     """
-    masks = [check[2] if len(check) > 2 else None for check in checks]
     stats = [[0.0, 0.0, None, 0.0, 0] for _ in checks]  # sup, sum of squares, worst point, scale, samples
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
 
-    def take(i, p, v, s):
+    def take(i, points, kept, vs, ss):
         st = stats[i]
-        # NaN compares false with everything: take it as the worst sample
-        # explicitly, or it would never reach sup and the check would pass
-        if v >= st[0] or math.isnan(v):
-            st[0], st[2] = v, p
-        st[1] += v * v
-        st[3] = max(st[3], s)
-        st[4] += 1
+        for k, v, s in zip(kept, vs, ss):
+            # NaN compares false with everything: take it as the worst sample
+            # explicitly, or it would never reach sup and the check would pass
+            if v >= st[0] or math.isnan(v):
+                st[0], st[2] = v, points[k]
+            st[1] += v * v
+            st[3] = max(st[3], s)
+            st[4] += 1
 
     for points, batch_point in grid.chunks():
-        outcomes = _chunk_outcomes(checks[:live], masks, grid.exclusion, points, batch_point)
-        for i, outcome in enumerate(outcomes):
-            for k, v, s in zip(*outcome) if outcome else ():
-                take(i, points[k], v, s)
-        again = [i for i, outcome in enumerate(outcomes) if outcome is None]  # one point at a time
+        again = []  # the checks to replay one point at a time
+        for i, outcome in enumerate(_outcomes(checks[:live], grid.exclusion, points, batch_point)):
+            if isinstance(outcome, Exception) or not all(map(math.isfinite, itertools.chain(*outcome[1:]))):
+                again.append(i)
+            else:
+                take(i, points, *outcome)
         for p in points:
             again = [i for i in again if i < live]
             if not again:  # no check is left to replay, so no sweep would run a predicate further
                 break
-            if grid.exclusion is not None and grid.exclusion(p):
-                continue
-            for i in again:
-                try:
-                    if masks[i] is None or not masks[i](p):
-                        r, s = checks[i][0](p)
-                        take(i, p, _norm(r), s)
-                except Exception as err:
-                    errors[i], live = err, i
+            for i, outcome in zip(again, _outcomes([checks[i] for i in again], grid.exclusion, [p], p)):
+                if isinstance(outcome, Exception):
+                    errors[i], live = outcome, i
                     break
+                take(i, [p], *outcome)
         if not live:
             break
     reports = []
@@ -466,35 +462,39 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
     return reports
 
 
-def _chunk_outcomes(checks, masks, exclusion, points, batch_point):
-    """(indices of the points it keeps, residual norms and scales there) of each check on a
-    chunk, or None where anything raises or a value is not finite: the caller evaluates those
-    checks again one point at a time. A check is evaluated at the points it keeps only, as point
-    by point, so a point masked as singular fails nothing; equal subsets share one batch point."""
-    size = len(points)
+def _outcomes(checks, exclusion, points, batch_point):
+    """Each check's outcome on points given as one batch point, a chunk or a single plain point:
+    (indices of the points its exclusion chain keeps, residual norms there, scales there), or
+    the exception that the check or a predicate of its chain raised. The chain is the grid's
+    exclusion followed by the check's own predicate; each predicate, and then the check, is
+    read at the points that the chain before it keeps, as one batch point that checks keeping
+    the same points share, so a point masked as singular fails nothing."""
+    every = tuple(range(len(points)))
+    subsets, reads = {every: batch_point}, {}
 
     def each(x, count):
         """x at each of count points: a number is the same at every point."""
         return x if type(x) in (Batch, Flags) else [x] * count
 
-    try:
-        skip = each(exclusion(batch_point), size) if exclusion is not None else [False] * size
-    except Exception:
-        return [None] * len(checks)
-    subsets = {tuple(range(size)): batch_point}
+    def at(kept):
+        if kept not in subsets:
+            subsets[kept] = _batch_point([points[k] for k in kept])
+        return subsets[kept]
+
+    def keep(kept, pred):
+        """The points of kept that pred keeps, read once for all the checks and not where no point is left."""
+        if kept and (pred, kept) not in reads:
+            reads[pred, kept] = tuple(k for k, skip in zip(kept, each(pred(at(kept)), len(kept))) if not skip)
+        return reads[pred, kept] if kept else kept
+
     outcomes = []
-    for check, mask in zip(checks, masks):
+    for check in checks:
         try:
-            own = each(mask(batch_point), size) if mask is not None else skip
-            kept = tuple(k for k in range(size) if not (skip[k] or own[k]))
-            if kept and kept not in subsets:
-                subsets[kept] = _batch_point([points[k] for k in kept])
-            r, s = check[0](subsets[kept]) if kept else (0.0, 0.0)  # no point, no value to take
-            vs, ss = each(_norm(r), len(kept)), each(s, len(kept))
-            finite = all(map(math.isfinite, vs)) and all(map(math.isfinite, ss))
-        except Exception:
-            finite = False
-        outcomes.append((kept, vs, ss) if finite else None)
+            kept = functools.reduce(keep, exclusion + check[2:], every)
+            r, s = check[0](at(kept)) if kept else (0.0, 0.0)  # no point, no value to take
+            outcomes.append((kept, each(_norm(r), len(kept)), each(s, len(kept))))
+        except Exception as err:
+            outcomes.append(err)
     return outcomes
 
 

@@ -56,10 +56,6 @@ class PseudoscalarMode:
         base = pseudoscalar(self.n) if self.kind == "full_pseudoscalar" else Multivector.basis(self.n, self.n)
         return 1j * base
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.n) - 1 if self.kind == "full_pseudoscalar" else 1 << (self.n - 1)
-
 
 def default_mode(n: int) -> PseudoscalarMode:
     return PseudoscalarMode("full_pseudoscalar" if n % 4 == 2 else "last_axis", n)
@@ -158,7 +154,9 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     try:
         mode_check(mode, f, [tuple(lo for lo, _ in grid.box), tuple(hi for _, hi in grid.box), grid.center])
     except Exception:
-        grid_residuals(checks, grid, eps=eps)  # a failed precondition is reported first
+        # a failed precondition is reported first; the split's checks would read A under the
+        # rejected mode, where the squared-operator check can fail before the mode is reported
+        grid_residuals(checks, grid, eps=eps)
         raise
     a_g = operator_field(f, mode, g, variant)
     half = 0.5 / lam

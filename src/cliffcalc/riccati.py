@@ -54,10 +54,6 @@ class RiccatiCandidate:
     potential: MultivectorField  # scalar-valued field
     provenance: str = "user"
 
-    @property
-    def n(self):
-        return self.f.n
-
     def to_json(self):
         if not isinstance(self.f, ExprField) or not isinstance(self.potential, ExprField):
             raise FieldError("only expression-backed candidates serialize to JSON")
@@ -160,7 +156,7 @@ class _AxisSolution:
     def _march(self, x0, f0, target, h, blowup):
         knots = [complex(f0)]
         x, y = x0, complex(f0)
-        steps = int(abs((target - x0) / h) + 1e-9)
+        steps = int(max((target - x0) / h, 0.0) + 1e-9)  # a box end behind x0 needs no step
         for _ in range(steps):
             y = self._rk4_step(x, y, h)
             x += h

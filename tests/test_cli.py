@@ -236,6 +236,18 @@ def test_separable_blowup_reported(tmp_path, capsys):
     assert 1.4 < payload["extras"]["blow_up"]["x"] < 1.7
 
 
+@pytest.mark.parametrize("x0, f0", [(1.0, -10.0), (-1.0, 10.0)])
+def test_separable_start_outside_the_box_marches_only_toward_it(tmp_path, capsys, x0, f0):
+    # v = 0: f = 1/(x1 - x0 - 1/f0) has its pole at x0 + 0.1, beyond x0 as seen from the box, and is
+    # finite on the box; the half of the axis whose end lies behind x0 takes no step toward the pole
+    cfg = write_config(tmp_path, "c.json", {"n": 1, "v_list": ["0"], "x0": [x0], "f0": [f0],
+                                            "grid": {"box": [[-0.5, 0.5]], "samples_per_axis": 5}})
+    code, out, _ = run_cli(capsys, "riccati-separable", "--config", cfg)
+    payload = load(out)
+    assert code == 0 and payload["overall_pass"] is True and "blow_up" not in payload["extras"]
+    assert payload["reports"][0]["sup_norm"] < 1e-8
+
+
 def test_family_gap_command(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "n": 3, "K_samples": [2.0, -3.0, 0.5],
@@ -325,6 +337,10 @@ def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [["-1", "1"], [-1, 1], [-1, 1]]}}),
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[True, 2], [-1, 1], [-1, 1]]}}),
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": [[-1, 10 ** 400], [-1, 1], [-1, 1]]}}),
+    ("family-gap", {"n": 3, "K_samples": [2.0], "margin": -5, "grid": {"samples_per_axis": 3}}),
+    ("family-gap", {"n": 3, "K_samples": [2.0], "margin": 0, "grid": {"samples_per_axis": 3}}),
+    ("family-gap", {"n": 3, "K_samples": [2.0], "margin": math.nan, "grid": {"samples_per_axis": 3}}),
+    ("family-gap", {"n": 3, "K_samples": [2.0], "margin": math.inf, "grid": {"samples_per_axis": 3}}),
 ])
 def test_wrong_optional_key_type_is_config_error(tmp_path, capsys, command, config):
     code, out, err = run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config))

@@ -53,7 +53,6 @@ def test_last_axis_mode():
     mode = PseudoscalarMode("last_axis", 3)
     ie = mode.element
     assert ie * ie == Multivector.scalar(3, 1 + 0j)
-    assert mode.mask == 0b100
 
 
 def test_default_mode():
