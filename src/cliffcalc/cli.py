@@ -90,8 +90,8 @@ def _complex(raw, what) -> complex:
             raise ConfigError(f"{what} has the unknown key {stray[0]!r}: an object holds only re and im")
         raw = [raw.get("re", 0.0), raw.get("im", 0.0)]
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
-    if not all(_is_a(x, NUMBER) for x in parts):
-        raise ConfigError(f"{what} must be a number, [re, im], or {{re, im}}")
+    if not all(_is_a(x, NUMBER) and math.isfinite(x) for x in parts):
+        raise ConfigError(f"{what} must be a finite number, [re, im], or {{re, im}}")
     return complex(*parts)
 
 

@@ -26,7 +26,6 @@ from .fields import (
     ResidualReport,
     grid_residuals,
     mv_grade_shift,
-    mv_laplacian,
     mv_partial,
     mv_value,
 )
@@ -184,7 +183,7 @@ def schrodinger_field(g, w, f, s):
     is not computed when s = 0. The pipelines, whose potential is scalar, pass
     its scalar part (scalar_part_field), so no empty blade of w is multiplied.
     """
-    lap = g.node("neg_laplacian", lambda: DerivedField(lambda gj: -mv_laplacian(gj), (g, 2)))
+    lap = g.neg_laplacian
     drift = [(g.node(("drift", id(f)), lambda: DerivedField(_drift, (g, 2), (f, 1))), 0)] if s else []
     return DerivedField(lambda lj, gj, wj, *dj: sum([(2.0 * s) * d for d in dj], lj + gj * wj),
                         (lap, 0), (g, 2), (w, 0), *drift)

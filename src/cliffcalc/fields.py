@@ -159,6 +159,12 @@ class MultivectorField:
         """The field self * self, one node like `dirac`."""
         return self.node("square", lambda: DerivedField(lambda fj: fj * fj, (self, 0)))
 
+    @property
+    def neg_laplacian(self) -> "MultivectorField":
+        """The field -Lap(self), one node like `dirac`; build it with the check that reads it, as
+        building it mid-sweep raises self's order and clears self's cache."""
+        return self.node("neg_laplacian", lambda: DerivedField(lambda fj: -mv_laplacian(fj), (self, 2)))
+
     def node(self, key, build):
         """The node `key` on this field, built by build() unless a consumer holds it. Nodes are
         held by weak reference: a node holds its inputs, so a strong reference back would make a
@@ -504,8 +510,9 @@ def _norm(r):
 
 
 def _batch_point(points):
-    """The point whose coordinates are the Batches of the points' coordinates."""
-    return tuple(Batch(p[a] for p in points) for a in range(len(points[0])))
+    """The point whose coordinates are the Batches of the points' coordinates; a lone point is
+    itself, with plain numbers as in a replay, which cost less than Batches of one."""
+    return tuple(points[0]) if len(points) == 1 else tuple(Batch(p[a] for p in points) for a in range(len(points[0])))
 
 
 def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:

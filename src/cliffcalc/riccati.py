@@ -28,7 +28,6 @@ from .fields import (
     add_fields,
     grid_residual,
     grid_residuals,
-    mv_laplacian,
     scalar_of,
     _inv_scalar,
 )
@@ -83,8 +82,7 @@ def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXAC
 
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
     """Candidate f = D(phi)/phi with claimed potential v = -Lap(phi)/phi."""
-    minus_lap = DerivedField(lambda ph: -mv_laplacian(ph), (phi, 2))
-    return RiccatiCandidate(_quotient(phi.dirac, phi), _quotient(minus_lap, phi), provenance)
+    return RiccatiCandidate(_quotient(phi.dirac, phi), _quotient(phi.neg_laplacian, phi), provenance)
 
 
 def _quotient(d, phi):
@@ -187,8 +185,8 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandid
     more than ODE_MAX_STEPS steps on an axis.
     """
     n = len(v_list)
-    if not step > 0:
-        raise FieldError("ODE step must be positive")
+    if not 0 < step < float("inf"):
+        raise FieldError("ODE step must be a finite positive number")
     if not (len(x0) == len(f0) == len(box) == n):
         raise FieldError("v_list, x0, f0 and box must all have one entry per axis")
     for k, v in enumerate(v_list, start=1):
@@ -224,7 +222,7 @@ def _mask_scalar_zero(grid: GridSpec, fields):
 
 
 def harmonic_check(phi: MultivectorField):
-    lap = DerivedField(mv_laplacian, (phi, 2))
+    lap = phi.neg_laplacian  # -Lap(phi), whose norm is that of Lap(phi)
 
     def residual_at(p):
         return lap.value(p), phi.value(p).norm()
@@ -259,9 +257,9 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     masked = _mask_scalar_zero(grid, [phi])
     d = phi.dirac  # one D(phi) for the shift equation and for D(phi)/phi
 
-    # <D(phi), h> = -[D(phi) h]_0
-    phi_eq = DerivedField(lambda ph, dj, hj: mv_laplacian(ph) + 2.0 * -(dj * hj).grade(0),
-                          (phi, 2), (d, 0), (h.f, 0))
+    # <D(phi), h> = -[D(phi) h]_0, so the equation's left side is -(-Lap(phi) + 2 [D(phi) h]_0)
+    phi_eq = DerivedField(lambda nl, dj, hj: nl + 2.0 * (dj * hj).grade(0),
+                          (phi.neg_laplacian, 0), (d, 0), (h.f, 0))
 
     def phi_eq_at(p):
         return phi_eq.value(p), phi.value(p).norm()

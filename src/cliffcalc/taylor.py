@@ -44,11 +44,13 @@ class JetOrderError(ValueError):
 
 
 def _cmath(fn, z):
-    # cmath raises ValueError where the result is undefined, e.g. sin at infinity
+    # cmath raises ValueError where a result is undefined (sin at inf), OverflowError where it overflows (exp at 1000)
     try:
         return Batch(map(fn, z)) if type(z) is Batch else fn(z)
     except ValueError:
         raise JetDomainError(f"{fn.__name__} of {z!r} is undefined") from None
+    except OverflowError:
+        raise JetDomainError(f"{fn.__name__} of {z!r} overflows") from None
 
 
 def coefficient(value):

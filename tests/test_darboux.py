@@ -212,7 +212,7 @@ def _count_calls(monkeypatch, original):
 def test_operator_identities_share_their_operator_fields(monkeypatch):
     factors, diracs = _count_calls(monkeypatch, darboux._factor_jet), _count_calls(monkeypatch, mv_dirac)
     rounds = 3
-    entries = suites._operator_entries(random.Random(4), 3, rounds)
+    entries = suites._entries(suites._operator_round, suites._OPERATOR, random.Random(4), 3, rounds)
     assert all(e.passed for e in entries)
     # (D - M^f) g and (D + M^f) g are each one field, from which A g, B g and both compositions
     # are built, and each is read at order 1 first and then truncated, so a round makes 8
@@ -225,7 +225,7 @@ def test_operator_identities_share_their_operator_fields(monkeypatch):
 
 def test_closed_forms_share_one_dirac_of_f(monkeypatch):
     calls = _count_calls(monkeypatch, mv_dirac)
-    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
     assert all(e.passed for e in entries)
     # per round, the points of each of the 4 k-vector fields as one batch: D(f) once for both
     # forms' potentials, D(G) once for both inner factors (D -/+ M^f) G, and the outer D of each
@@ -235,7 +235,7 @@ def test_closed_forms_share_one_dirac_of_f(monkeypatch):
 
 def test_closed_forms_share_one_laplacian_of_g(monkeypatch):
     calls = _count_calls(monkeypatch, mv_laplacian)
-    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
     assert all(e.passed for e in entries)
     # -Lap G is one node on G that both closed forms read: per round one call for the points of
     # each of the 4 k-vector fields and one for those of phi, not one per form
@@ -274,7 +274,7 @@ def test_closed_forms_share_one_grade_check_of_g(monkeypatch):
 
     for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "pure_field")]:
         monkeypatch.setattr(module, "pure_field", counting)
-    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
     assert all(e.passed for e in entries)
     # both forms of a field are one graph on one pure_field: per round, one grade check for the
     # points of each of the 4 k-vector fields and one for those of phi, not one per form
@@ -285,7 +285,7 @@ def test_closed_forms_share_one_square_of_f(monkeypatch):
     calls = []
     original = Multivector.__mul__
     monkeypatch.setattr(Multivector, "__mul__", lambda self, other: calls.append(other) or original(self, other))
-    entries = suites._closed_form_entries(random.Random(5), 3, 2)
+    entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
     assert all(e.passed for e in entries)
     # f * f is the one field f.square, which both forms' potentials read: 16 products fewer than
     # with one square per form at each of the 16 k-vector points

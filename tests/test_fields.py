@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cliffcalc.fields
+import cliffcalc.suites
 from cliffcalc.algebra import Multivector
 from cliffcalc.batch import Batch
 from cliffcalc.fields import (
@@ -597,6 +598,28 @@ def test_points_name_the_point_where_a_field_is_not_pure():
         grid_residuals(_norms_of(lambda p: kvector_closed_form(f, g, 1, "plus_minus", p)[0]),
                        Points([(0.5, 0.25), (0.5, 0.75)]))
     assert str(together.value) == str(alone.value) == "field is not a pure 1-vector at (0.5, 0.75) (grades [1, 2])"
+
+
+def test_a_lone_point_is_swept_as_itself(monkeypatch):
+    runs = []
+    original = Tape.run
+    monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
+    p = (0.5, -0.25)
+    report, = grid_residuals(_norms_of(ExprField.scalar(2, "x1*x2").value), Points([p]))
+    # the tape runs once, on p with its plain coordinates, not on a point of Batches of one
+    assert len(runs) == 1 and runs[0] is p
+    assert report.sup_norm == 0.125 and report.worst_point is p
+
+
+def test_identity_suite_sweeps_every_field_identity(monkeypatch):
+    swept = []
+    original = cliffcalc.suites.grid_residuals
+    monkeypatch.setattr(cliffcalc.suites, "grid_residuals",
+                        lambda checks, points, *rest: swept.append(len(points)) or original(checks, points, *rest))
+    identity_suite(3, 0, 5)
+    # 2 rounds of each field family: the Leibniz rules sweep 3 points of each of 5 fields a round,
+    # the closed forms 2 points of each of 5, and the operator identities their round's one point
+    assert swept == [3] * 10 + [2] * 10 + [1] * 2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
