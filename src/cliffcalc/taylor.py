@@ -202,7 +202,8 @@ class Taylor:
         out = {i: c for i, c in self._coef.items() if i < size}
         for i, c in other._coef.items():
             if i < size:
-                out[i] = out.get(i, 0j) + c if sign > 0 else out.get(i, 0j) - c
+                # + -c, not - c: the two differ in a signed zero where c is real
+                out[i] = out.get(i, 0j) + c if sign > 0 else out.get(i, 0j) + -c
         return _jet(self.n, k, out)
 
     __radd__ = __add__
