@@ -76,8 +76,13 @@ def _optional(config, key, kind, default):
     return _require(config, key, kind) if key in config else default
 
 
+def _finite(x) -> bool:
+    """Whether the number x lies in the double range: NaN, the infinities and larger JSON integers do not."""
+    return abs(x) <= sys.float_info.max
+
+
 def _positive(value, key):
-    if not (math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise ConfigError(f"{key} must be a finite positive number, got {value!r}")
     return value
 
@@ -90,7 +95,7 @@ def _complex(raw, what) -> complex:
             raise ConfigError(f"{what} has the unknown key {stray[0]!r}: an object holds only re and im")
         raw = [raw.get("re", 0.0), raw.get("im", 0.0)]
     parts = raw if isinstance(raw, list) and len(raw) == 2 else [raw, 0.0]
-    if not all(_is_a(x, NUMBER) and math.isfinite(x) for x in parts):
+    if not all(_is_a(x, NUMBER) and _finite(x) for x in parts):
         raise ConfigError(f"{what} must be a finite number, [re, im], or {{re, im}}")
     return complex(*parts)
 
@@ -120,7 +125,7 @@ class _Config:
         """An optional list of n finite numbers, all zero by default."""
         value = self.raw.get(key, [0.0] * self.n)
         if not (isinstance(value, list) and len(value) == self.n
-                and all(_is_a(x, NUMBER) and math.isfinite(x) for x in value)):
+                and all(_is_a(x, NUMBER) and _finite(x) for x in value)):
             raise ConfigError(f"config key {key!r} must be a list of {self.n} finite numbers")
         return value
 
@@ -210,8 +215,8 @@ def _cmd_riccati_separable(c):
     x0 = c.number_list("x0")
     f0 = c.number_list("f0")
     step = c.optional("ode_step", NUMBER, ODE_DEFAULT_STEP)
-    try:
-        cand = separable_solve(v_list, x0, f0, grid.box, step=step)
+    try:  # an int beyond the double range is a step as infinite as JSON's Infinity
+        cand = separable_solve(v_list, x0, f0, grid.box, step=step if _finite(step) else math.inf)
     except FieldError as err:  # malformed input, or a step too small for the box
         raise ConfigError(str(err)) from err
     except OdeBlowupError as err:

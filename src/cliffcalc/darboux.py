@@ -25,7 +25,7 @@ from .fields import (
     MultivectorField,
     ResidualReport,
     grid_residuals,
-    mv_grade_shift,
+    mv_grade_shift_mul,
     mv_partial,
     mv_value,
 )
@@ -117,12 +117,8 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
 
 def _grade_shift_sum(g_mv, f_mv, target):
     """sum_j [e_j G]_target d_j(f)."""
-    acc = Multivector(g_mv.n)
-    for j in range(1, g_mv.n + 1):
-        proj = mv_grade_shift(g_mv, j, target)
-        if proj.terms:
-            acc = acc + proj * mv_partial(f_mv, j)
-    return acc
+    return sum((mv_grade_shift_mul(g_mv, j, target, mv_partial(f_mv, j)) for j in range(1, g_mv.n + 1)),
+               Multivector(g_mv.n))
 
 
 def closed_forms(f, g, k: int):
@@ -156,7 +152,7 @@ def kvector_closed_form(f, gk, k: int, which: str, p):
 
 def derived_potential(f, sign):
     """The field w = sign*D(f) - f^2, so checks that share it compute it once per point."""
-    return DerivedField(lambda d, sq: sign * d - sq, (f.dirac, 0), (f.square, 0))
+    return DerivedField(lambda d, sq: (d if sign == 1 else sign * d) - sq, (f.dirac, 0), (f.square, 0))
 
 
 def potential_check(w):

@@ -88,14 +88,19 @@ def mv_dirac(mv: Multivector) -> Multivector:
     return _multivector(mv.n, out)
 
 
-def mv_grade_shift(mv: Multivector, j: int, t: int) -> Multivector:
-    """[e_j G]_t, with e_j e_m = product_sign(bit_j, m) e_(bit_j ^ m) as in mv_dirac."""
+def mv_grade_shift_mul(mv: Multivector, j: int, t: int, r: Multivector) -> Multivector:
+    """[e_j G]_t R, each term added or subtracted by the sign of e_j e_m times its own: none is negated."""
     bit = 1 << (j - 1)
     out = {}
-    for m, c in mv.terms.items():
-        key = bit ^ m
-        if key.bit_count() == t:
-            out[key] = -c if product_sign(bit, m) < 0 else c
+    for m, cg in mv.terms.items():
+        a, sign = bit ^ m, product_sign(bit, m)
+        if a.bit_count() == t:
+            for b, cr in r.terms.items():
+                key, c = a ^ b, cg * cr
+                if sign == product_sign(a, b):
+                    out[key] = out[key] + c if key in out else c
+                else:
+                    out[key] = out[key] - c if key in out else -c
     return _multivector(mv.n, out)
 
 
@@ -306,9 +311,8 @@ def kvector_leibniz_residual(gk: MultivectorField, f: MultivectorField, k: int, 
     lhs = mv_dirac(g * fj)
     rhs = mv_dirac(g) * fj
     for j in range(1, g.n + 1):
-        rhs = rhs + 2.0 * (mv_grade_shift(g, j, k - 1) * mv_partial(fj, j))
-    sign = -1.0 if k & 1 else 1.0
-    rhs = rhs + sign * (g * mv_dirac(fj))
+        rhs = rhs + 2.0 * mv_grade_shift_mul(g, j, k - 1, mv_partial(fj, j))
+    rhs = rhs - g * mv_dirac(fj) if k & 1 else rhs + g * mv_dirac(fj)  # (-1)^k G D(f), with no product by +-1.0
     return mv_value(lhs - rhs)
 
 
@@ -415,10 +419,10 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
     chunk as one point of Batch coordinates (_outcomes). A check on which
     anything raises in a chunk, or whose residual or scale is non-finite at a
     kept point, is replayed through the same routine one plain point at a
-    time, so the outcome is that of a sweep point by point. The replay skips
-    the checks that succeeded: a check never raises on the points where its
-    chunk did not, and a check after one that raises is stopped, so its
-    samples are never reported.
+    time, so the outcome is that of a sweep point by point; a lone point is
+    its own replay. The replay skips the checks that succeeded: a check never
+    raises on the points where its chunk did not, and a check after one that
+    raises is stopped, so its samples are never reported.
     """
     stats = [[0.0, 0.0, None, 0.0, 0] for _ in checks]  # sup, sum of squares, worst point, scale, samples
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
@@ -436,7 +440,8 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
 
     for points, batch_point in grid.chunks():
         again = []  # the checks to replay one point at a time
-        for i, outcome in enumerate(_outcomes(checks[:live], grid.exclusion, points, batch_point)):
+        outcomes = _outcomes(checks[:live], grid.exclusion, points, batch_point)
+        for i, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception) or not all(map(math.isfinite, itertools.chain(*outcome[1:]))):
                 again.append(i)
             else:
@@ -445,7 +450,10 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
             again = [i for i in again if i < live]
             if not again:  # no check is left to replay, so no sweep would run a predicate further
                 break
-            for i, outcome in zip(again, _outcomes([checks[i] for i in again], grid.exclusion, [p], p)):
+            # a lone point is its own batch point, so its outcomes on the chunk are its replay's
+            replay = [outcomes[i] for i in again] if batch_point is p else \
+                _outcomes([checks[i] for i in again], grid.exclusion, [p], p)
+            for i, outcome in zip(again, replay):
                 if isinstance(outcome, Exception):
                     errors[i], live = outcome, i
                     break

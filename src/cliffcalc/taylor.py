@@ -174,7 +174,7 @@ class Taylor:
         for i, c in self._coef.items():
             low = lower[i]
             if low is not None:
-                out[low[0]] = c * low[1]
+                out[low[0]] = c if low[1] == 1 else c * low[1]  # c * 1 is not c at a signed zero or an inf
         return _jet(self.n, self.order - 1, out)
 
     def truncate(self, order):
@@ -202,8 +202,9 @@ class Taylor:
         out = {i: c for i, c in self._coef.items() if i < size}
         for i, c in other._coef.items():
             if i < size:
-                # + -c, not - c: the two differ in a signed zero where c is real
-                out[i] = out.get(i, 0j) + c if sign > 0 else out.get(i, 0j) + -c
+                a = out.get(i, 0j)
+                # IEEE makes a - c the bits of a + -c, in one pass, unless c is real (a signed zero differs)
+                out[i] = a + c if sign > 0 else a + -c if type(c) in (float, int) else a - c
         return _jet(self.n, k, out)
 
     __radd__ = __add__

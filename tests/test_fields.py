@@ -25,8 +25,9 @@ from cliffcalc.fields import (
     grid_residuals,
     kvector_leibniz_residual,
     mv_dirac,
-    mv_grade_shift,
+    mv_grade_shift_mul,
     mv_laplacian,
+    mv_partial,
     mv_value,
     scalar_leibniz_residual,
     scalar_of,
@@ -43,7 +44,7 @@ from cliffcalc.suites import (
     random_point,
     random_scalar_field,
 )
-from cliffcalc.taylor import JetOrderError
+from cliffcalc.taylor import JetOrderError, Taylor
 
 
 def test_expr_field_value_and_blade_keys():
@@ -241,14 +242,48 @@ def test_scalar_leibniz_requires_scalar():
         scalar_leibniz_residual(notscalar, f, (0.1, 0.2))
 
 
+def _terms(mv):
+    """The terms of mv as plain data: a jet as its coefficients, a Batch as a list."""
+    def plain(c):
+        return {i: plain(x) for i, x in c._coef.items()} if isinstance(c, Taylor) else \
+            list(c) if type(c) is Batch else c
+    return {m: plain(c) for m, c in mv.terms.items()}
+
+
+def _jets_at(rng, n, p):
+    """Jets of order 1 at p of a random field G and of another field's partials R."""
+    return random_mv_field(rng, n).at(p, 1), mv_partial(random_mv_field(rng, n).at(p, 1), rng.randint(1, n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
 def test_grade_shift_is_the_projected_product(seed, n):
-    # the product form multiplies each coefficient by 1+0j, so only the sign of a zero may differ
-    g = random_multivector(random.Random(seed), n)
+    # the product form multiplies each coefficient by 1+0j and negates before it multiplies,
+    # so only the sign of a zero may differ
+    rng = random.Random(seed)
+    plain = random_multivector(rng, n), random_multivector(rng, n)
+    jets = _jets_at(rng, n, random_point(rng, n))
+    batch_jets = _jets_at(rng, n, tuple(Batch(random_point(rng, 3)) for _ in range(n)))
+    for g, r in (plain, jets, batch_jets):
+        for j in range(1, n + 1):
+            for t in range(-1, n + 2):
+                shift = (Multivector.basis(n, j) * g).grade(t)
+                assert _terms(mv_grade_shift_mul(g, j, t, r)) == _terms(shift * r)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grade_shift_mul_on_a_chunk_is_bit_for_bit_each_point(seed):
+    rng = random.Random(seed)
+    n, points = 3, [random_point(rng, 3) for _ in range(4)]
+    g, f = random_mv_field(rng, n), random_mv_field(rng, n)
+    batch = tuple(Batch(p[a] for p in points) for a in range(n))
     for j in range(1, n + 1):
-        for t in range(-1, n + 2):
-            assert mv_grade_shift(g, j, t) == (Multivector.basis(n, j) * g).grade(t)
+        for t in range(n + 1):
+            chunk = _terms(mv_grade_shift_mul(g.at(batch, 1), j, t, mv_partial(f.at(batch, 1), j)))
+            for k, p in enumerate(points):
+                alone = _terms(mv_grade_shift_mul(g.at(p, 1), j, t, mv_partial(f.at(p, 1), j)))
+                # repr tells -0.0 from 0.0 and shows the order of blades and of coefficients
+                assert repr({m: {i: c[k] for i, c in jet.items()} for m, jet in chunk.items()}) == repr(alone)
 
 
 def test_kvector_leibniz_hand_example():
@@ -609,6 +644,17 @@ def test_a_lone_point_is_swept_as_itself(monkeypatch):
     # the tape runs once, on p with its plain coordinates, not on a point of Batches of one
     assert len(runs) == 1 and runs[0] is p
     assert report.sup_norm == 0.125 and report.worst_point is p
+
+
+def test_a_lone_point_that_raises_is_evaluated_once(monkeypatch):
+    runs = []
+    original = Tape.run
+    monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
+    field = ExprField.scalar(1, "log(x1 - 2)")
+    with pytest.raises(ExprDomainError):
+        grid_residuals(_norms_of(field.value), Points([(0.5,)]))
+    # its outcome on its chunk is its replay's outcome, so it is not replayed
+    assert len(runs) == 1
 
 
 def test_identity_suite_sweeps_every_field_identity(monkeypatch):

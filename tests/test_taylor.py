@@ -81,6 +81,15 @@ def test_diff_costs_one_order():
         d.diff(0).diff(0)
 
 
+@pytest.mark.parametrize("c", [complex(1, -0.0), complex(math.inf, 0)])
+def test_diff_keeps_the_coefficient_at_exponent_one(c):
+    # c * 1 is (1+0j) and (inf+nanj) for these two: the exact derivative of c x1 is c
+    t = Taylor(2, 2, {(1, 0): c, (2, 0): 3.0})
+    d = t.diff(0)
+    assert repr(d.coef[(0, 0)]) == repr(c)
+    assert repr(d.coef[(1, 0)]) == repr(3.0 * 2)
+
+
 def test_diff_matches_grad():
     x = Taylor.variable(0, 0.3, 2, 3)
     y = Taylor.variable(1, -0.2, 2, 3)
@@ -214,10 +223,11 @@ def ref_rscale(s, x):
 
 
 def ref_diff(x, j):
+    # the derivative of c x_j is c itself, not c * 1
     out = {}
     for a, c in x[1].items():
         if a[j]:
-            out[a[:j] + (a[j] - 1,) + a[j + 1:]] = c * a[j]
+            out[a[:j] + (a[j] - 1,) + a[j + 1:]] = c if a[j] == 1 else c * a[j]
     return ref_jet(out, x[0] - 1)
 
 
