@@ -57,8 +57,8 @@ def _elementwise(op, result):
 
 
 class Batch(list):
-    """Complex values, one per point, with elementwise + - * / **, abs, conjugate and
-    comparisons; a function of one number maps over it as Batch(map(fn, b))."""
+    """Complex values, one per point, with elementwise + - * / **, abs and comparisons;
+    a function of one number maps over it as Batch(map(fn, b))."""
 
     __slots__ = ()
 
@@ -70,9 +70,6 @@ class Batch(list):
 
     def __abs__(self):
         return Batch(map(abs, self))
-
-    def conjugate(self):
-        return Batch(z.conjugate() for z in self)
 
     @property
     def real(self):

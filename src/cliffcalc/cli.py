@@ -12,7 +12,7 @@ import math
 import sys
 import time
 
-from .algebra import AlgebraError, blade_grade
+from .algebra import MAX_DIM, AlgebraError, blade_grade
 from .darboux import (
     darboux_kvector_pipeline,
     darboux_scalar_pipeline,
@@ -110,6 +110,8 @@ class _Config:
         self.raw = raw
         self.args = args
         self.n = _require(raw, "n", int)
+        if not 1 <= self.n <= MAX_DIM:  # before any work that grows with n
+            raise ConfigError(f"config key 'n' must be in 1..{MAX_DIM}, got {self.n}")
 
     def require(self, key, kind=None):
         return _require(self.raw, key, kind)

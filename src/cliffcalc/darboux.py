@@ -115,10 +115,9 @@ def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
     return h, PipelineResult({"eigenfunction": pre}, conclusion)
 
 
-def _grade_shift_sum(g_mv, f_mv, target):
-    """sum_j [e_j G]_target d_j(f)."""
-    return sum((mv_grade_shift_mul(g_mv, j, target, mv_partial(f_mv, j)) for j in range(1, g_mv.n + 1)),
-               Multivector(g_mv.n))
+def _grade_shift_sum(g_mv, partials, target):
+    """sum_j [e_j G]_target d_j(f), from the list of d_j(f) for j = 1..n."""
+    return sum((mv_grade_shift_mul(g_mv, j, target, d) for j, d in enumerate(partials, 1)), Multivector(g_mv.n))
 
 
 def closed_forms(f, g, k: int):
@@ -166,8 +165,9 @@ def potential_check(w):
 
 
 def _drift(gj, fj):
-    """sum_m sum_j [e_j G_m]_{m-1} d_j(f), G_m the grade-m part of G = gj."""
-    return sum((_grade_shift_sum(gj.grade(m), fj, m - 1) for m in gj.grades()), Multivector(gj.n))
+    """sum_m sum_j [e_j G_m]_{m-1} d_j(f), G_m the grade-m part of G = gj; each d_j(f) is computed once."""
+    partials = [mv_partial(fj, j) for j in range(1, gj.n + 1)]
+    return sum((_grade_shift_sum(gj.grade(m), partials, m - 1) for m in gj.grades()), Multivector(gj.n))
 
 
 def schrodinger_field(g, w, f, s):

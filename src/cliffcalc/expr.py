@@ -1,6 +1,8 @@
 """Scalar expressions over x1..xn with exact forward-mode derivatives.
 
-Grammar (standard precedence, left associative):
+Grammar (standard precedence, left associative; parentheses, function calls
+and unary minus signs nest at most MAX_DEPTH levels, as the parser recurses
+once per level, and deeper is a syntax error):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from .taylor import JetDomainError, Taylor
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+MAX_DEPTH = 100
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
@@ -46,9 +49,9 @@ class Tape:
     children. op is "x" (a = variable index from 0), "c" (a = constant), "^"
     (slot a to the integer power b), a key of _BINARY (slots a and b), or
     "neg", "reciprocal" or one of FUNCTIONS (slot a). a / b is stored as
-    a * reciprocal(b), Taylor division's own arithmetic, so each distinct
-    denominator is inverted once. Nothing is reordered or simplified;
-    constants are keyed by repr, which keeps 0.0 and -0.0 apart.
+    a * reciprocal(b), so each distinct denominator is inverted once.
+    Nothing is reordered or simplified; constants are keyed by repr, which
+    keeps 0.0 and -0.0 apart.
     """
 
     def __init__(self, n: int):
@@ -90,18 +93,19 @@ class Tape:
         roots = tuple(roots)
         if roots not in self._orders:
             nodes, out = self.nodes, {}  # a dict keeps the slots in insertion order
-
-            def visit(s):
-                if s not in out:
-                    op, a, b = nodes[s]
-                    if op != "x" and op != "c":
-                        visit(a)
-                        if op in _BINARY:
-                            visit(b)
+            # no recursion, for sums of any length: a slot goes back under its children, emitted when popped again
+            stack = [(root, False) for root in reversed(roots)]
+            while stack:
+                s, expanded = stack.pop()
+                if expanded:
                     out[s] = None
-
-            for root in roots:
-                visit(root)
+                elif s not in out:
+                    op, a, b = nodes[s]
+                    stack.append((s, True))
+                    if op in _BINARY:
+                        stack.append((b, False))
+                    if op != "x" and op != "c":
+                        stack.append((a, False))
             self._orders[roots] = list(out)
         return self._orders[roots]
 
@@ -137,20 +141,25 @@ class Tape:
         return vals
 
     def render(self, slot: int) -> str:
-        op, a, b = self.nodes[slot]
-        if op == "x":
-            return f"x{a + 1}"
-        if op == "c":  # mixed constants are programmatic only; the parser never builds one
-            return "i" if a == 1j else repr(a.real) if a.imag == 0 else f"({a.real!r} + {a.imag!r}*i)"
-        if op == "neg":
-            return f"(-{self.render(a)})"
-        if op == "^":
-            return f"({self.render(a)}^{b})"
-        if op == "*" and self.nodes[b][0] == "reciprocal":
-            return f"({self.render(a)} / {self.render(self.nodes[b][1])})"
-        if op in _BINARY:
-            return f"({self.render(a)} {op} {self.render(b)})"
-        return f"{op}({self.render(a)})"
+        """The slot's expression as text, each node's built from its children's, in order()."""
+        nodes, text = self.nodes, {}
+        for s in self.order((slot,)):
+            op, a, b = nodes[s]
+            if op == "x":
+                text[s] = f"x{a + 1}"
+            elif op == "c":  # mixed constants are programmatic only; the parser never builds one
+                text[s] = "i" if a == 1j else repr(a.real) if a.imag == 0 else f"({a.real!r} + {a.imag!r}*i)"
+            elif op == "neg":
+                text[s] = f"(-{text[a]})"
+            elif op == "^":
+                text[s] = f"({text[a]}^{b})"
+            elif op == "*" and nodes[b][0] == "reciprocal":
+                text[s] = f"({text[a]} / {text[nodes[b][1]]})"
+            elif op in _BINARY:
+                text[s] = f"({text[a]} {op} {text[b]})"
+            else:
+                text[s] = f"{op}({text[a]})"
+        return text[slot]
 
 
 _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -167,6 +176,7 @@ class _Parser:
         self.n = tape.n
         self.add = tape.add
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ExprSyntaxError(message, self.pos)
@@ -190,6 +200,15 @@ class _Parser:
     def expect(self, ch):
         if not self.take(ch):
             self.error(f"expected {ch!r}")
+
+    def nested(self, rule):
+        """rule() one level deeper than the '(' or '-' just taken."""
+        if self.depth == MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested more than {MAX_DEPTH} levels deep", self.pos - 1)
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -227,10 +246,10 @@ class _Parser:
         ch = self.peek()
         if ch == "-":
             self.pos += 1
-            return self.add("neg", self.atom())
+            return self.add("neg", self.nested(self.atom))
         if ch == "(":
             self.pos += 1
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return node
         m = _NUMBER.match(self.src, self.pos)
@@ -258,7 +277,7 @@ class _Parser:
             return self.add("x", index - 1)
         if name in FUNCTIONS:
             self.expect("(")
-            node = self.expr()
+            node = self.nested(self.expr)
             self.expect(")")
             return self.add(name, node)
         self.pos = start

@@ -244,14 +244,13 @@ class FDField(MultivectorField):
             raise FieldError("a finite-difference field is evaluated one point at a time")
         n, h = self.n, self.step
         base = self.fn(p)
-        coefs = {m: {(0,) * n: c} for m, c in mv_value(base).terms.items()}
+        coefs = {m: {0: c} for m, c in mv_value(base).terms.items()}  # monomial index 0: the constant
         if order >= 1:
             scale = 1.0 / (2 * h)
             for j in range(n):
-                alpha = tuple(1 if i == j else 0 for i in range(n))
                 diff = self.fn(p[:j] + (p[j] + h,) + p[j + 1:]) - self.fn(p[:j] + (p[j] - h,) + p[j + 1:])
                 for m, c in mv_value(diff).terms.items():
-                    coefs.setdefault(m, {})[alpha] = c * scale
+                    coefs.setdefault(m, {})[1 + j] = c * scale  # index 1 + j: x_j
         return Multivector(n, {m: Taylor(n, order, cf) for m, cf in coefs.items()})
 
 

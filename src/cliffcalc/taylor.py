@@ -18,8 +18,8 @@ A coefficient is a complex number, or a Batch (batch.py) of complex numbers,
 one per point of a chunk; functions of a jet's value map over a Batch.
 Products, derivatives and compositions look indices up in tables built
 once per (n, order) by _basis, so no exponent tuple is built or summed per
-coefficient pair. The coef attribute is a read-only view of the same
-coefficients keyed by the exponent tuple alpha.
+coefficient pair. The constructor takes the index-keyed dict itself, and the
+coef attribute is a copy of it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import numbers
-from collections.abc import Mapping
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -69,7 +68,6 @@ def _monomials(n, d):
 
 class _Basis(NamedTuple):
     exps: list  # index -> exponent tuple
-    index: dict  # exponent tuple -> index
     mul: list  # mul[i][j]: index of x^exps[i] * x^exps[j], for every j within the order
     lower: list  # lower[j][i]: (index of x^exps[i] / x_j, exponent of x_j), or None if it is 0
 
@@ -84,60 +82,22 @@ def _basis(n: int, order: int) -> _Basis:
            for a in exps]
     lower = [[(index[a[:j] + (a[j] - 1,) + a[j + 1:]], a[j]) if a[j] else None for a in exps]
              for j in range(n)]
-    return _Basis(exps, index, mul, lower)
-
-
-class _CoefView(Mapping):
-    """Read-only view of a jet's coefficients keyed by exponent tuple."""
-
-    __slots__ = ("_coef", "_basis")
-
-    def __init__(self, coef, basis):
-        self._coef = coef
-        self._basis = basis
-
-    def __getitem__(self, alpha):
-        return self._coef[self._basis.index[alpha]]
-
-    def __iter__(self):
-        exps = self._basis.exps
-        return (exps[i] for i in self._coef)
-
-    def __len__(self):
-        return len(self._coef)
-
-
-def _jet(n, order, coef):
-    """Jet owning coef, a fresh index-keyed dict within the order, such as an
-    operation's result; skips the checks the public constructor makes."""
-    t = object.__new__(Taylor)
-    t.n = n
-    t.order = order
-    t._coef = coef
-    return t
+    return _Basis(exps, mul, lower)
 
 
 class Taylor:
     __slots__ = ("n", "order", "_coef")
 
-    def __init__(self, n, order, coef=None):
-        """Jet from coefficients keyed by exponent tuple; terms above the order
-        are dropped."""
+    def __init__(self, n, order, coef):
+        """Jet owning coef, a dict from monomial index to coefficient with every
+        index within the order; nothing is checked or copied."""
         self.n = n
         self.order = order
-        self._coef = {}
-        if coef:
-            index = _basis(n, order).index
-            for a, c in coef.items():
-                if sum(a) <= order:
-                    i = index.get(a)
-                    if i is None:
-                        raise ValueError(f"{a!r} is not a multi-index in {n} variables")
-                    self._coef[i] = c
+        self._coef = coef
 
     @classmethod
     def constant(cls, value, n, order):
-        return _jet(n, order, {0: coefficient(value)})
+        return cls(n, order, {0: coefficient(value)})
 
     @classmethod
     def variable(cls, j, x0, n, order):
@@ -147,23 +107,17 @@ class Taylor:
         coef = {0: coefficient(x0)}
         if order >= 1:
             coef[1 + j] = 1.0 + 0j
-        return _jet(n, order, coef)
+        return cls(n, order, coef)
 
     @property
-    def coef(self):
-        """Coefficients keyed by exponent tuple alpha, as a read-only view."""
-        return _CoefView(self._coef, _basis(self.n, self.order))
+    def coef(self):  # a copy, keyed by index; only perfbench/layertrace.py reads it, for len(t.coef)
+        return dict(self._coef)
 
     # -- coefficient extraction ------------------------------------------
 
     @property
     def value(self):
         return self._coef.get(0, 0j)
-
-    def grad(self, j):
-        if not 0 <= j < self.n:
-            raise ValueError(f"variable index {j} out of range for {self.n} variables")
-        return self._coef.get(1 + j, 0j)
 
     def diff(self, j):
         """Exact partial derivative; costs one order of truncation."""
@@ -175,12 +129,12 @@ class Taylor:
             low = lower[i]
             if low is not None:
                 out[low[0]] = c if low[1] == 1 else c * low[1]  # c * 1 is not c at a signed zero or an inf
-        return _jet(self.n, self.order - 1, out)
+        return Taylor(self.n, self.order - 1, out)
 
     def truncate(self, order):
         """The jet to a lower order: the coefficients of degree <= order, in their order."""
         size = comb(self.n + order, order)
-        return _jet(self.n, order, {i: c for i, c in self._coef.items() if i < size})
+        return Taylor(self.n, order, {i: c for i, c in self._coef.items() if i < size})
 
     # -- ring operations --------------------------------------------------
 
@@ -205,22 +159,19 @@ class Taylor:
                 a = out.get(i, 0j)
                 # IEEE makes a - c the bits of a + -c, in one pass, unless c is real (a signed zero differs)
                 out[i] = a + c if sign > 0 else a + -c if type(c) in (float, int) else a - c
-        return _jet(self.n, k, out)
+        return Taylor(self.n, k, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
-        return _jet(self.n, self.order, {i: -c for i, c in self._coef.items()})
+        return Taylor(self.n, self.order, {i: -c for i, c in self._coef.items()})
 
     def __mul__(self, other):
         if isinstance(other, numbers.Complex):
-            return _jet(self.n, self.order, {i: c * other for i, c in self._coef.items()})
+            return Taylor(self.n, self.order, {i: c * other for i, c in self._coef.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -240,36 +191,18 @@ class Taylor:
                 m = row[j]
                 c = ca * cb
                 out[m] = out[m] + c if m in out else c
-        return _jet(self.n, k, out)
+        return Taylor(self.n, k, out)
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Complex):
-            return _jet(self.n, self.order, {i: other * c for i, c in self._coef.items()})
+            return Taylor(self.n, self.order, {i: other * c for i, c in self._coef.items()})
         return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Complex):
-            if other == 0:
-                raise JetDomainError("division by zero")
-            return self * (1.0 / other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        if isinstance(other, numbers.Complex):
-            return self.reciprocal() * other
-        return NotImplemented
-
-    def conjugate(self):
-        return _jet(self.n, self.order, {i: c.conjugate() for i, c in self._coef.items()})
 
     # -- analytic functions via univariate composition ---------------------
 
     def _compose(self, derivs):
         """Sum of derivs[m]/m! * (self - value)^m, truncated."""
-        hat = _jet(self.n, self.order, {i: c for i, c in self._coef.items() if i})  # index 0: constant
+        hat = Taylor(self.n, self.order, {i: c for i, c in self._coef.items() if i})  # index 0: constant
         acc = Taylor.constant(derivs[0], self.n, self.order)
         power = Taylor.constant(1.0, self.n, self.order)
         fact = 1.0

@@ -540,6 +540,17 @@ def test_family_gap_below_dimension_three_is_config_error(tmp_path, capsys):
     assert err == "error: family-gap needs n >= 3\n"
 
 
+@pytest.mark.parametrize("n", [0, 13, 10 ** 6])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_dimension_outside_the_algebra_is_config_error_before_any_work(tmp_path, capsys, command, n):
+    # an unbounded n built lists of n entries and a 2**n blade mask first: at n = 10**7,
+    # riccati-check took 34 s and 800 MB, then exited 2 with "grid too large"
+    cfg = write_config(tmp_path, "c.json", {"n": n, "fields": {"f": "x1", "v": "0"}, "grid": {"samples_per_axis": 2}})
+    code, out, err = run_cli(capsys, command, "--config", cfg)
+    assert code == 2 and out == ""
+    assert err == f"error: config key 'n' must be in 1..12, got {n}\n"
+
+
 def test_blade_outside_the_dimension_names_the_field_and_the_blade(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"n": 1, "fields": {"f": {"e4": "1"}, "v": "0"}})
     code, out, err = run_cli(capsys, "riccati-check", "--config", cfg)
@@ -795,9 +806,10 @@ def test_verify_identities_reads_each_field_once_per_drawn_point(monkeypatch):
     assert sum(len(points) for points in covered.values()) == 2 * (30 + 20 + 2) == 104
 
 
-def golden_call_counts(monkeypatch, path):
-    """The (Tape.run, mv_dirac, _factor_jet) calls of the golden case at path, by name."""
-    counts = {"Tape.run": 0, "mv_dirac": 0, "_factor_jet": 0}
+def golden_call_counts(monkeypatch, path, functions=(("mv_dirac", cliffcalc.fields.mv_dirac),
+                                                   ("_factor_jet", darboux._factor_jet))):
+    """The calls of Tape.run and of each (name, function) in functions, by name, in the golden case at path."""
+    counts = {"Tape.run": 0, **{name: 0 for name, _ in functions}}
 
     def counting(name, fn):
         def counted(*args):
@@ -809,7 +821,7 @@ def golden_call_counts(monkeypatch, path):
     monkeypatch.setattr(Tape, "run", counting("Tape.run", Tape.run))
     # every binding in the package, so a call is counted wherever it is made; fields keep the
     # functions they are built with, and the invocation below builds them after this
-    for name, original in (("mv_dirac", cliffcalc.fields.mv_dirac), ("_factor_jet", darboux._factor_jet)):
+    for name, original in functions:
         counted = counting(name, original)
         for module in [m for key, m in sys.modules.items() if key.startswith("cliffcalc") and m is not None]:
             for attr, value in list(vars(module).items()):
@@ -825,6 +837,17 @@ def test_golden_call_counts_stay_within_their_ceilings(monkeypatch, path):
     counts = golden_call_counts(monkeypatch, path)
     ceiling = dict(zip(counts, GOLDEN_CALLS[path.stem]))
     assert all(counts[name] <= ceiling[name] for name in counts), (counts, ceiling)
+
+
+# the drift sum takes each d_j(f) once per node; it took them once per grade of G (28 and 21 calls)
+PARTIAL_CALLS = {"darboux-kvector": 24, "darboux-bivector-nonconstant-f": 18}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_CALLS))
+def test_drift_takes_each_partial_of_f_once(monkeypatch, name):
+    path = GOLDEN_CASES[0].parent / f"{name}.json"
+    counts = golden_call_counts(monkeypatch, path, [("mv_partial", cliffcalc.fields.mv_partial)])
+    assert counts["mv_partial"] == PARTIAL_CALLS[name]
 
 
 def test_golden_call_counts_reach_every_counted_function(monkeypatch):

@@ -7,9 +7,13 @@ raw text among them.
 Numbers that set the amount of work (n, samples per axis, rounds, the ODE
 step, the box and the ODE start) stay small, so every example runs quickly.
 The examples are derandomized, so every run checks the same 200 configs.
+
+A second test holds the same contract for expressions of any size: sums and
+products of 1,000 to 5,000 terms, and nesting up to 5,000 levels deep.
 """
 
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -122,11 +126,7 @@ def run(command, config):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(configs())
-def test_any_config_exits_0_1_or_2_without_traceback(case):
-    command, config = case
-    code, out, err = run(command, config)
+def assert_contract(code, out, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if out:
@@ -134,3 +134,35 @@ def test_any_config_exits_0_1_or_2_without_traceback(case):
     else:
         prefix = "error: " if code == 2 else "check failed: "
         assert code != 0 and err.startswith(prefix) and err.count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(configs())
+def test_any_config_exits_0_1_or_2_without_traceback(case):
+    assert_contract(*run(*case))
+
+
+ATOMS = st.sampled_from(["x1", "x2", "0.5", "2", "i"])
+# the prefix and suffix of one level of nesting
+LEVELS = st.sampled_from([("(", ")"), ("-", ""), ("exp(", ")"), ("sin(", ")"), ("sqrt(", ")")])
+
+
+@st.composite
+def large_expressions(draw):
+    """A sum or product of 1,000 to 5,000 terms, or an atom nested up to 5,000
+    levels deep; a short drawn pattern repeats, so the draws stay few."""
+    atom = draw(ATOMS)
+    if draw(st.booleans()):
+        pattern = draw(st.lists(st.tuples(st.sampled_from("+-*/"), ATOMS), min_size=1, max_size=4))
+        terms = itertools.islice(itertools.cycle(pattern), draw(st.integers(999, 4999)))
+        return atom + "".join(f" {op} {a}" for op, a in terms)
+    pattern = draw(st.lists(LEVELS, min_size=1, max_size=3))
+    levels = list(itertools.islice(itertools.cycle(pattern), draw(st.integers(1, 150) | st.integers(1, 5000))))
+    return "".join(pre for pre, _ in levels) + atom + "".join(post for _, post in reversed(levels))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(expression=large_expressions(), name=st.sampled_from(["f", "v"]))
+def test_an_expression_of_any_size_exits_0_1_or_2_without_traceback(expression, name):
+    fields = {"f": {"e1": "x1"}, "v": "0 - 1", name: expression}
+    assert_contract(*run("riccati-check", {"n": 2, "fields": fields, "grid": {"samples_per_axis": 2}}))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cliffcalc.expr import (
     FUNCTIONS,
+    MAX_DEPTH,
     ExprDomainError,
     ExprSyntaxError,
     constant_expr,
@@ -15,6 +16,7 @@ from cliffcalc.expr import (
 from cliffcalc.fields import ExprField
 from cliffcalc.suites import random_expr_str
 from cliffcalc.taylor import JetDomainError, Taylor
+from jets import coef, grad
 
 
 def test_basic_evaluation():
@@ -56,8 +58,8 @@ def test_jet_gradient_hessian():
     t = e.taylor(p, 2)
     ex, s, c = math.exp(0.5), math.sin(1.2), math.cos(1.2)
     assert t.value == pytest.approx(ex * s)
-    assert t.grad(0) == pytest.approx(ex * s)
-    assert t.grad(1) == pytest.approx(ex * c)
+    assert grad(t, 0) == pytest.approx(ex * s)
+    assert grad(t, 1) == pytest.approx(ex * c)
     assert t.diff(0).diff(0).value == pytest.approx(ex * s)
     assert t.diff(0).diff(1).value == pytest.approx(ex * c)
     assert t.diff(1).diff(1).value == pytest.approx(-ex * s)
@@ -69,7 +71,7 @@ def test_high_order_jets():
     e = parse("exp(2*x1)", 1)
     t = e.taylor((0.0,), 5)
     for k in range(6):
-        assert t.coef.get((k,), 0) == pytest.approx(2 ** k / math.factorial(k))
+        assert coef(t).get((k,), 0) == pytest.approx(2 ** k / math.factorial(k))
 
 
 def test_syntax_errors_carry_offsets():
@@ -88,6 +90,23 @@ def test_syntax_errors_carry_offsets():
         parse("x1) + 2", 1)
     with pytest.raises(ExprSyntaxError):
         parse("x", 1)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("exp(", ")")])
+def test_nesting_beyond_the_bound_is_a_syntax_error_where_it_exceeds_it(opening, closing):
+    parse(opening * MAX_DEPTH + "x1" + closing * MAX_DEPTH, 1)
+    deeper = MAX_DEPTH + 1
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(opening * deeper + "x1" + closing * deeper, 1)
+    # at the '(' or '-' that opens level MAX_DEPTH + 1
+    assert err.value.offset == len(opening) * deeper - 1
+
+
+def test_a_long_sum_renders_and_orders_without_recursion():
+    e = parse(" + ".join(["x1"] * 5000), 1)
+    assert e.render() == "(" * 4999 + "x1" + " + x1)" * 4999
+    assert e.variables() == {1}
+    assert e.eval((0.5,)) == 2500
 
 
 def test_domain_error_names_subexpression():
@@ -160,7 +179,7 @@ def _render_tree(t):
 
 def _tree_eval(t, env, n, order):
     """The recursive evaluator the tape replaced: every occurrence of a
-    subtree is evaluated again, and a / b is Taylor division."""
+    subtree is evaluated again, and a / b is a * reciprocal(b)."""
     op = t[0]
     if op == "x":
         return env[t[1]]
@@ -181,7 +200,7 @@ def _tree_eval(t, env, n, order):
             return left - right
         if op == "*":
             return left * right
-        return left / right
+        return left * right.reciprocal()
     except JetDomainError as err:
         raise ExprDomainError(f"{err}, in subexpression '{_render_tree(t)}'") from err
 
@@ -249,6 +268,35 @@ def test_tape_matches_tree_evaluation_bit_for_bit(sources, p, order):
         expected = _tree_outcome(field.tape, [e.slot], p, order)
         assert _outcome(lambda: [e.taylor(p, order)]) == expected
         assert _outcome(lambda: [parse(src, 3).taylor(p, order)]) == expected
+
+
+def _recursive_order(tape, roots):
+    """The recursive left-to-right post-order walk that Tape.order replaced."""
+    out = {}
+
+    def visit(s):
+        if s not in out:
+            op, a, b = tape.nodes[s]
+            if op not in ("x", "c"):
+                visit(a)
+                if op in ("+", "-", "*"):
+                    visit(b)
+            out[s] = None
+
+    for root in roots:
+        visit(root)
+    return list(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sources=_field_sources())
+def test_order_and_render_match_the_recursive_walks(sources):
+    field = ExprField(3, {1 << k: src for k, src in enumerate(sources)})
+    slots = [e.slot for e in field.components.values()]
+    assert field.tape.order(slots) == _recursive_order(field.tape, slots)
+    for s in range(len(field.tape.nodes)):
+        assert field.tape.order((s,)) == _recursive_order(field.tape, (s,))
+        assert field.tape.render(s) == _render_tree(_tree(field.tape, s))
 
 
 def _size(t):
