@@ -207,7 +207,7 @@ class Multivector:
     def norm(self):
         """Euclidean norm of the coefficient vector, for numeric or Batch coefficients:
         a float, or the Batch of the norms at each point."""
-        total = sum(abs(c) ** 2 for c in self.terms.values())
+        total = sum(map(_abs_square, self.terms.values()))
         return Batch(map(math.sqrt, total)) if type(total) is Batch else math.sqrt(total)
 
     def scalar_part(self):
@@ -221,6 +221,14 @@ class Multivector:
         for m in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
             parts.append(f"{complex(self.terms[m])!r}*{blade_name(m)}")
         return " + ".join(parts)
+
+
+def _abs_square(c):
+    """abs(c) ** 2, and inf at each point where it exceeds the largest float."""
+    try:
+        return abs(c) ** 2
+    except OverflowError:
+        return Batch(map(_abs_square, c)) if type(c) is Batch else math.inf
 
 
 def _multivector(n, terms):

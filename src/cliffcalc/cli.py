@@ -370,10 +370,13 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except (ValueError, RecursionError) as err:  # not JSON, an integer of over 4,300 digits, deep nesting
+                raise ConfigError(err) from None
         _, handler = COMMANDS[args.command]
         named, extras, passed = handler(_Config(config, args))
-    except (ConfigError, ExprError, AlgebraError, ModeError, json.JSONDecodeError, OSError) as err:
+    except (ConfigError, ExprError, AlgebraError, ModeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (PreconditionError, FieldError, ArithmeticError) as err:

@@ -559,6 +559,10 @@ def test_blade_outside_the_dimension_names_the_field_and_the_blade(tmp_path, cap
 
 
 LOG_IN_PHI = "check failed: log of non-positive real value -0.5, in subexpression 'log((x1 + 0.5))'\n"
+# g's jets reach about 1e151 on the box, and the transported field's residual about 1e157
+OVERFLOWING_CONCLUSION = {"n": 2, "k": 1, "lambda": 1.0,
+                          "fields": {"f": {"e1": "0.6", "e2": "0.8"}, "g": {"e1": "exp(1000000*x1)"}},
+                          "grid": {"box": [[0, 0.00032], [0, 1]], "samples_per_axis": 2}}
 
 
 # A command checks everything in one pass over its grid, but the outcome is
@@ -581,24 +585,29 @@ LOG_IN_PHI = "check failed: log of non-positive real value -0.5, in subexpressio
     ("riccati-check", {"n": 2, "fields": {"f": {"e1": "1"}, "v": {"1": "log(0.5 - x1)", "e1": "1"}},
                        "grid": {"samples_per_axis": 3}},
      1, "check failed: log of non-positive real value -0.5, in subexpression 'log((0.5 - x1))'\n"),
-    # the conclusion's residual overflows; the eigen-equation before it fails
-    ("darboux-kvector", {"n": 2, "k": 1, "lambda": 1.0,
-                         "fields": {"f": {"e1": "0.6", "e2": "0.8"}, "g": {"e1": "exp(1000000*x1)"}},
-                         "grid": {"box": [[0, 0.00032], [0, 1]], "samples_per_axis": 2}},
+    # the eigen-equation fails before the conclusion, whose residual overflows
+    ("darboux-kvector", OVERFLOWING_CONCLUSION,
      1, "check failed: input field fails its eigen-equation (sup 9.42e+150)\n"),
-    ("darboux-kvector", {"n": 2, "k": 1, "lambda": 1.0, "tolerance": 1e100,
-                         "fields": {"f": {"e1": "0.6", "e2": "0.8"}, "g": {"e1": "exp(1000000*x1)"}},
-                         "grid": {"box": [[0, 0.00032], [0, 1]], "samples_per_axis": 2}},
-     1, "check failed: (34, 'Numerical result out of range')\n"),
     # the masked grid's predicate meets log's domain at x1 = 1, after h's first check raised at x2 = -1
     ("euler-shift", {"n": 2, "fields": {"h": {"e1": "log(x2 + 0.5)"}, "v": "0", "phi": "log(0.5 - x1)"},
                      "grid": {"samples_per_axis": 3}},
      1, "check failed: log of non-positive real value -0.5, in subexpression 'log((x2 + 0.5))'\n"),
 ], ids=["decompose-riccati-fails", "decompose-precondition-raises-before-mode", "decompose-mode",
-        "riccati-check-split", "darboux-kvector-eigen-fails", "darboux-kvector-conclusion-raises",
-        "euler-shift-mask"])
+        "riccati-check-split", "darboux-kvector-eigen-fails", "euler-shift-mask"])
 def test_first_check_in_order_decides(tmp_path, capsys, command, config, code, err):
     assert run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config)) == (code, "", err)
+
+
+def test_a_residual_whose_square_overflows_fails_with_its_report(tmp_path, capsys):
+    # with the tolerance raised, the preconditions pass; the conclusion's residual norm
+    # is past the largest float, so it reads inf and fails
+    config = {**OVERFLOWING_CONCLUSION, "tolerance": 1e100}
+    code, out, err = run_cli(capsys, "darboux-kvector", "--config", write_config(tmp_path, "c.json", config))
+    reports = load(out)["reports"]
+    assert (code, err) == (1, "")
+    assert [(r["name"], r["pass"]) for r in reports] == [
+        ("precondition:scalar_potential", True), ("precondition:eigen_equation", True), ("conclusion", False)]
+    assert reports[2]["sup_norm"] == math.inf
 
 
 @pytest.mark.parametrize("command, config, fields, extra", [

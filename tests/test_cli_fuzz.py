@@ -9,7 +9,10 @@ step, the box and the ODE start) stay small, so every example runs quickly.
 The examples are derandomized, so every run checks the same 200 configs.
 
 A second test holds the same contract for expressions of any size: sums and
-products of 1,000 to 5,000 terms, and nesting up to 5,000 levels deep.
+products of 1,000 to 5,000 terms, and nesting up to 5,000 levels deep; a
+check that fails there gives its report, unless it names the subexpression
+that cannot be evaluated. A third holds it for config text that the JSON
+reader itself rejects.
 """
 
 import io
@@ -20,7 +23,8 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cliffcalc.algebra import blade_name
@@ -116,10 +120,14 @@ def configs(draw):
 
 
 def run(command, config):
+    return run_text(command, json.dumps(config))
+
+
+def run_text(command, text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
-            json.dump(config, fh)
+            fh.write(text)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([command, "--config", path])
@@ -163,6 +171,20 @@ def large_expressions(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(expression=large_expressions(), name=st.sampled_from(["f", "v"]))
+# a finite residual of about 1e181, whose square exceeds the largest float
+@example(expression="2" + " / x1 * 2" * 600, name="v")
 def test_an_expression_of_any_size_exits_0_1_or_2_without_traceback(expression, name):
     fields = {"f": {"e1": "x1"}, "v": "0 - 1", name: expression}
-    assert_contract(*run("riccati-check", {"n": 2, "fields": fields, "grid": {"samples_per_axis": 2}}))
+    code, out, err = run("riccati-check", {"n": 2, "fields": fields, "grid": {"samples_per_axis": 2}})
+    assert_contract(code, out, err)
+    # a numerical failure gives its report, unless a subexpression cannot be evaluated at all
+    assert out or code == 2 or "in subexpression" in err
+
+
+@pytest.mark.parametrize("key, value", [("tolerance", "7" * 5000), ("x", "[" * 100_000 + "]" * 100_000)],
+                         ids=["integer of 5,000 digits", "100,000 nested arrays"])
+def test_a_config_the_json_reader_rejects_exits_2(key, value):
+    text = f'{{"n": 2, "fields": {{"f": "x1", "v": "0"}}, "{key}": {value}}}'
+    code, out, err = run_text("riccati-check", text)
+    assert_contract(code, out, err)
+    assert code == 2

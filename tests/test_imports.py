@@ -1,18 +1,46 @@
 """Stale-import and dead-definition guards, read from the source with the
 standard-library ast: every name a cliffcalc module imports is used there,
-every name the package __init__ re-exports exists in the module it comes
-from, and every function, class and method is referenced somewhere."""
+and every function, class and method is referenced somewhere. Also the
+package namespace: its table of names resolves, and `import cliffcalc`
+loads a module of the package only when one of its names is read."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import cliffcalc
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cliffcalc"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
+
+# the names the package exports, per owning module
+EXPORTS = {
+    "algebra": ("AlgebraError", "Multivector", "blade_grade", "blade_indices", "blade_mask", "blade_name",
+                "conjugate", "dot_and_wedge", "linear_combine", "parse_blade", "pseudoscalar"),
+    "taylor": ("JetDomainError", "JetOrderError", "Taylor"),
+    "expr": ("ExprDomainError", "ExprError", "ExprSyntaxError", "ScalarExpr", "parse"),
+    "fields": ("EPS_EXACT", "EPS_FD", "FD_STEP", "ConstantField", "DerivedField", "ExprField", "FDField",
+               "FieldError", "GridSpec", "MultivectorField", "PreconditionError", "ResidualReport",
+               "grid_residual", "grid_residuals", "kvector_leibniz_residual", "scalar_leibniz_residual"),
+    "riccati": ("OdeBlowupError", "RiccatiCandidate", "combination_family_gap", "euler_combine", "euler_shift",
+                "harmonic_check", "homogeneous_sum", "log_derivative", "riccati_residual", "separable_solve",
+                "vector_split_residuals"),
+    "darboux": ("FactorizedOperator", "PipelineResult", "darboux_kvector_pipeline", "darboux_scalar_pipeline",
+                "darboux_transform", "darboux_vector_pipeline", "eigen_check", "kvector_closed_form", "minus_op",
+                "plus_op"),
+    "kernel": ("DecompositionResult", "ModeError", "PseudoscalarMode", "decompose_conjugate_solution",
+               "decompose_schrodinger_solution", "default_mode", "first_order_check", "mode_check",
+               "split_kernel"),
+    "suites": ("identity_suite",),
+}
 
 
 def imported_names(tree):
@@ -35,13 +63,49 @@ def test_every_import_is_used(path):
 
 
 def test_every_package_export_resolves():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    missing = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom):
-            module = importlib.import_module(f"cliffcalc.{node.module}")
-            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
-    assert not missing, f"cliffcalc/__init__.py imports names that do not exist: {', '.join(missing)}"
+    table = cliffcalc._EXPORTS
+    missing = [f"{module}.{name}" for module, names in table.items() for name in names
+               if not hasattr(importlib.import_module(f"cliffcalc.{module}"), name)]
+    assert not missing, f"cliffcalc/__init__.py exports names that do not exist: {', '.join(missing)}"
+    names = Counter(name for names in table.values() for name in names)
+    assert [name for name, count in names.items() if count > 1] == []
+    assert table == EXPORTS and len(names) == 66
+
+
+# run in a fresh interpreter, so that no module of the package is loaded before it
+NAMESPACE_PROBE = """
+import importlib, json, sys
+
+def loaded():
+    return sorted(m.partition(".")[2] for m in sys.modules if m.startswith("cliffcalc."))
+
+exports = json.loads(sys.argv[1])
+import cliffcalc
+package = loaded()
+undir = sorted({name for names in exports.values() for name in names} - set(dir(cliffcalc)))
+import cliffcalc.expr
+expr = loaded()
+unbound = [name for module, names in exports.items() for name in names
+           if getattr(cliffcalc, name) is not getattr(importlib.import_module("cliffcalc." + module), name)]
+try:
+    cliffcalc.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(json.dumps({"package": package, "expr": expr, "undir": undir, "unbound": unbound, "unknown": unknown}))
+"""
+
+
+def test_package_names_load_their_module_on_first_read():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NAMESPACE_PROBE, json.dumps(EXPORTS)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["package"] == []
+    assert seen["expr"] == ["batch", "expr", "taylor"]
+    assert seen["undir"] == [] and seen["unbound"] == []
+    assert seen["unknown"] == "AttributeError"
 
 
 def referenced_names(node):
