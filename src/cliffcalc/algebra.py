@@ -12,6 +12,7 @@ product routine drive both exact arithmetic and derivative calculus.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from functools import lru_cache
@@ -126,23 +127,15 @@ class Multivector:
         if self.n != other.n:
             raise AlgebraError(f"signature mismatch: n={self.n} vs n={other.n}")
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return _multivector(self.n, out)
+        return _signed_sum(self.n, itertools.chain(((m, 1, c) for m, c in self.terms.items()),
+                                                   ((m, sign, c) for m, c in other.terms.items())))
 
     def __sub__(self, other):
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        self._check_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] - c if m in out else -c
-        return _multivector(self.n, out)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return _multivector(self.n, {m: -c for m, c in self.terms.items()})
@@ -150,16 +143,8 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             self._check_same(other)
-            out = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    m = a ^ b
-                    c = ca * cb
-                    if product_sign(a, b) > 0:
-                        out[m] = out[m] + c if m in out else c
-                    else:
-                        out[m] = out[m] - c if m in out else -c
-            return _multivector(self.n, out)
+            return _signed_sum(self.n, ((a ^ b, product_sign(a, b), ca * cb)
+                                        for a, ca in self.terms.items() for b, cb in other.terms.items()))
         return _multivector(self.n, {m: c * other for m, c in self.terms.items()})
 
     def __rmul__(self, other):
@@ -229,6 +214,22 @@ def _abs_square(c):
         return abs(c) ** 2
     except OverflowError:
         return Batch(map(_abs_square, c)) if type(c) is Batch else math.inf
+
+
+def _signed_sum(n, terms):
+    """The multivector sum of (blade, sign, coefficient) triples, taken in order.
+
+    A blade's first term is stored as c or -c, and each later one is added to
+    or subtracted from the sum so far: a sign is never folded into a numeric
+    factor, as c * -1 keeps the sign of a zero part that -c flips (README).
+    """
+    out = {}
+    for m, sign, c in terms:
+        if m in out:
+            out[m] = out[m] + c if sign > 0 else out[m] - c
+        else:
+            out[m] = c if sign > 0 else -c
+    return _multivector(n, out)
 
 
 def _multivector(n, terms):

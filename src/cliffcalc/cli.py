@@ -391,7 +391,7 @@ def main(argv=None) -> int:
         "overall_pass": passed,
         "wall_time_s": time.perf_counter() - start,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -400,10 +400,18 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
-def _json_default(value):
+def _strict_json(value):
+    """value with each complex number written as [re, im], and each non-finite float as the
+    string "Infinity", "-Infinity" or "NaN": strict JSON (RFC 8259) has no token for them."""
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    raise TypeError(f"not JSON serializable: {value!r}")
+        value = [value.real, value.imag]
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return dict(zip(value, map(_strict_json, value.values())))
+    if isinstance(value, (list, tuple)):
+        return list(map(_strict_json, value))
+    return value
 
 
 if __name__ == "__main__":

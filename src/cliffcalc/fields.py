@@ -28,7 +28,7 @@ import math
 import weakref
 from dataclasses import dataclass
 
-from .algebra import Multivector, _multivector, blade_name, parse_blade, product_sign
+from .algebra import Multivector, _signed_sum, blade_name, parse_blade, product_sign
 from .batch import Batch, Flags
 from .expr import ScalarExpr, Tape
 from .taylor import JetOrderError, Taylor, coefficient
@@ -76,39 +76,21 @@ def mv_dirac(mv: Multivector) -> Multivector:
     With blades as bitmasks, e_j e_m is the blade bit_j ^ m times
     product_sign(bit_j, m), so each term maps to one blade directly.
     """
-    out = {}
-    for j in range(mv.n):
-        bit = 1 << j
-        for m, c in mv.terms.items():
-            d, key = c.diff(j), bit ^ m
-            if product_sign(bit, m) > 0:
-                out[key] = out[key] + d if key in out else d
-            else:
-                out[key] = out[key] - d if key in out else -d
-    return _multivector(mv.n, out)
+    return _signed_sum(mv.n, (((1 << j) ^ m, product_sign(1 << j, m), c.diff(j))
+                              for j in range(mv.n) for m, c in mv.terms.items()))
 
 
 def mv_grade_shift_mul(mv: Multivector, j: int, t: int, r: Multivector) -> Multivector:
     """[e_j G]_t R, each term added or subtracted by the sign of e_j e_m times its own: none is negated."""
     bit = 1 << (j - 1)
-    out = {}
-    for m, cg in mv.terms.items():
-        a, sign = bit ^ m, product_sign(bit, m)
-        if a.bit_count() == t:
-            for b, cr in r.terms.items():
-                key, c = a ^ b, cg * cr
-                if sign == product_sign(a, b):
-                    out[key] = out[key] + c if key in out else c
-                else:
-                    out[key] = out[key] - c if key in out else -c
-    return _multivector(mv.n, out)
+    return _signed_sum(mv.n, ((bit ^ m ^ b, product_sign(bit, m) * product_sign(bit ^ m, b), cg * cr)
+                              for m, cg in mv.terms.items() if (bit ^ m).bit_count() == t
+                              for b, cr in r.terms.items()))
 
 
 def mv_laplacian(mv: Multivector) -> Multivector:
-    acc = Multivector(mv.n)
-    for j in range(1, mv.n + 1):
-        acc = acc + mv_partial(mv_partial(mv, j), j)
-    return acc
+    """Sum over j of the j-th second partial of the coefficients."""
+    return _signed_sum(mv.n, ((m, 1, c.diff(j).diff(j)) for j in range(mv.n) for m, c in mv.terms.items()))
 
 
 class MultivectorField:
@@ -229,12 +211,9 @@ class FDField(MultivectorField):
     The black box takes one point, so a chunk of points is refused: grid_residuals
     then evaluates that chunk one point at a time."""
 
-    def __init__(self, n: int, fn, step: float = FD_STEP):
-        if step <= 0:
-            raise FieldError("finite-difference step must be positive")
+    def __init__(self, n: int, fn):
         self.n = n
         self.fn = fn
-        self.step = step
 
     def evaluate(self, p):
         order = self.order
@@ -242,7 +221,7 @@ class FDField(MultivectorField):
             raise JetOrderError("finite-difference fields provide jets up to order 1 only")
         if type(p[0]) is Batch:
             raise FieldError("a finite-difference field is evaluated one point at a time")
-        n, h = self.n, self.step
+        n, h = self.n, FD_STEP
         base = self.fn(p)
         coefs = {m: {0: c} for m, c in mv_value(base).terms.items()}  # monomial index 0: the constant
         if order >= 1:

@@ -26,6 +26,8 @@ def test_generator_squares_are_minus_one():
         for j in range(1, n + 1):
             e = Multivector.basis(n, j)
             assert e * e == Multivector.scalar(n, complex(-1.0))
+            # -c flips the zero imaginary part; folding the sign into a factor, c * -1, gives (-1+0j)
+            assert repr((e * e).coeff(0)) == "(-1-0j)"
 
 
 def test_generators_anticommute():

@@ -32,8 +32,12 @@ def write_config(tmp_path, name, data):
     return str(path)
 
 
+def bare_token(token):
+    raise ValueError(f"strict JSON (RFC 8259) has no {token} token")
+
+
 def load(out):
-    return json.loads(out)
+    return json.loads(out, parse_constant=bare_token)
 
 
 def points_in(p):
@@ -105,7 +109,7 @@ def test_nan_residual_fails_without_traceback(tmp_path, capsys):
     assert code == 1 and err == ""
     report = load(out)["reports"][0]
     assert report["name"] == "riccati" and report["pass"] is False
-    assert math.isnan(report["sup_norm"]) and report["worst_point"] is not None
+    assert report["sup_norm"] == "NaN" and report["worst_point"] is not None
 
 
 def test_bad_expression_is_config_error(tmp_path, capsys):
@@ -157,7 +161,7 @@ def test_nan_identity_residual_fails_its_entry(tmp_path, capsys, monkeypatch):
                            write_config(tmp_path, "c.json", {"n": 2, "rounds": 5}))
     entries = {r["name"]: r for r in load(out)["reports"]}
     assert code == 1
-    assert math.isnan(entries["leibniz/scalar"]["sup_norm"]) and entries["leibniz/scalar"]["pass"] is False
+    assert entries["leibniz/scalar"]["sup_norm"] == "NaN" and entries["leibniz/scalar"]["pass"] is False
     assert all(r["pass"] for name, r in entries.items() if name != "leibniz/scalar")
 
 
@@ -178,7 +182,7 @@ def test_out_flag(tmp_path, capsys):
     dest = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "riccati-check", "--config", cfg, "--out", str(dest))
     assert code == 0 and out == ""
-    assert json.loads(dest.read_text())["overall_pass"] is True
+    assert load(dest.read_text())["overall_pass"] is True
 
 
 def test_decompose_command(tmp_path, capsys):
@@ -607,7 +611,7 @@ def test_a_residual_whose_square_overflows_fails_with_its_report(tmp_path, capsy
     assert (code, err) == (1, "")
     assert [(r["name"], r["pass"]) for r in reports] == [
         ("precondition:scalar_potential", True), ("precondition:eigen_equation", True), ("conclusion", False)]
-    assert reports[2]["sup_norm"] == math.inf
+    assert reports[2]["sup_norm"] == "Infinity"
 
 
 @pytest.mark.parametrize("command, config, fields, extra", [
@@ -848,8 +852,8 @@ def test_golden_call_counts_stay_within_their_ceilings(monkeypatch, path):
     assert all(counts[name] <= ceiling[name] for name in counts), (counts, ceiling)
 
 
-# the drift sum takes each d_j(f) once per node; it took them once per grade of G (28 and 21 calls)
-PARTIAL_CALLS = {"darboux-kvector": 24, "darboux-bivector-nonconstant-f": 18}
+# the drift sum takes each d_j(f) once per node, n at each of two nodes; the Laplacian takes no mv_partial
+PARTIAL_CALLS = {"darboux-kvector": 8, "darboux-bivector-nonconstant-f": 6}
 
 
 @pytest.mark.parametrize("name", sorted(PARTIAL_CALLS))

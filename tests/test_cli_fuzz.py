@@ -1,5 +1,6 @@
 """Fuzz test of the CLI contract: whatever the config, `cliffcalc.cli.main`
-exits 0, 1 or 2 and prints no traceback.
+exits 0, 1 or 2, prints no traceback, and any report it prints is strict
+JSON (RFC 8259), with no bare Infinity or NaN token.
 
 Each example builds a well-formed config for one command, then breaks a few
 of its keys: a broken key is dropped or replaced by an arbitrary JSON value,
@@ -30,6 +31,7 @@ from hypothesis import strategies as st
 from cliffcalc.algebra import blade_name
 from cliffcalc.cli import COMMANDS, main
 from cliffcalc.expr import FUNCTIONS
+from test_cli import load
 
 FIELDS = ("f", "v", "g", "h", "phi", "phi1", "phi2")
 
@@ -138,7 +140,7 @@ def assert_contract(code, out, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if out:
-        assert err == "" and json.loads(out)["overall_pass"] is (code == 0)
+        assert err == "" and load(out)["overall_pass"] is (code == 0)
     else:
         prefix = "error: " if code == 2 else "check failed: "
         assert code != 0 and err.startswith(prefix) and err.count("\n") == 1

@@ -194,7 +194,7 @@ def test_constant_field():
 def test_fd_field_matches_exact_jets():
     n = 2
     exact = ExprField.scalar(n, "exp(x1)*cos(x2) + x1*x2")
-    fd = FDField(n, exact.value, step=1e-5)
+    fd = FDField(n, exact.value)
     p = (0.3, -0.4)
     je = exact.at(p, 1)
     jf = fd.at(p, 1)
@@ -223,8 +223,6 @@ def test_fd_field_order_cap():
     fd = FDField(1, lambda p: Multivector.scalar(1, complex(p[0])))
     with pytest.raises(JetOrderError):
         fd.at((0.0,), 2)
-    with pytest.raises(FieldError):
-        FDField(1, lambda p: None, step=0.0)
 
 
 def test_scalar_leibniz_residual_exact():
