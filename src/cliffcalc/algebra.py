@@ -90,12 +90,6 @@ def product_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
-def _is_zero(c) -> bool:
-    # only numeric zeros are dropped, and a Batch that is zero at every point; a
-    # jet that vanishes at one point is not the zero coefficient and must be kept
-    return isinstance(c, (int, float, complex, Batch)) and not c
-
-
 class Multivector:
     """Finitely supported map from blades to coefficients."""
 
@@ -110,7 +104,7 @@ class Multivector:
             for mask, coeff in terms.items():
                 if not isinstance(mask, int) or not 0 <= mask < limit:
                     raise AlgebraError(f"blade {mask!r} does not fit in dimension {n}")
-                if not _is_zero(coeff):
+                if coeff:  # as in _multivector
                     self.terms[mask] = coeff
 
     @classmethod
@@ -232,15 +226,15 @@ def _signed_sum(n, terms):
     return _multivector(n, out)
 
 
-def _multivector(n, terms):
+def _multivector(n, terms, drop=True):
     """Multivector from terms computed out of checked multivectors.
 
-    Drops numeric zeros, but skips the dimension and blade checks that the
-    public constructor makes on outside input.
+    Drops zeros unless drop is false: a number, or a Batch zero at every point, never a jet
+    (it has no truth value). Skips the checks that the public constructor makes on outside input.
     """
     mv = object.__new__(Multivector)
     mv.n = n
-    mv.terms = {m: c for m, c in terms.items() if not _is_zero(c)}
+    mv.terms = {m: c for m, c in terms.items() if c} if drop else terms
     return mv
 
 

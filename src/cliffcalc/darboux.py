@@ -64,8 +64,7 @@ class FactorizedOperator:
 
     def field(self, g: MultivectorField) -> MultivectorField:
         """(D +/- M^f) g from the nodes D(g) and g f on g, which both factors on g share."""
-        # g as D(g) reads it, so its jets are not truncated: the product truncates to f's order
-        prod = g.node(("times", id(self.f)), lambda: DerivedField(_right_mul, (g, 1), (self.f, 0)))
+        prod = g.node(("times", id(self.f)), lambda: DerivedField(_right_mul, (g, 0), (self.f, 0)))
         return DerivedField(lambda dj, pj: _factor_jet(dj, pj, self.sign), (g.dirac, 0), (prod, 0))
 
 
@@ -180,9 +179,9 @@ def schrodinger_field(g, w, f, s):
     its scalar part (scalar_part_field), so no empty blade of w is multiplied.
     """
     lap = g.neg_laplacian
-    drift = [(g.node(("drift", id(f)), lambda: DerivedField(_drift, (g, 2), (f, 1))), 0)] if s else []
+    drift = [(g.node(("drift", id(f)), lambda: DerivedField(_drift, (g, 0), (f, 1))), 0)] if s else []
     return DerivedField(lambda lj, gj, wj, *dj: sum([(2.0 * s) * d for d in dj], lj + gj * wj),
-                        (lap, 0), (g, 2), (w, 0), *drift)
+                        (lap, 0), (g, 0), (w, 0), *drift)
 
 
 def pure_field(g, k, what):

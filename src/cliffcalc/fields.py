@@ -2,10 +2,12 @@
 
 A field answers `at(p, order)` with a Multivector whose coefficients are
 Taylor jets of the requested order, so Dirac derivatives, Laplacians and
-pointwise products compose freely: each derivative spends one order. A
-derived field declares its inputs and how many extra orders it reads of
-each, so the fields form a graph in which each node's order, the most that
-any consumer reads, is fixed when the graph is built.
+pointwise products compose freely: each derivative spends one order. Order 0
+means values: `at(p, 0)`, and a first derivative that spends a jet's last
+order, give numbers (Batches on a chunk), not jets of order 0. A derived
+field declares its inputs and how many extra orders it reads of each, orders
+that its derivatives spend, so the fields form a graph in which each node's
+order, the most that any consumer reads, is fixed when the graph is built.
 
 Two derivative providers exist: expression-backed fields (exact jets of any
 order) and black-box fields (central finite differences, orders 0 and 1).
@@ -28,7 +30,7 @@ import math
 import weakref
 from dataclasses import dataclass
 
-from .algebra import Multivector, _signed_sum, blade_name, parse_blade, product_sign
+from .algebra import Multivector, _multivector, _signed_sum, blade_name, parse_blade, product_sign
 from .batch import Batch, Flags
 from .expr import ScalarExpr, Tape
 from .taylor import JetOrderError, Taylor, coefficient
@@ -54,20 +56,30 @@ class PreconditionError(ValueError):
         self.report = report
 
 
-def coeff_value(c):
-    """The value of a jet coefficient: a jet's value, or the coefficient itself as a
-    complex number, or as a Batch of complex numbers when it holds one per point."""
-    return c.value if isinstance(c, Taylor) else coefficient(c)
+def _value(c):
+    """A jet's value; a number is its own value."""
+    return c.value if isinstance(c, Taylor) else c
 
 
 def mv_value(mv: Multivector) -> Multivector:
-    """Numeric multivector from a jet-coefficient multivector."""
-    return mv.map_coeffs(coeff_value)
+    """The values of a multivector of jets or numbers, without the blades that are zero."""
+    return mv.map_coeffs(_value)
+
+
+def _values(mv: Multivector) -> Multivector:
+    """The values of mv's jets at every blade, zeros kept: a zero meets what its jet would (0 * inf is NaN)."""
+    return _multivector(mv.n, {m: _value(c) for m, c in mv.terms.items()}, drop=False)
+
+
+def _partial(c, j):
+    """The partial of the jet c along axis j (0-based): a jet, or its value where it spends c's last order."""
+    d = c.diff(j)
+    return d if d.order else d.value
 
 
 def mv_partial(mv: Multivector, j: int) -> Multivector:
     """Componentwise partial derivative along axis j (1-based)."""
-    return mv.map_coeffs(lambda t, _j=j - 1: t.diff(_j))
+    return mv.map_coeffs(lambda t, _j=j - 1: _partial(t, _j))
 
 
 def mv_dirac(mv: Multivector) -> Multivector:
@@ -76,7 +88,7 @@ def mv_dirac(mv: Multivector) -> Multivector:
     With blades as bitmasks, e_j e_m is the blade bit_j ^ m times
     product_sign(bit_j, m), so each term maps to one blade directly.
     """
-    return _signed_sum(mv.n, (((1 << j) ^ m, product_sign(1 << j, m), c.diff(j))
+    return _signed_sum(mv.n, (((1 << j) ^ m, product_sign(1 << j, m), _partial(c, j))
                               for j in range(mv.n) for m, c in mv.terms.items()))
 
 
@@ -89,7 +101,8 @@ def mv_grade_shift_mul(mv: Multivector, j: int, t: int, r: Multivector) -> Multi
 
 
 def mv_laplacian(mv: Multivector) -> Multivector:
-    """Sum over j of the j-th second partial of the coefficients."""
+    """Sum over j of the j-th second partial of the coefficients, as jets even at order 0,
+    so that jets of a higher order can be subtracted from it."""
     return _signed_sum(mv.n, ((m, 1, c.diff(j).diff(j)) for j in range(mv.n) for m, c in mv.terms.items()))
 
 
@@ -101,19 +114,21 @@ class MultivectorField:
     raises the inputs in turn, and so does a call of `at` for a higher order.
     `at` keeps the jets of the last point (the same tuple object); a lower
     order is their truncation, bit for bit the fresh jet, as degree-k
-    coefficients ignore higher ones.
+    coefficients ignore higher ones. Order 0 gives their values instead, at
+    every blade the jets have, kept for the point like the jets: a derived
+    field at order 0 computes on numbers, and gives numbers.
     """
 
     n: int
     order = 0
     inputs = ()  # (field, extra orders read) pairs
-    _last = (None, None)  # (point, jets)
+    _last = (None, None, None)  # (point, jets, their values or None until read)
 
     def demand(self, order: int):
         """Raise this field's order to `order`, and its inputs' orders to match."""
         if order > self.order:
             self.order = order
-            self._last = (None, None)
+            self._last = (None, None, None)
             for field, extra in self.inputs:
                 field.demand(order + extra)
 
@@ -121,10 +136,14 @@ class MultivectorField:
         if order > self.order:
             self.demand(order)
         p = tuple(p)
-        point, jets = self._last
+        point, jets, values = self._last
         if p is not point:
-            jets = self.evaluate(p)
-            self._last = (p, jets)
+            jets, values = self.evaluate(p), None
+        if not order and values is None:
+            values = _values(jets)
+        self._last = (p, jets, values)
+        if not order:
+            return values
         if order < self.order:
             jets = jets.map_coeffs(lambda c: c.truncate(order) if isinstance(c, Taylor) else c)
         return jets
@@ -133,7 +152,7 @@ class MultivectorField:
         raise NotImplementedError
 
     def value(self, p) -> Multivector:
-        return mv_value(self.at(p, self.order))  # a jet's value needs no truncation
+        return mv_value(self.at(p, 0))  # without the blades that are zero at p
 
     @property
     def dirac(self) -> "MultivectorField":
@@ -223,13 +242,13 @@ class FDField(MultivectorField):
             raise FieldError("a finite-difference field is evaluated one point at a time")
         n, h = self.n, FD_STEP
         base = self.fn(p)
-        coefs = {m: {0: c} for m, c in mv_value(base).terms.items()}  # monomial index 0: the constant
+        coefs = {m: {0: coefficient(c)} for m, c in base.terms.items()}  # monomial index 0: the constant
         if order >= 1:
             scale = 1.0 / (2 * h)
             for j in range(n):
                 diff = self.fn(p[:j] + (p[j] + h,) + p[j + 1:]) - self.fn(p[:j] + (p[j] - h,) + p[j + 1:])
-                for m, c in mv_value(diff).terms.items():
-                    coefs.setdefault(m, {})[1 + j] = c * scale  # index 1 + j: x_j
+                for m, c in diff.terms.items():
+                    coefs.setdefault(m, {})[1 + j] = coefficient(c) * scale  # index 1 + j: x_j
         return Multivector(n, {m: Taylor(n, order, cf) for m, cf in coefs.items()})
 
 
@@ -263,11 +282,10 @@ def scalar_of(mv: Multivector):
     return mv.coeff(0)
 
 
-def _inv_scalar(c):
-    """1/c for a jet c; a blade with no jet reads as 0j, so any other c vanishes."""
-    if not isinstance(c, Taylor):
-        raise FieldError("vanishing scalar denominator")
-    return c.reciprocal()
+def _lifted(fn, c, n):
+    """fn of the jet c; of a value c, the value of fn of c as an order-0 jet, so that a value
+    raises what its jet would (JetDomainError at a zero of a reciprocal)."""
+    return fn(c) if isinstance(c, Taylor) else fn(Taylor.constant(c, n, 0)).value
 
 
 # -- pointwise Leibniz residuals ---------------------------------------------
@@ -286,11 +304,12 @@ def kvector_leibniz_residual(gk: MultivectorField, f: MultivectorField, k: int, 
     if not g.is_homogeneous(k):
         raise FieldError(f"first factor is not a pure {k}-vector (grades {g.grades()})")
     fj = f.at(p, 1)
+    gv, fv = gk.at(p, 0), f.at(p, 0)  # the factors of the order-0 products
     lhs = mv_dirac(g * fj)
-    rhs = mv_dirac(g) * fj
+    rhs = mv_dirac(g) * fv
     for j in range(1, g.n + 1):
-        rhs = rhs + 2.0 * mv_grade_shift_mul(g, j, k - 1, mv_partial(fj, j))
-    rhs = rhs - g * mv_dirac(fj) if k & 1 else rhs + g * mv_dirac(fj)  # (-1)^k G D(f), with no product by +-1.0
+        rhs = rhs + 2.0 * mv_grade_shift_mul(gv, j, k - 1, mv_partial(fj, j))
+    rhs = rhs - gv * mv_dirac(fj) if k & 1 else rhs + gv * mv_dirac(fj)  # (-1)^k G D(f), with no product by +-1.0
     return mv_value(lhs - rhs)
 
 

@@ -29,8 +29,9 @@ from .fields import (
     grid_residual,
     grid_residuals,
     scalar_of,
-    _inv_scalar,
+    _lifted,
 )
+from .taylor import Taylor
 
 DEFAULT_DENOM_RADIUS = 1e-2
 ODE_DEFAULT_STEP = 1e-3
@@ -89,7 +90,9 @@ def _quotient(d, phi):
     """The field d/phi, for a field d of derivatives of the scalar field phi."""
 
     def quotient(dj, ph):
-        inv = _inv_scalar(scalar_of(ph))
+        if 0 not in ph.terms:  # phi has no scalar blade: its scalar part reads as 0j
+            raise FieldError("vanishing scalar denominator")
+        inv = _lifted(Taylor.reciprocal, scalar_of(ph), ph.n)
         return dj.map_coeffs(lambda t: t * inv)
 
     return DerivedField(quotient, (d, 0), (phi, 0))
@@ -286,13 +289,13 @@ def _blend(phi1, phi2, K, potential):
     def alpha_of(a, b):
         if a.terms.keys() != {0} or b.terms.keys() != {0}:
             raise FieldError("phi1 and phi2 must be scalar fields")
-        return Multivector.scalar(a.n, (scalar_of(a) - scalar_of(b)).exp() * K)
+        return Multivector.scalar(a.n, _lifted(Taylor.exp, scalar_of(a) - scalar_of(b), a.n) * K)
 
     alpha = DerivedField(alpha_of, (phi1, 0), (phi2, 0))
 
     def blend(g1, g2, aj):
         a = scalar_of(aj)
-        inv = _inv_scalar(a - 1.0)
+        inv = _lifted(Taylor.reciprocal, a - 1.0, aj.n)
         num = g1.map_coeffs(lambda t: a * t) - g2
         return num.map_coeffs(lambda t: t * inv)
 

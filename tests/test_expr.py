@@ -205,16 +205,20 @@ def _tree_eval(t, env, n, order):
         raise ExprDomainError(f"{err}, in subexpression '{_render_tree(t)}'") from err
 
 
-def _outcome(jets):
-    """repr of each jet's coefficient items (order and signed zeros included),
-    or the error that computing them raised."""
+def _coefs(t):
+    """repr of a jet's coefficient items, order and signed zeros included."""
+    return repr(list(t.coef.items()))
+
+
+def _outcome(jets, text=_coefs):
+    """text of each jet, by default its coefficients, or the error that computing them raised."""
     try:
-        return [repr(list(t.coef.items())) for t in jets()]
+        return [text(t) for t in jets()]
     except (ArithmeticError, ValueError) as err:
         return f"{type(err).__name__}: {err}"
 
 
-def _tree_outcome(tape, slots, p, order):
+def _tree_outcome(tape, slots, p, order, text=_coefs):
     n = tape.n
 
     def jets():
@@ -222,7 +226,7 @@ def _tree_outcome(tape, slots, p, order):
             env = [Taylor.variable(j, p[j], n, order) for j in range(n)]
             yield _tree_eval(_tree(tape, s), env, n, order)
 
-    return _outcome(jets)
+    return _outcome(jets, text)
 
 
 _LEAVES = st.sampled_from(["x1", "x2", "x3", "0.5", "2", "i", "0", "(x1 - x1)", "1.5e-3"])
@@ -260,9 +264,11 @@ _COORD = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.5,
 def test_tape_matches_tree_evaluation_bit_for_bit(sources, p, order):
     field = ExprField(3, {1 << k: src for k, src in enumerate(sources)})
     exprs = list(field.components.values())
-    # the whole field: one pass over the shared tape, or the first error in component order
-    expected = _tree_outcome(field.tape, [e.slot for e in exprs], p, order)
-    assert _outcome(lambda: list(field.at(p, order).terms.values())) == expected
+    # the whole field: one pass over the shared tape, or the first error in component order;
+    # at order 0 a field gives values, each the tree jet's value bit for bit
+    expected = _tree_outcome(field.tape, [e.slot for e in exprs], p, order,
+                             _coefs if order else lambda t: repr(t.value))
+    assert _outcome(lambda: list(field.at(p, order).terms.values()), _coefs if order else repr) == expected
     # each component alone, from the field's tape and from its own
     for e, src in zip(exprs, sources):
         expected = _tree_outcome(field.tape, [e.slot], p, order)

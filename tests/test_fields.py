@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -33,12 +34,13 @@ from cliffcalc.fields import (
     scalar_of,
 )
 from cliffcalc.cli import main
-from cliffcalc.darboux import eigen_check, kvector_closed_form, minus_op, plus_op
+from cliffcalc.darboux import closed_forms, eigen_check, kvector_closed_form, minus_op, plus_op
 from cliffcalc.expr import ExprDomainError, Tape
 from cliffcalc.riccati import RiccatiCandidate, harmonic_check, homogeneous_sum, riccati_check
 from cliffcalc.suites import (
     identity_suite,
     random_expr_str,
+    random_kvector_field,
     random_multivector,
     random_mv_field,
     random_point,
@@ -87,7 +89,86 @@ def test_lower_order_at_the_last_point_is_the_fresh_jet(seed, n, low, extra):
     f, twin = (random_mv_field(random.Random(seed), n) for _ in range(2))
     p = random_point(random.Random(seed + 1), n)
     f.at(p, low + extra)
-    assert _bits(f.at(p, low)) == _bits(twin.at(p, low))
+    if low:
+        assert _bits(f.at(p, low)) == _bits(twin.at(p, low))
+    else:  # a field gives values at order 0: the fresh jets' values, bit for bit, at every blade
+        assert repr(list(f.at(p, 0).terms.items())) == \
+            repr([(m, jet.value) for m, jet in twin.evaluate(p).terms.items()])
+
+
+def _leibniz_field(gk, f, k):
+    """kvector_leibniz_residual's residual D(G f) - [D(G) f + 2 sum_j [e_j G]_{k-1} d_j(f) + (-1)^k G D(f)]
+    as one field, its sums taken in the function's order."""
+
+    def residual(lhs, dg, g, fj, f1, df):
+        rhs = dg * fj
+        for j in range(1, g.n + 1):
+            rhs = rhs + 2.0 * mv_grade_shift_mul(g, j, k - 1, mv_partial(f1, j))
+        return lhs - (rhs - g * df if k & 1 else rhs + g * df)
+
+    product = DerivedField(lambda g, fj: g * fj, (gk, 0), (f, 0))
+    return DerivedField(residual, (product.dirac, 0), (gk.dirac, 0), (gk, 0), (f, 0), (f, 1), (f.dirac, 0))
+
+
+def _graph(seed, n):
+    """Random fields G, f and a k-vector field Gk, and fields built on them: D(G), G G, -Lap G, both
+    factors on G, the closed forms on Gk and the graded Leibniz residual of Gk and G."""
+    rng = random.Random(seed)
+    g, f = random_mv_field(rng, n), random_mv_field(rng, n, grades={1})
+    k = rng.randint(0, n)
+    gk = random_kvector_field(rng, n, k)
+    fields = [g.dirac, g.square, g.neg_laplacian, plus_op(f).field(g), minus_op(f).field(g)]
+    fields += [side for pair in closed_forms(f, gk, k).values() for side in pair]
+    return fields + [_leibniz_field(gk, g, k)], (gk, g, k)
+
+
+def _assert_same_values(a, b):
+    """a and b hold the same blades, each coefficient equal by == or NaN in both, at each point of a Batch."""
+    assert a.terms.keys() == b.terms.keys()
+    for m, c in a.terms.items():
+        pairs = zip(c, b.terms[m], strict=True) if type(c) is Batch else [(c, b.terms[m])]
+        assert all(x == y or (cmath.isnan(x) and cmath.isnan(y)) for x, y in pairs), (m, c, b.terms[m])
+
+
+def _nodes(fields):
+    """The fields and every field that they read, each once."""
+    seen, stack = {}, list(fields)
+    while stack:
+        field = stack.pop()
+        if id(field) not in seen:
+            seen[id(field)] = field
+            stack.extend(input for input, _ in field.inputs)
+    return seen.values()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), chunk=st.booleans())
+def test_a_field_read_at_order_0_has_the_values_of_its_jets(seed, n, chunk):
+    # each field of a graph read at order 0 against its twin in a fresh graph read at order 1,
+    # at a lone point and on a chunk of three points
+    points = [random_point(random.Random(seed + 1), n) for _ in range(3)]
+    p = tuple(Batch(q[a] for q in points) for a in range(n)) if chunk else points[0]
+    (fields, leibniz), (twins, _) = _graph(seed, n), _graph(seed, n)
+    for field, twin in zip(fields, twins):
+        _assert_same_values(mv_value(field.at(p, 0)), mv_value(twin.at(p, 1)))
+    _assert_same_values(kvector_leibniz_residual(*leibniz, p), mv_value(twins[-1].at(p, 1)))
+    # no field computed a jet above its order: no value met a jet of a higher order
+    for node in _nodes(fields + twins):
+        jets = node._last[1]
+        assert all(not isinstance(c, Taylor) or c.order <= node.order for c in jets.terms.values())
+
+
+def test_a_zero_read_at_order_0_meets_an_infinity_as_its_jet_does():
+    # x1 - x1 is 0 at every point, and its product with an infinite coefficient is NaN at order 0 as at order 1
+    def graph():
+        g = ExprField(2, {"1": "exp(400)*exp(400)", "e1": "x1 - x1"})
+        f = ExprField(2, {"e2": "x2"})
+        return [g.square, g.dirac, plus_op(f).field(g), minus_op(f).field(g)]
+
+    for p in [(0.5, -0.25), (Batch([0.5, 0.0]), Batch([-0.25, 1.0]))]:
+        for field, twin in zip(graph(), graph()):
+            _assert_same_values(mv_value(field.at(p, 0)), mv_value(twin.at(p, 1)))
+    assert cmath.isnan(graph()[0].value((0.5, -0.25)).coeff(0b01))
 
 
 class _Counting(DerivedField):

@@ -7,7 +7,7 @@ import pytest
 
 import cliffcalc.riccati
 from cliffcalc.algebra import Multivector
-from cliffcalc.batch import Batch
+from cliffcalc.batch import Batch, Mixed
 from cliffcalc.expr import parse
 from cliffcalc.fields import (
     EPS_FD,
@@ -33,6 +33,7 @@ from cliffcalc.riccati import (
     separable_solve,
     vector_split_residuals,
 )
+from cliffcalc.taylor import JetDomainError
 
 
 def minus_one(n):
@@ -60,6 +61,18 @@ def test_log_derivative_of_a_field_with_no_scalar_part_is_a_field_error():
     # phi has no scalar blade, so its scalar part reads as 0j, not a jet
     with pytest.raises(FieldError, match="^vanishing scalar denominator$"):
         riccati_residual(log_derivative(ExprField(2, {"e1": "x1 + 2"})), GridSpec.cube(2, samples_per_axis=3))
+
+
+@pytest.mark.parametrize("p", [(0.0, 0.5), (Batch([0.0, 0.0]), Batch([0.5, 0.7]))], ids=["point", "chunk"])
+def test_log_derivative_at_a_zero_of_phi_is_a_jet_domain_error(p):
+    with pytest.raises(JetDomainError, match="^division by a value that is zero at the base point$"):
+        log_derivative(ExprField.scalar(2, "x1")).potential.value(p)
+
+
+def test_log_derivative_on_a_chunk_through_a_zero_of_phi_is_mixed():
+    # phi vanishes at one point of the chunk only
+    with pytest.raises(Mixed):
+        log_derivative(ExprField.scalar(2, "x1")).potential.value((Batch([0.0, 0.3]), Batch([0.5, 0.7])))
 
 
 def test_log_derivative_known_value():
