@@ -49,7 +49,7 @@ from .riccati import (
 )
 from .suites import identity_suite
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 NUMBER = (int, float)
 
 
@@ -194,7 +194,7 @@ def _cmd_verify_identities(c):
     if rounds < 1:
         raise ConfigError("config key 'rounds' must be at least 1")
     entries = identity_suite(c.n, seed, rounds)
-    return [(e.name, e) for e in entries], {}, all(e.passed for e in entries)
+    return entries, {}, all(r.passed for _, r in entries)
 
 
 def _cmd_riccati_check(c):

@@ -377,6 +377,9 @@ class Points(tuple):
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """A check's sup and rms residual norm and sample count, and its deciding sample's point and
+    tolerance (Tally). An identity suite entry, whose fields are drawn at random, has no point nor rms."""
+
     sup_norm: float
     rms: float
     worst_point: tuple
@@ -385,25 +388,55 @@ class ResidualReport:
     passed: bool
 
     def to_dict(self):
-        return {
-            "sup_norm": self.sup_norm,
-            "rms": self.rms,
-            "worst_point": list(self.worst_point),
-            "samples_used": self.samples_used,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-        }
+        d = {"sup_norm": self.sup_norm, "rms": self.rms, "worst_point": self.worst_point and list(self.worst_point),
+             "samples_used": self.samples_used, "tolerance": self.tolerance, "pass": self.passed}
+        return {key: value for key, value in d.items() if value is not None}
 
 
-def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> list:
+class Tally:
+    """The running report of one check's samples under the one tolerance rule (Oettli and Prager's
+    componentwise backward error): a sample of residual norm r and scale s passes when r is finite
+    and r <= t, for t = tol where given, else eps * (1 + s). The check passes when its deciding
+    sample does: the one with the largest r / t, NaN first, the later of equals. That is the largest
+    r / (1 + s), or r under tol, which a zero eps or tol leaves without a division by zero."""
+
+    def __init__(self, tol=None, eps=EPS_EXACT):
+        self.tol, self.eps, self.sup, self.sumsq, self.count = tol, eps, 0.0, 0.0, 0
+        self.decider = (-math.inf, 0.0, 0.0, None)  # r / (1 + s) or r, r, s, point
+
+    def take(self, points, kept, rs, ss):
+        """Add the samples of residual norms rs and scales ss at the points of the indices kept."""
+        sup, sumsq, count, decider = self.sup, self.sumsq, self.count, self.decider
+        relative = self.tol is None
+        for k, r, s in zip(kept, rs, ss):
+            w = r / (1.0 + s) if relative else r
+            # NaN compares false with everything: take it explicitly, or it would never decide
+            if w >= decider[0] or w != w:
+                decider = (w, r, s, points[k])
+            if r > sup or r != r:
+                sup = r
+            sumsq += r * r
+            count += 1
+        self.sup, self.sumsq, self.count, self.decider = sup, sumsq, count, decider
+
+    def report(self) -> ResidualReport:
+        _, r, s, point = self.decider
+        t = self.tol if self.tol is not None else self.eps * (1.0 + s)
+        # an infinite residual fails even an infinite tolerance
+        return ResidualReport(self.sup, math.sqrt(self.sumsq / self.count), point, self.count, t,
+                              math.isfinite(r) and r <= t)
+
+
+def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT, tallies=None) -> list:
     """Reports of several pointwise residuals from one sweep of the grid or the points.
 
     `checks` lists (residual_at, what) pairs, or (residual_at, what, exclusion)
     triples, in report order. residual_at(p) returns (residual, scale): the
     residual as a number or multivector, and the size at p that the tolerance
-    scales with (usually the norm of the identity's left-hand side); without
-    tol, tol = eps * (1 + max scale), which is invariant under rescaling the
-    inputs. `what` names a precondition, or is None. A check's exclusion chain
+    scales with (usually the norm of the identity's left-hand side). A check's
+    samples go to a Tally of tol and eps, which decides it by the one tolerance
+    rule, or to its own of `tallies`, as the identity suite's rounds add theirs.
+    `what` names a precondition, or is None. A check's exclusion chain
     is the grid's predicates followed by its own `exclusion`, if it has one:
     predicates point -> bool (True = skip), each read only at the points that
     the ones before it keep. The outcome is that of one sweep per check in list
@@ -421,19 +454,8 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
     raises on the points where its chunk did not, and a check after one that
     raises is stopped, so its samples are never reported.
     """
-    stats = [[0.0, 0.0, None, 0.0, 0] for _ in checks]  # sup, sum of squares, worst point, scale, samples
+    tallies = tallies or [Tally(tol, eps) for _ in checks]
     errors, live = [None] * len(checks), len(checks)  # the checks from index `live` on have stopped
-
-    def take(i, points, kept, vs, ss):
-        st = stats[i]
-        for k, v, s in zip(kept, vs, ss):
-            # NaN compares false with everything: take it as the worst sample
-            # explicitly, or it would never reach sup and the check would pass
-            if v >= st[0] or math.isnan(v):
-                st[0], st[2] = v, points[k]
-            st[1] += v * v
-            st[3] = max(st[3], s)
-            st[4] += 1
 
     for points, batch_point in grid.chunks():
         again = []  # the checks to replay one point at a time
@@ -442,7 +464,7 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
             if isinstance(outcome, Exception) or not all(map(math.isfinite, itertools.chain(*outcome[1:]))):
                 again.append(i)
             else:
-                take(i, points, *outcome)
+                tallies[i].take(points, *outcome)
         for p in points:
             again = [i for i in again if i < live]
             if not again:  # no check is left to replay, so no sweep would run a predicate further
@@ -454,19 +476,16 @@ def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT) -> 
                 if isinstance(outcome, Exception):
                     errors[i], live = outcome, i
                     break
-                take(i, [p], *outcome)
+                tallies[i].take([p], *outcome)
         if not live:
             break
     reports = []
-    for check, err, (sup, sumsq, worst, scale, count) in zip(checks, errors, stats):
+    for check, err, tally in zip(checks, errors, tallies):
         if err is not None:
             raise err
-        if count == 0:
+        if tally.count == 0:
             raise FieldError("all grid points were excluded")
-        tolerance = tol if tol is not None else eps * (1.0 + scale)
-        # sup is finite only if every sample was: an infinite one fails even an infinite tolerance
-        report = ResidualReport(sup, math.sqrt(sumsq / count), worst, count, tolerance,
-                                math.isfinite(sup) and sup <= tolerance)
+        report = tally.report()
         if check[1] is not None and not report.passed:
             raise PreconditionError(f"{check[1]} (sup {report.sup_norm:.3g})", report)
         reports.append(report)

@@ -13,8 +13,9 @@ from cliffcalc.algebra import Multivector
 from cliffcalc.batch import Batch
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.expr import Tape
-from cliffcalc.fields import ConstantField, GridSpec, MultivectorField, ResidualReport
+from cliffcalc.fields import ConstantField, ExprField, GridSpec, MultivectorField, ResidualReport
 from cliffcalc.kernel import DecompositionResult
+from cliffcalc.riccati import RiccatiCandidate, riccati_residual
 from test_golden_reports import CASES as GOLDEN_CASES, run_case
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -63,7 +64,7 @@ def test_riccati_check_pass(tmp_path, capsys):
     assert code == 0
     payload = load(out)
     assert payload["overall_pass"] is True
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     names = [r["name"] for r in payload["reports"]]
     assert names == ["riccati", "scalar_part", "bivector_part"]
 
@@ -519,22 +520,65 @@ def test_vector_split_follows_declared_blades(tmp_path, capsys):
 
 
 def test_vector_split_reports_share_one_scale(tmp_path, capsys):
-    # f = x1 e1 gives D f + f^2 = -1 - x1^2 = v, so all three reports scale by max |D f + f^2| = 2
+    # f = x1 e1 gives D f + f^2 = -1 - x1^2 = v: every residual is an exact zero, so each report's
+    # deciding sample is its last, (1, 1), where the scale |D f + f^2| is 2
     config = {"n": 2, "fields": {"f": {"e1": "x1"}, "v": "0 - 1 - x1^2"}, "grid": {"samples_per_axis": 5}}
     code, out, _ = run_cli(capsys, "riccati-check", "--config", write_config(tmp_path, "c.json", config))
     assert code == 0
-    tolerances = [r["tolerance"] for r in load(out)["reports"]]
-    assert tolerances == [tolerances[0]] * 3
-    assert tolerances[0] == pytest.approx(3e-9)
-    # a scalar residual of 10 no longer widens its own tolerance: under --tol 1 it fails its part
+    reports = load(out)["reports"]
+    assert [r["tolerance"] for r in reports] == [reports[0]["tolerance"]] * 3
+    assert reports[0]["tolerance"] == pytest.approx(3e-9) and reports[0]["worst_point"] == [1.0, 1.0]
+    # a scalar residual of 10 no longer widens its own tolerance: under --tol 1 it fails its part,
+    # decided where the scale 1 + x1^2 is least, at x1 = 0, with tolerance 1 * (1 + 1)
     config["fields"]["v"] = "9 - x1^2"
     code, out, _ = run_cli(capsys, "riccati-check", "--config", write_config(tmp_path, "c.json", config),
                            "--tol", "1")
     assert code == 1
     reports = {r["name"]: r for r in load(out)["reports"]}
     assert reports["scalar_part"]["sup_norm"] == 10.0 and reports["scalar_part"]["pass"] is False
-    assert reports["scalar_part"]["tolerance"] == reports["riccati"]["tolerance"] == 3.0
+    assert reports["scalar_part"]["tolerance"] == reports["riccati"]["tolerance"] == 2.0
+    assert reports["scalar_part"]["worst_point"][0] == 0.0
     assert reports["bivector_part"]["pass"] is True
+
+
+def test_one_large_scale_sample_no_longer_loosens_every_other_sample(tmp_path, capsys):
+    # |D f + f^2| = |3 e^(3 x1) + e^(6 x1)| is about 463 at x1 = 1 and 0.15 at x1 = -1. A tolerance
+    # from the largest scale, 4.6e-7, let the violation of 1e-8 through at every sample; each
+    # sample's own tolerance eps (1 + |D f + f^2|) rejects it where the scale is least
+    config = {"n": 2, "fields": {"f": {"e1": "exp(3*x1)"}, "v": "0 - (3*exp(3*x1) + exp(6*x1)) + 1e-8"},
+              "grid": {"samples_per_axis": 5}}
+    code, out, _ = run_cli(capsys, "riccati-check", "--config", write_config(tmp_path, "c.json", config))
+    assert code == 1
+    report = load(out)["reports"][0]
+    assert report["name"] == "riccati" and report["pass"] is False
+    assert report["worst_point"][0] == -1.0
+    assert report["tolerance"] == pytest.approx(1.1518e-9, rel=1e-4)
+    assert report["sup_norm"] == pytest.approx(1.0e-8, rel=1e-5)
+    # an explicit tol is the same at every sample: the report names the largest residual, as before
+    candidate = RiccatiCandidate(ExprField(2, config["fields"]["f"]), ExprField.scalar(2, config["fields"]["v"]))
+    report = riccati_residual(candidate, GridSpec.cube(2, samples_per_axis=5), tol=1e-7)
+    assert report.passed and report.worst_point == (1.0, 1.0)
+    assert report.tolerance == 1e-7 and report.samples_used == 25
+    assert report.sup_norm == pytest.approx(1.0000007932831068e-08, rel=1e-9)
+    assert report.rms == pytest.approx(1.0000000327804366e-08, rel=1e-9)
+
+
+def test_suite_entries_count_the_samples_they_take(tmp_path, capsys):
+    # the golden config: n = 3 and 5 rounds, so 2 rounds of each field family. A round of the closed
+    # forms takes 2 points of each of 4 k-vector fields for each form, and 2 of phi; the algebra
+    # takes the 6 anticommutators of each round, and the operators both compositions at 1 point
+    config = {"n": 3, "rounds": 5, "seed": 11}
+    code, out, _ = run_cli(capsys, "verify-identities", "--config", write_config(tmp_path, "c.json", config))
+    assert code == 0
+    counts = {r["name"]: r["samples_used"] for r in load(out)["reports"]}
+    assert counts["closed_form/plus_minus"] == counts["closed_form/minus_plus"] == 16
+    assert counts["closed_form/minus_plus_scalar"] == 4
+    assert counts["algebra/anticommutation"] == 30
+    assert counts["operator/square_matches_composition"] == 4
+    assert counts["leibniz/scalar"] == 6 and counts["algebra/associativity"] == 5
+    # a suite entry has the same four keys as before: its samples' fields are drawn at random, so it
+    # names no point, nor an rms
+    assert {key for r in load(out)["reports"] for key in r} == {"name", "sup_norm", "samples_used", "tolerance", "pass"}
 
 
 def test_family_gap_below_dimension_three_is_config_error(tmp_path, capsys):

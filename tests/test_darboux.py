@@ -213,7 +213,7 @@ def test_operator_identities_share_their_operator_fields(monkeypatch):
     factors, diracs = _count_calls(monkeypatch, darboux._factor_jet), _count_calls(monkeypatch, mv_dirac)
     rounds = 3
     entries = suites._entries(suites._operator_round, suites._OPERATOR, random.Random(4), 3, rounds)
-    assert all(e.passed for e in entries)
+    assert all(report.passed for _, report in entries)
     # (D - M^f) g and (D + M^f) g are each one field, from which A g, B g and both compositions
     # are built, and each is read at order 1 first and then truncated, so a round makes 8
     # operator applications instead of 12
@@ -226,7 +226,7 @@ def test_operator_identities_share_their_operator_fields(monkeypatch):
 def test_closed_forms_share_one_dirac_of_f(monkeypatch):
     calls = _count_calls(monkeypatch, mv_dirac)
     entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
-    assert all(e.passed for e in entries)
+    assert all(report.passed for _, report in entries)
     # per round, the points of each of the 4 k-vector fields as one batch: D(f) once for both
     # forms' potentials, D(G) once for both inner factors (D -/+ M^f) G, and the outer D of each
     # direct side (4 calls); the points of phi: D(f), D(phi) and the outer D of minus_plus (3)
@@ -236,7 +236,7 @@ def test_closed_forms_share_one_dirac_of_f(monkeypatch):
 def test_closed_forms_share_one_laplacian_of_g(monkeypatch):
     calls = _count_calls(monkeypatch, mv_laplacian)
     entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
-    assert all(e.passed for e in entries)
+    assert all(report.passed for _, report in entries)
     # -Lap G is one node on G that both closed forms read: per round one call for the points of
     # each of the 4 k-vector fields and one for those of phi, not one per form
     assert len(calls) == 2 * (4 + 1) == 10
@@ -275,7 +275,7 @@ def test_closed_forms_share_one_grade_check_of_g(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("cliffcalc") and hasattr(m, "pure_field")]:
         monkeypatch.setattr(module, "pure_field", counting)
     entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
-    assert all(e.passed for e in entries)
+    assert all(report.passed for _, report in entries)
     # both forms of a field are one graph on one pure_field: per round, one grade check for the
     # points of each of the 4 k-vector fields and one for those of phi, not one per form
     assert len(calls) == 10
@@ -286,7 +286,7 @@ def test_closed_forms_share_one_square_of_f(monkeypatch):
     original = Multivector.__mul__
     monkeypatch.setattr(Multivector, "__mul__", lambda self, other: calls.append(other) or original(self, other))
     entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
-    assert all(e.passed for e in entries)
+    assert all(report.passed for _, report in entries)
     # f * f is the one field f.square, which both forms' potentials read: 16 products fewer than
     # with one square per form at each of the 16 k-vector points
     assert len(calls) <= 184

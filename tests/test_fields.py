@@ -425,6 +425,63 @@ def test_grid_residual_scaled_tolerance():
         grid_residual(lambda p: (0.0, 0.0), g.with_exclusion(lambda p: True))
 
 
+def _rule_reference(checks, grid, tol, eps):
+    """Each check's (pass, sup_norm, worst_point, tolerance, samples_used) by the tolerance rule's
+    definition, from (r, s) read by calling the check at each point that its exclusion chain keeps."""
+    def ratio(r, s, t, p):
+        # r / t; a zero tol or eps ranks the samples as any positive one would
+        return r / t if t else r / (1 + s if tol is None else 1.0)
+
+    out = []
+    for residual_at, _, *own in checks:
+        samples = []  # (r, s, t, point)
+        for p in (p for points, _ in grid.chunks() for p in points):
+            if not any(pred(p) for pred in grid.exclusion + tuple(own)):
+                r, s = residual_at(p)
+                r = r if isinstance(r, float) else r.norm()
+                samples.append((r, s, tol if tol is not None else eps * (1 + s), p))
+        nans = [x for x in samples if math.isnan(ratio(*x))]
+        _, _, t, point = nans[-1] if nans else max(reversed(samples), key=lambda x: ratio(*x))
+        rs = [r for r, *_ in samples]
+        sup = math.nan if any(map(math.isnan, rs)) else max(rs)
+        out.append((all(math.isfinite(r) and r <= t for r, _, t, _ in samples), sup, point, t, len(samples)))
+    return out
+
+
+def _rule_checks():
+    """Checks on R^2 whose residual and scale both vary, so the deciding sample is not always the
+    sup's: one that fails at eps = 1e-9, one of exact zeros that excludes x2 > 0.5, one that is NaN
+    at x1 = 1, and a Riccati residual of random fields with its own mask."""
+    nan = ExprField.scalar(2, "exp(700)*exp(10*x1) - exp(700)*exp(10*x1)")  # inf - inf at x1 = 1 only
+    return [(lambda p: (1e-9 * abs(p[0] - 0.3), 100 * p[0] * p[0]), None),
+            (lambda p: (2e-9 * (1 + p[1]), p[0] * p[0]), None),
+            (lambda p: (0.0, abs(p[0]) + p[1] * p[1]), None, lambda p: p[1] > 0.5),
+            (lambda p: (nan.value(p), 1.0), None),
+            _random_checks(5, 2, False, "near")[1]]
+
+
+@pytest.mark.parametrize("tol, eps", [(None, EPS_EXACT), (5e-9, EPS_EXACT), (None, 0.0), (0.0, EPS_EXACT)])
+@pytest.mark.parametrize("sweep", ["chunks", "points", "fd"])
+def test_grid_residuals_follow_the_tolerance_rule(monkeypatch, sweep, tol, eps):
+    monkeypatch.setattr(cliffcalc.fields, "CHUNK", 7)
+    checks = _rule_checks()
+    if sweep == "chunks":  # 36 points in 6 chunks, of which x1 = -0.2 and 0.2 are excluded
+        grid = GridSpec.cube(2, samples_per_axis=6).with_exclusion(lambda p: abs(p[0]) < 0.3)
+    else:
+        rng = random.Random(3)
+        grid = Points([(1.0, 0.5)] + [random_point(rng, 2) for _ in range(8)])
+    if sweep == "fd":  # a black-box field refuses the chunk: its check is replayed point by point
+        fd = FDField(2, ExprField(2, {"e1": "x1*x2", "e2": "sin(x1)"}).value)
+        checks.append((riccati_check(RiccatiCandidate(fd, ExprField.scalar(2, "x2"))), None))
+    reports = grid_residuals(checks, grid, tol, eps)
+    reference = _rule_reference(checks, grid, tol, eps)
+    for report, (passed, sup, point, t, count) in zip(reports, reference, strict=True):
+        assert report.passed is passed and report.worst_point == point
+        assert report.tolerance == t and report.samples_used == count
+        assert report.sup_norm == sup or math.isnan(report.sup_norm) and math.isnan(sup)
+    assert [r.passed for r in reports][1:4] == [tol is not None and tol > 4e-9, True, False]
+
+
 def test_residual_report_dict():
     g = GridSpec.cube(1, samples_per_axis=3)
     rep = grid_residual(lambda p: (abs(p[0]), 0.0), g, tol=2.0)
@@ -741,7 +798,7 @@ def test_identity_suite_sweeps_every_field_identity(monkeypatch):
     swept = []
     original = cliffcalc.suites.grid_residuals
     monkeypatch.setattr(cliffcalc.suites, "grid_residuals",
-                        lambda checks, points, *rest: swept.append(len(points)) or original(checks, points, *rest))
+                        lambda checks, points, **kw: swept.append(len(points)) or original(checks, points, **kw))
     identity_suite(3, 0, 5)
     # 2 rounds of each field family: the Leibniz rules sweep 3 points of each of 5 fields a round,
     # the closed forms 2 points of each of 5, and the operator identities their round's one point
