@@ -18,11 +18,10 @@ _EXPORTS = {
     "taylor": ("JetDomainError", "JetOrderError", "Taylor"),
     "expr": ("ExprDomainError", "ExprError", "ExprSyntaxError", "ScalarExpr", "parse"),
     "fields": ("EPS_EXACT", "EPS_FD", "FD_STEP", "ConstantField", "DerivedField", "ExprField", "FDField",
-               "FieldError", "GridSpec", "MultivectorField", "PreconditionError", "ResidualReport",
+               "FieldError", "GridSpec", "Identity", "MultivectorField", "PreconditionError", "ResidualReport",
                "grid_residual", "grid_residuals", "kvector_leibniz_residual", "scalar_leibniz_residual"),
     "riccati": ("OdeBlowupError", "RiccatiCandidate", "combination_family_gap", "euler_combine", "euler_shift",
-                "harmonic_check", "homogeneous_sum", "log_derivative", "riccati_residual", "separable_solve",
-                "vector_split_residuals"),
+                "log_derivative", "riccati_residual", "separable_solve", "vector_split_residuals"),
     "darboux": ("FactorizedOperator", "PipelineResult", "darboux_kvector_pipeline", "darboux_scalar_pipeline",
                 "darboux_transform", "darboux_vector_pipeline", "eigen_check", "kvector_closed_form", "minus_op",
                 "plus_op"),

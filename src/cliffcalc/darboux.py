@@ -22,8 +22,10 @@ from .fields import (
     DerivedField,
     FieldError,
     GridSpec,
+    Identity,
     MultivectorField,
     ResidualReport,
+    grade_field,
     grid_residuals,
     mv_grade_shift_mul,
     mv_partial,
@@ -89,15 +91,11 @@ class PipelineResult:
         return [(f"precondition:{k}", v) for k, v in self.preconditions.items()] + [("conclusion", self.conclusion)]
 
 
-def eigen_check(lhs, g, lam):
-    """p -> (lhs - lam^2 g, |lam^2| |g|) at p, for an operator field lhs applied to g."""
+def eigen_check(lhs, g, lam) -> Identity:
+    """lhs = lam^2 g, scaled by |lam^2 g|, for an operator field lhs applied to g."""
     lam2 = as_lambda(lam) ** 2
-
-    def residual_at(p):
-        lv, gv = lhs.value(p), g.value(p)
-        return lv - lam2 * gv, abs(lam2) * gv.norm()
-
-    return residual_at
+    lam2_g = DerivedField(lambda gj: lam2 * gj, (g, 0))
+    return Identity(lhs, lam2_g, lam2_g)
 
 
 def darboux_transform(f, g, lam, grid: GridSpec, eps=EPS_EXACT):
@@ -153,14 +151,9 @@ def derived_potential(f, sign):
     return DerivedField(lambda d, sq: (d if sign == 1 else sign * d) - sq, (f.dirac, 0), (f.square, 0))
 
 
-def potential_check(w):
-    """p -> non-scalar part of the derived potential w at p."""
-
-    def residual_at(p):
-        wv = w.value(p)
-        return wv - wv.grade(0), wv.norm()
-
-    return residual_at
+def potential_check(w) -> Identity:
+    """The derived potential w equals its scalar part, scaled by |w|."""
+    return Identity(w, grade_field(w, 0), w)
 
 
 def _drift(gj, fj):
@@ -176,7 +169,7 @@ def schrodinger_field(g, w, f, s):
     2s, are nodes on G, shared by every schrodinger_field on G (and f); G w is
     not, as no two of them share a w. The drift sum vanishes on a scalar G, and
     is not computed when s = 0. The pipelines, whose potential is scalar, pass
-    its scalar part (scalar_part_field), so no empty blade of w is multiplied.
+    its scalar part (fields.grade_field), so no empty blade of w is multiplied.
     """
     lap = g.neg_laplacian
     drift = [(g.node(("drift", id(f)), lambda: DerivedField(_drift, (g, 0), (f, 1))), 0)] if s else []
@@ -194,11 +187,6 @@ def pure_field(g, k, what):
         return gj
 
     return DerivedField(check, (g, 0))
-
-
-def scalar_part_field(w):
-    """The grade-0 part of the field w."""
-    return DerivedField(lambda wj: wj.grade(0), (w, 0))
 
 
 def negated_potential(v):
@@ -237,7 +225,7 @@ def darboux_kvector_pipeline(f, gk, k: int, lam, grid: GridSpec, eps=EPS_EXACT) 
     Both eigen-equations are schrodinger_field, with drift signs -1 and +1.
     """
     w = derived_potential(f, 1.0 if (k + 1) % 2 == 0 else -1.0)
-    w0 = scalar_part_field(w)
+    w0 = grade_field(w, 0)
     g = pure_field(gk, k, f"input is not a pure {k}-vector")
     h = minus_op(f).field(gk)
     pre_w, pre_g, conclusion = grid_residuals([

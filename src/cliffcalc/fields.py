@@ -17,9 +17,10 @@ chunk of points as one point whose coordinates are Batches (batch.py), and
 the same code then computes every point of the chunk at once. It sweeps a
 GridSpec, CHUNK points at a time, or a few Points as one chunk, such as the
 random points of the identity suite, once for all the checks of a command.
-Each check reads one exclusion chain: the grid's predicates, then its own
-predicate if it has one, each read only where the ones before it keep a
-point, alike on a chunk and at a single point.
+Every check is an Identity, the claim that two fields are equal, read as
+values at each sample. Each check reads one exclusion chain: the grid's
+predicates, then its own predicate if it has one, each read only where the
+ones before it keep a point, alike on a chunk and at a single point.
 """
 
 from __future__ import annotations
@@ -288,29 +289,43 @@ def _lifted(fn, c, n):
     return fn(c) if isinstance(c, Taylor) else fn(Taylor.constant(c, n, 0)).value
 
 
-# -- pointwise Leibniz residuals ---------------------------------------------
+def grade_field(x, k):
+    """The grade-k part of the field x, one node like `dirac`."""
+    return x.node(("grade", k), lambda: DerivedField(lambda xj: xj.grade(k), (x, 0)))
+
+
+# -- the graded Leibniz rule ----------------------------------------------------
+
+def leibniz_field(gk: MultivectorField, f: MultivectorField, k: int) -> MultivectorField:
+    """The residual of the graded Leibniz rule for a k-vector first factor G = gk, as a field:
+
+    D(G f) - [D(G) f + 2 sum_j [e_j G]_{k-1} d_j(f) + (-1)^k G D(f)]
+
+    It reads G and f one order up, for their derivatives, and at its own order for the factors
+    of the products that take none; the scalar rule is its k = 0 case.
+    """
+
+    def residual(g, fj, gv, fv):
+        if not g.is_homogeneous(k):
+            raise FieldError(f"first factor is not a pure {k}-vector (grades {g.grades()})")
+        lhs = mv_dirac(g * fj)
+        rhs = mv_dirac(g) * fv
+        for j in range(1, g.n + 1):
+            rhs = rhs + 2.0 * mv_grade_shift_mul(gv, j, k - 1, mv_partial(fj, j))
+        rhs = rhs - gv * mv_dirac(fj) if k & 1 else rhs + gv * mv_dirac(fj)  # (-1)^k G D(f), with no product by +-1.0
+        return lhs - rhs
+
+    return DerivedField(residual, (gk, 1), (f, 1), (gk, 0), (f, 0))
+
 
 def scalar_leibniz_residual(phi: MultivectorField, f: MultivectorField, p) -> Multivector:
-    """D(phi f) - [D(phi) f + phi D(f)] for scalar-valued phi: the graded rule at k = 0."""
-    return kvector_leibniz_residual(phi, f, 0, p)
+    """D(phi f) - [D(phi) f + phi D(f)] at p, for scalar-valued phi: the graded rule at k = 0."""
+    return leibniz_field(phi, f, 0).value(p)
 
 
 def kvector_leibniz_residual(gk: MultivectorField, f: MultivectorField, k: int, p) -> Multivector:
-    """Residual of the graded Leibniz rule for a k-vector first factor:
-
-    D(G f) = D(G) f + 2 sum_j [e_j G]_{k-1} d_j(f) + (-1)^k G D(f)
-    """
-    g = gk.at(p, 1)
-    if not g.is_homogeneous(k):
-        raise FieldError(f"first factor is not a pure {k}-vector (grades {g.grades()})")
-    fj = f.at(p, 1)
-    gv, fv = gk.at(p, 0), f.at(p, 0)  # the factors of the order-0 products
-    lhs = mv_dirac(g * fj)
-    rhs = mv_dirac(g) * fv
-    for j in range(1, g.n + 1):
-        rhs = rhs + 2.0 * mv_grade_shift_mul(gv, j, k - 1, mv_partial(fj, j))
-    rhs = rhs - gv * mv_dirac(fj) if k & 1 else rhs + gv * mv_dirac(fj)  # (-1)^k G D(f), with no product by +-1.0
-    return mv_value(lhs - rhs)
+    """The residual of the graded Leibniz rule (leibniz_field) at p."""
+    return leibniz_field(gk, f, k).value(p)
 
 
 # -- grids and residual aggregation ------------------------------------------
@@ -427,13 +442,22 @@ class Tally:
                               math.isfinite(r) and r <= t)
 
 
-def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT, tallies=None) -> list:
-    """Reports of several pointwise residuals from one sweep of the grid or the points.
+@dataclass(frozen=True)
+class Identity:
+    """The claim lhs = rhs of two fields, checked at every sample of a grid_residuals sweep: its
+    residual norm is r = |lhs - rhs|, or |lhs| for no rhs, and its scale s = |scale|, or 0 for
+    no scale, the size that the tolerance grows with (usually that of a side of the identity)."""
 
-    `checks` lists (residual_at, what) pairs, or (residual_at, what, exclusion)
-    triples, in report order. residual_at(p) returns (residual, scale): the
-    residual as a number or multivector, and the size at p that the tolerance
-    scales with (usually the norm of the identity's left-hand side). A check's
+    lhs: MultivectorField
+    rhs: MultivectorField | None = None
+    scale: MultivectorField | None = None
+
+
+def grid_residuals(checks, grid: GridSpec | Points, tol=None, eps=EPS_EXACT, tallies=None) -> list:
+    """Reports of several identities from one sweep of the grid or the points.
+
+    `checks` lists (identity, what) pairs, or (identity, what, exclusion)
+    triples, in report order, each identity an Identity of fields. A check's
     samples go to a Tally of tol and eps, which decides it by the one tolerance
     rule, or to its own of `tallies`, as the identity suite's rounds add theirs.
     `what` names a precondition, or is None. A check's exclusion chain
@@ -496,9 +520,10 @@ def _outcomes(checks, exclusion, points, batch_point):
     """Each check's outcome on points given as one batch point, a chunk or a single plain point:
     (indices of the points its exclusion chain keeps, residual norms there, scales there), or
     the exception that the check or a predicate of its chain raised. The chain is the grid's
-    exclusion followed by the check's own predicate; each predicate, and then the check, is
-    read at the points that the chain before it keeps, as one batch point that checks keeping
-    the same points share, so a point masked as singular fails nothing."""
+    exclusion followed by the check's own predicate; each predicate, and then the identity's
+    lhs, rhs and scale in that order, is read at the points that the chain before it keeps,
+    as one batch point that checks keeping the same points share, so a point masked as
+    singular fails nothing."""
     every = tuple(range(len(points)))
     subsets, reads = {every: batch_point}, {}
 
@@ -519,18 +544,22 @@ def _outcomes(checks, exclusion, points, batch_point):
 
     outcomes = []
     for check in checks:
+        identity = check[0]
         try:
             kept = functools.reduce(keep, exclusion + check[2:], every)
-            r, s = check[0](at(kept)) if kept else (0.0, 0.0)  # no point, no value to take
-            outcomes.append((kept, each(_norm(r), len(kept)), each(s, len(kept))))
+            r = s = 0.0  # no point, no value to take
+            if kept:
+                p = at(kept)
+                lhs = identity.lhs.value(p)
+                rhs = None if identity.rhs is None else identity.rhs.value(p)
+                r = (lhs if rhs is None else lhs - rhs).norm()
+                scale = identity.scale  # a side that is the scale too is read once
+                s = 0.0 if scale is None else (lhs if scale is identity.lhs else rhs if scale is identity.rhs
+                                               else scale.value(p)).norm()
+            outcomes.append((kept, each(r, len(kept)), each(s, len(kept))))
         except Exception as err:
             outcomes.append(err)
     return outcomes
-
-
-def _norm(r):
-    """The norm of a residual: a number is its own norm, a multivector's is taken."""
-    return r if isinstance(r, (float, Batch)) else r.norm()
 
 
 def _batch_point(points):
@@ -539,6 +568,6 @@ def _batch_point(points):
     return tuple(points[0]) if len(points) == 1 else tuple(Batch(p[a] for p in points) for a in range(len(points[0])))
 
 
-def grid_residual(residual_at, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
-    """The report of one pointwise residual over the grid (see grid_residuals)."""
-    return grid_residuals([(residual_at, None)], grid, tol, eps)[0]
+def grid_residual(check: Identity, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
+    """The report of one identity over the grid (see grid_residuals)."""
+    return grid_residuals([(check, None)], grid, tol, eps)[0]

@@ -23,14 +23,17 @@ from .fields import (
     DerivedField,
     FieldError,
     GridSpec,
+    Identity,
     MultivectorField,
     ResidualReport,
+    add_fields,
+    grade_field,
     grid_residual,
     grid_residuals,
     right_const_mul_field,
 )
 from .darboux import (FactorizedOperator, as_lambda, derived_potential, eigen_check,
-                      negated_potential, potential_check, scalar_part_field, schrodinger_field)
+                      negated_potential, potential_check, schrodinger_field)
 from .riccati import riccati_check
 
 
@@ -87,10 +90,10 @@ def operator_field(f, mode: PseudoscalarMode, g, variant="A") -> MultivectorFiel
     return right_const_mul_field(FactorizedOperator(f, -1 if variant == "A" else +1).field(g), mode.element)
 
 
-def first_order_check(f, mode, lam, sign, g, variant="A"):
-    """p -> membership residual for ker(A + sign*lam) at p, rewritten first order.
+def first_order_check(f, mode, lam, sign, g, variant="A") -> Identity:
+    """Membership of g in ker(A + sign*lam), rewritten first order, scaled by |lam g|:
 
-    variant "A": D g - g (f - sign*lam*iE);  variant "B": D g + g (f + sign*lam*iE).
+    variant "A": D g - g (f - sign*lam*iE) = 0;  variant "B": D g + g (f + sign*lam*iE) = 0.
     """
     lam = as_lambda(lam)
     if sign not in (+1, -1):
@@ -98,11 +101,12 @@ def first_order_check(f, mode, lam, sign, g, variant="A"):
     s = -1 if variant == "A" else +1
     shift = s * sign * lam * mode.element
     member = FactorizedOperator(DerivedField(lambda fj: fj + shift, (f, 0)), s).field(g)
+    return Identity(member, None, DerivedField(lambda gj: lam * gj, (g, 0)))
 
-    def residual_at(p):
-        return member.value(p), abs(lam) * g.value(p).norm()
 
-    return residual_at
+def _norm_field(x):
+    """The scalar field |x|, read at order 0."""
+    return DerivedField(lambda xj: Multivector.scalar(xj.n, xj.norm()), (x, 0))
 
 
 def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> float:
@@ -112,15 +116,9 @@ def operator_norm_gap(f, mode, lam, sign, g, grid: GridSpec, variant="A") -> flo
     permutes blades up to phases, so their coefficient norms agree pointwise.
     """
     lam = as_lambda(lam)
-    op = operator_field(f, mode, g, variant)
-    first_order = first_order_check(f, mode, lam, sign, g, variant)
-
-    def gap_at(p):
-        r, _ = first_order(p)
-        shifted = op.value(p) + sign * lam * g.value(p)
-        return abs(shifted.norm() - r.norm()), 0.0
-
-    return grid_residual(gap_at, grid).sup_norm
+    first_order = first_order_check(f, mode, lam, sign, g, variant).lhs
+    shifted = DerivedField(lambda aj, gj: aj + sign * lam * gj, (operator_field(f, mode, g, variant), 0), (g, 0))
+    return grid_residual(Identity(_norm_field(first_order), _norm_field(shifted)), grid).sup_norm
 
 
 @dataclass
@@ -146,7 +144,7 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
 
     g_plus = (1/2 lam)(A + lam) g lies in ker(A - lam); g_minus is the
     complementary projection; the two reassemble to g exactly.
-    `preconditions` are (residual_at, what) checks of the inputs, verified
+    `preconditions` are (identity, what) checks of the inputs, verified
     in the same pass over the grid and reported before anything of the split.
     """
     lam = as_lambda(lam)
@@ -164,15 +162,12 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     g_plus = DerivedField(lambda aj, gj: (aj + lam * gj) * half, (a_g, 0), (g, 0))
     g_minus = DerivedField(lambda aj, gj: (aj - lam * gj) * (-half), (a_g, 0), (g, 0))
 
-    def reassembly_at(p):
-        return g_plus.value(p) + g_minus.value(p) - g.value(p), 0.0
-
     checks += [(eigen_check(operator_field(f, mode, a_g, variant), g, lam),
                 "input is not in the kernel of the squared operator"),
                # membership: (A + lam) g in ker(A - lam) and vice versa
                (first_order_check(f, mode, lam, -1, g_plus, variant), None),
                (first_order_check(f, mode, lam, +1, g_minus, variant), None),
-               (reassembly_at, None)]
+               (Identity(add_fields(g_plus, g_minus), g), None)]
     *_, pre, plus_report, minus_report, reassembly = grid_residuals(checks, grid, eps=eps)
     return DecompositionResult(g_plus, g_minus, lam, reassembly.sup_norm, plus_report, minus_report, pre, variant)
 
@@ -200,6 +195,6 @@ def decompose_conjugate_solution(f, mode, lam, phi, grid: GridSpec,
     """
     u = derived_potential(f, 1.0)
     preconditions = [(potential_check(u), "derived potential is not scalar"),
-                     (eigen_check(schrodinger_field(phi, scalar_part_field(u), f, 0), phi, lam),
+                     (eigen_check(schrodinger_field(phi, grade_field(u, 0), f, 0), phi, lam),
                       "phi is not an eigenfunction of the conjugate operator")]
     return split_kernel(f, mode, lam, phi, grid, "B", eps, preconditions)

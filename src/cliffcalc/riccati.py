@@ -1,11 +1,10 @@
 """The Clifford Riccati equation D(f) + f^2 = v: residuals and constructors.
 
-Constructors cover logarithmic derivatives of Schroedinger / harmonic
-solutions, separable potentials solved axis-by-axis as classical 1-D
-Riccati ODEs, sums of homogeneous solutions, and the two Euler-style
-combination rules for building new solutions out of known ones.
-Every construction verifies its own hypotheses numerically before
-claiming anything.
+Constructors cover logarithmic derivatives of Schroedinger solutions,
+separable potentials solved axis-by-axis as classical 1-D Riccati ODEs,
+and the two Euler-style combination rules for building new solutions out
+of known ones. Every construction verifies its own hypotheses numerically
+before claiming anything, each stated as a fields.Identity.
 """
 
 from __future__ import annotations
@@ -23,11 +22,14 @@ from .fields import (
     FDField,
     FieldError,
     GridSpec,
+    Identity,
     MultivectorField,
     ResidualReport,
     add_fields,
+    grade_field,
     grid_residual,
     grid_residuals,
+    mv_value,
     scalar_of,
     _lifted,
 )
@@ -65,15 +67,10 @@ class RiccatiCandidate:
         }
 
 
-def riccati_check(c: RiccatiCandidate):
-    """p -> (D(f) + f f - v, |D(f) + f f|) at p; D(f) + f f is a field, computed once per point."""
+def riccati_check(c: RiccatiCandidate) -> Identity:
+    """D(f) + f f = v, scaled by |D(f) + f f|: a field, which the check reads once per point."""
     lhs = DerivedField(lambda d, sq: d + sq, (c.f.dirac, 0), (c.f.square, 0))
-
-    def residual_at(p):
-        lv = lhs.value(p)
-        return lv - c.potential.value(p), lv.norm()
-
-    return residual_at
+    return Identity(lhs, c.potential, lhs)
 
 
 def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXACT) -> ResidualReport:
@@ -103,25 +100,24 @@ def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
 
     The full residual of a 1-vector candidate with scalar potential carries
     exactly grades {0, 2}; anything else signals a malformed input. All three
-    reports scale their tolerance by |D(f) + f^2|, the left-hand side.
+    reports scale their tolerance by |D(f) + f^2|, the left-hand side. The
+    residual D(f) + f^2 - v of the two parts is one field, which raises
+    FieldError where f or the residual has another grade.
     """
-    full_at = riccati_check(c)
+    full = riccati_check(c)
 
-    def scalar_at(p):
-        if not c.f.value(p).is_homogeneous(1):
+    def split(lj, vj, fj):
+        if not mv_value(fj).is_homogeneous(1):
             raise FieldError("vector split needs a pure grade-1 candidate")
-        r, scale = full_at(p)
-        leftover = r - r.grade(0) - r.grade(2)
-        if leftover.norm() > 1e-12 * (1.0 + r.norm()):
+        r = lj - vj
+        rv = mv_value(r)
+        if (rv - rv.grade(0) - rv.grade(2)).norm() > 1e-12 * (1.0 + rv.norm()):
             raise FieldError("residual has grades outside {0, 2}; potential is not scalar")
-        return r.grade(0), scale
+        return r
 
-    def bivector_at(p):
-        # the grades are scalar_at's to check: its exception stops this check too
-        r, scale = full_at(p)
-        return r.grade(2), scale
-
-    return grid_residuals([(full_at, None), (scalar_at, None), (bivector_at, None)], grid, eps=eps)
+    residual = DerivedField(split, (full.lhs, 0), (full.rhs, 0), (c.f, 0))
+    parts = [(Identity(grade_field(residual, k), None, full.lhs), None) for k in (0, 2)]
+    return grid_residuals([(full, None)] + parts, grid, eps=eps)
 
 
 class _AxisSolution:
@@ -218,58 +214,21 @@ def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandid
     return RiccatiCandidate(FDField(n, fn), potential, "separable")
 
 
-def _mask_scalar_zero(grid: GridSpec, fields):
-    for f in fields:
-        grid = grid.with_exclusion(lambda p, _f=f: abs(scalar_of(_f.value(p))) < DEFAULT_DENOM_RADIUS)
-    return grid
-
-
-def harmonic_check(phi: MultivectorField):
-    lap = phi.neg_laplacian  # -Lap(phi), whose norm is that of Lap(phi)
-
-    def residual_at(p):
-        return lap.value(p), phi.value(p).norm()
-
-    return residual_at
-
-
-def homogeneous_sum(phi1, phi2, grid: GridSpec, eps=EPS_EXACT):
-    """Sum of two homogeneous log-derivative solutions.
-
-    Returns the candidate f = D(phi1)/phi1 + D(phi2)/phi2 with the induced
-    potential v = -2 <D(phi1)/phi1, D(phi2)/phi2> and its residual report.
-    """
-    masked = _mask_scalar_zero(grid, [phi1, phi2])
-    a = log_derivative(phi1).f
-    b = log_derivative(phi2).f
-
-    # for 1-vectors, a b + b a is the scalar -2<a, b>
-    v = DerivedField(lambda av, bv: (av * bv + bv * av).grade(0), (a, 0), (b, 0))
-    candidate = RiccatiCandidate(add_fields(a, b), v, "homogeneous_sum")
-    checks = [(harmonic_check(phi), f"{name} is not harmonic") for name, phi in (("phi1", phi1), ("phi2", phi2))]
-    *_, report = grid_residuals(checks + [(riccati_check(candidate), None)], masked, eps=eps)
-    return candidate, report
-
-
 def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT):
     """Shift a known solution h by the log-derivative of an admissible phi.
 
     phi must satisfy Lap(phi) + 2 <D(phi), h> = 0; then D(phi)/phi + h solves
     the same equation as h.
     """
-    masked = _mask_scalar_zero(grid, [phi])
+    masked = grid.with_exclusion(lambda p: abs(scalar_of(phi.value(p))) < DEFAULT_DENOM_RADIUS)
     d = phi.dirac  # one D(phi) for the shift equation and for D(phi)/phi
 
     # <D(phi), h> = -[D(phi) h]_0, so the equation's left side is -(-Lap(phi) + 2 [D(phi) h]_0)
     phi_eq = DerivedField(lambda nl, dj, hj: nl + 2.0 * (dj * hj).grade(0),
                           (phi.neg_laplacian, 0), (d, 0), (h.f, 0))
-
-    def phi_eq_at(p):
-        return phi_eq.value(p), phi.value(p).norm()
-
     candidate = RiccatiCandidate(add_fields(_quotient(d, phi), h.f), h.potential, "euler_shift")
     *_, report = grid_residuals([(riccati_check(h), "h does not solve its Riccati equation"),
-                                 (phi_eq_at, "phi fails its shift equation"),
+                                 (Identity(phi_eq, None, phi), "phi fails its shift equation"),
                                  (riccati_check(candidate), None)], masked, eps=eps)
     return candidate, report
 
@@ -342,11 +301,10 @@ def combination_family_gap(n: int, grid: GridSpec, K_samples, margin=0.1,
     # distance is a check under its own mask in the same sweep, so where the mask keeps a whole
     # chunk its blend reads the jets of D(phi1) and D(phi2) that the gradient checks computed
     checks = [(riccati_check(e3), None)] + _gradient_checks(phi1, phi2, minus_one)
-    target = Multivector.basis(n, 3)
     K_samples = [complex(K) for K in K_samples]
     for K in K_samples:
         candidate, mask = _blend(phi1, phi2, K, minus_one)
-        checks.append((lambda p, f=candidate.f: ((f.value(p) - target).norm(), 0.0), None, mask))
+        checks.append((Identity(candidate.f, e3.f), None, mask))
     base_report, _, _, *reports = grid_residuals(checks, grid, eps=eps)
     distances = {K: report.sup_norm for K, report in zip(K_samples, reports)}
     min_gap = min(distances.values())

@@ -21,15 +21,7 @@ from dataclasses import replace
 
 from .algebra import Multivector, conjugate, dot_and_wedge, linear_combine
 from .darboux import CLOSED_FORMS, closed_forms, minus_op, plus_op, pure_field
-from .fields import (
-    ExprField,
-    Points,
-    Tally,
-    grid_residuals,
-    kvector_leibniz_residual,
-    right_const_mul_field,
-    scalar_leibniz_residual,
-)
+from .fields import ExprField, Identity, Points, Tally, grid_residuals, leibniz_field, right_const_mul_field
 from .kernel import default_mode, operator_field
 
 
@@ -101,19 +93,14 @@ def _entries(family, eps, rng, n, rounds):
 
 
 def _sweep(tallies, checks, rng, n, count):
-    """Add the samples of each (name, residual_at) check at `count` random points, drawn now and swept once."""
+    """Add the samples of each (name, identity) check at `count` random points, drawn now and swept once."""
     grid_residuals([(check, None) for _, check in checks], Points(random_point(rng, n) for _ in range(count)),
                    tallies=[tallies[name] for name, _ in checks])
 
 
 def _gap(a, b):
-    """p -> (a - b at p, |b| at p) for the fields a and b; reads a, then b."""
-
-    def gap(p):
-        av, bv = a.value(p), b.value(p)
-        return av - bv, bv.norm()
-
-    return gap
+    """a = b, scaled by |b|, for the fields a and b."""
+    return Identity(a, b, b)
 
 
 _ALGEBRA = {f"algebra/{law}": 1e-12 for law in ["anticommutation", "associativity", "anti_involution",
@@ -145,11 +132,10 @@ def _leibniz_round(rng, n, tallies):
     """The graded Leibniz rules, each at 3 points of its first factor."""
     phi = random_scalar_field(rng, n)
     f = random_mv_field(rng, n)
-    _sweep(tallies, [("leibniz/scalar", lambda p: (scalar_leibniz_residual(phi, f, p), 0.0))], rng, n, 3)
+    _sweep(tallies, [("leibniz/scalar", Identity(leibniz_field(phi, f, 0)))], rng, n, 3)
     for k in range(n + 1):
         gk = random_kvector_field(rng, n, k)
-        _sweep(tallies, [(f"leibniz/kvector_k{k}", lambda p: (kvector_leibniz_residual(gk, f, k, p), 0.0))],
-               rng, n, 3)
+        _sweep(tallies, [(f"leibniz/kvector_k{k}", Identity(leibniz_field(gk, f, k)))], rng, n, 3)
 
 
 _CLOSED_FORM = dict.fromkeys([f"closed_form/{which}" for which in CLOSED_FORMS + ("minus_plus_scalar",)], 1e-10)

@@ -13,7 +13,7 @@ from cliffcalc.algebra import Multivector
 from cliffcalc.batch import Batch
 from cliffcalc.cli import COMMANDS, _decomposition_output, main
 from cliffcalc.expr import Tape
-from cliffcalc.fields import ConstantField, ExprField, GridSpec, MultivectorField, ResidualReport
+from cliffcalc.fields import ConstantField, ExprField, GridSpec, Identity, MultivectorField, ResidualReport
 from cliffcalc.kernel import DecompositionResult
 from cliffcalc.riccati import RiccatiCandidate, riccati_residual
 from test_golden_reports import CASES as GOLDEN_CASES, run_case
@@ -147,17 +147,28 @@ def test_verify_identities_deterministic(tmp_path, capsys):
 
 def test_nan_identity_residual_fails_its_entry(tmp_path, capsys, monkeypatch):
     # max(0.0, nan) is 0.0, so a NaN residual must be taken as the entry's worst value explicitly
-    original = suites.scalar_leibniz_residual
-    seen = []  # the points of the residual, in the order drawn
+    seen = []  # the points of the scalar Leibniz residual, in the order drawn
 
-    def poisoned(phi, f, p):
-        points = points_of(p)
-        seen.extend(q for q in points if q not in seen)
-        r = original(phi, f, p)
-        # NaN at the second point drawn, whether it is read alone or with the other points
-        return Multivector.scalar(r.n, complex("nan")) if len(seen) > 1 and seen[1] in points else r
+    class Poisoned(MultivectorField):
+        """The residual, NaN at the second point drawn, whether it is read alone or with the other points."""
 
-    monkeypatch.setattr(suites, "scalar_leibniz_residual", poisoned)
+        def __init__(self, residual):
+            self.n, self.inputs = residual.n, ((residual, 0),)
+
+        def evaluate(self, p):
+            points = points_of(p)
+            seen.extend(q for q in points if q not in seen)
+            r = self.inputs[0][0].at(p, 0)
+            return Multivector.scalar(r.n, complex("nan")) if len(seen) > 1 and seen[1] in points else r
+
+    original = suites._sweep
+
+    def poisoned(tallies, checks, *args):
+        checks = [(name, Identity(Poisoned(check.lhs)) if name == "leibniz/scalar" else check)
+                  for name, check in checks]
+        return original(tallies, checks, *args)
+
+    monkeypatch.setattr(suites, "_sweep", poisoned)
     code, out, _ = run_cli(capsys, "verify-identities", "--config",
                            write_config(tmp_path, "c.json", {"n": 2, "rounds": 5}))
     entries = {r["name"]: r for r in load(out)["reports"]}

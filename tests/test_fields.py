@@ -20,11 +20,13 @@ from cliffcalc.fields import (
     FDField,
     FieldError,
     GridSpec,
+    Identity,
     Points,
     PreconditionError,
     grid_residual,
     grid_residuals,
     kvector_leibniz_residual,
+    leibniz_field,
     mv_dirac,
     mv_grade_shift_mul,
     mv_laplacian,
@@ -36,7 +38,7 @@ from cliffcalc.fields import (
 from cliffcalc.cli import main
 from cliffcalc.darboux import closed_forms, eigen_check, kvector_closed_form, minus_op, plus_op
 from cliffcalc.expr import ExprDomainError, Tape
-from cliffcalc.riccati import RiccatiCandidate, harmonic_check, homogeneous_sum, riccati_check
+from cliffcalc.riccati import RiccatiCandidate, riccati_check
 from cliffcalc.suites import (
     identity_suite,
     random_expr_str,
@@ -47,7 +49,7 @@ from cliffcalc.suites import (
     random_scalar_field,
 )
 from cliffcalc.taylor import JetOrderError, Taylor
-from jets import grad
+from jets import PointField, grad
 
 
 def test_expr_field_value_and_blade_keys():
@@ -96,20 +98,6 @@ def test_lower_order_at_the_last_point_is_the_fresh_jet(seed, n, low, extra):
             repr([(m, jet.value) for m, jet in twin.evaluate(p).terms.items()])
 
 
-def _leibniz_field(gk, f, k):
-    """kvector_leibniz_residual's residual D(G f) - [D(G) f + 2 sum_j [e_j G]_{k-1} d_j(f) + (-1)^k G D(f)]
-    as one field, its sums taken in the function's order."""
-
-    def residual(lhs, dg, g, fj, f1, df):
-        rhs = dg * fj
-        for j in range(1, g.n + 1):
-            rhs = rhs + 2.0 * mv_grade_shift_mul(g, j, k - 1, mv_partial(f1, j))
-        return lhs - (rhs - g * df if k & 1 else rhs + g * df)
-
-    product = DerivedField(lambda g, fj: g * fj, (gk, 0), (f, 0))
-    return DerivedField(residual, (product.dirac, 0), (gk.dirac, 0), (gk, 0), (f, 0), (f, 1), (f.dirac, 0))
-
-
 def _graph(seed, n):
     """Random fields G, f and a k-vector field Gk, and fields built on them: D(G), G G, -Lap G, both
     factors on G, the closed forms on Gk and the graded Leibniz residual of Gk and G."""
@@ -119,7 +107,7 @@ def _graph(seed, n):
     gk = random_kvector_field(rng, n, k)
     fields = [g.dirac, g.square, g.neg_laplacian, plus_op(f).field(g), minus_op(f).field(g)]
     fields += [side for pair in closed_forms(f, gk, k).values() for side in pair]
-    return fields + [_leibniz_field(gk, g, k)], (gk, g, k)
+    return fields + [leibniz_field(gk, g, k)], (gk, g, k)
 
 
 def _assert_same_values(a, b):
@@ -229,7 +217,7 @@ def test_check_order_does_not_change_the_evaluations(monkeypatch, reverse):
     original = Tape.run
     monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
     phi = ExprField.scalar(2, "x1*x2")
-    checks = [(lambda p: (phi.value(p), 0.0), None), (harmonic_check(phi), None)]
+    checks = [(Identity(phi), None), (_harmonic(phi), None)]
     grid_residuals(checks[::-1] if reverse else checks, GridSpec.cube(2, samples_per_axis=3))
     # phi is read at order 0 and, through its Laplacian, at order 2: one run at order 2 per sample
     assert sum(points_in(p) for p in runs) == 9
@@ -293,7 +281,7 @@ def test_fd_field_is_called_at_single_points_of_a_grid_pass():
         return Multivector.scalar(1, complex(p[0]))
 
     f = FDField(1, box)
-    report = grid_residual(lambda p: (f.value(p), 0.0), GridSpec.cube(1, samples_per_axis=5))
+    report = grid_residual(Identity(f), GridSpec.cube(1, samples_per_axis=5))
     # the chunk is refused before the black box runs, and replayed one point at a time at order 0
     assert calls == [(x,) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
     # raised to order 1 afterwards, the field differentiates again at a point of that pass
@@ -389,7 +377,7 @@ def test_kvector_leibniz_random():
 def _kept_points(grid):
     """The points at which grid_residual reads a check on the grid, in order."""
     kept = []
-    grid_residual(lambda p: (kept.extend(zip(*p) if type(p[0]) is Batch else [p]) or 0.0, 0.0), grid)
+    grid_residual(Identity(PointField(grid.n, lambda p: kept.append(p) or 0.0)), grid)
     return kept
 
 
@@ -416,29 +404,34 @@ def test_grid_spec():
 def test_grid_residual_scaled_tolerance():
     g = GridSpec.cube(1, samples_per_axis=5)
     # residual 1e-8 with LHS scale 100 passes at eps 1e-9 via scaling
-    rep = grid_residual(lambda p: (1e-8, 100.0), g, eps=EPS_EXACT)
+    rep = grid_residual(Identity(_constant(1e-8), None, _constant(100.0)), g, eps=EPS_EXACT)
     assert rep.passed and rep.tolerance == pytest.approx(1e-9 * 101.0)
-    rep2 = grid_residual(lambda p: (1e-8, 0.0), g, eps=EPS_EXACT)
+    rep2 = grid_residual(Identity(_constant(1e-8)), g, eps=EPS_EXACT)
     assert not rep2.passed
     assert rep2.samples_used == 5
     with pytest.raises(FieldError):
-        grid_residual(lambda p: (0.0, 0.0), g.with_exclusion(lambda p: True))
+        grid_residual(Identity(_constant(0.0)), g.with_exclusion(lambda p: True))
+
+
+def _sample(identity, p):
+    """(r, s) of the identity at the point p, by their definition: r = |lhs - rhs|, s = |scale|."""
+    rhs, scale = (Multivector(identity.lhs.n) if x is None else x.value(p) for x in (identity.rhs, identity.scale))
+    return (identity.lhs.value(p) - rhs).norm(), scale.norm()
 
 
 def _rule_reference(checks, grid, tol, eps):
     """Each check's (pass, sup_norm, worst_point, tolerance, samples_used) by the tolerance rule's
-    definition, from (r, s) read by calling the check at each point that its exclusion chain keeps."""
+    definition, from (r, s) read from the check's identity at each point that its exclusion chain keeps."""
     def ratio(r, s, t, p):
         # r / t; a zero tol or eps ranks the samples as any positive one would
         return r / t if t else r / (1 + s if tol is None else 1.0)
 
     out = []
-    for residual_at, _, *own in checks:
+    for identity, _, *own in checks:
         samples = []  # (r, s, t, point)
         for p in (p for points, _ in grid.chunks() for p in points):
             if not any(pred(p) for pred in grid.exclusion + tuple(own)):
-                r, s = residual_at(p)
-                r = r if isinstance(r, float) else r.norm()
+                r, s = _sample(identity, p)
                 samples.append((r, s, tol if tol is not None else eps * (1 + s), p))
         nans = [x for x in samples if math.isnan(ratio(*x))]
         _, _, t, point = nans[-1] if nans else max(reversed(samples), key=lambda x: ratio(*x))
@@ -453,10 +446,14 @@ def _rule_checks():
     sup's: one that fails at eps = 1e-9, one of exact zeros that excludes x2 > 0.5, one that is NaN
     at x1 = 1, and a Riccati residual of random fields with its own mask."""
     nan = ExprField.scalar(2, "exp(700)*exp(10*x1) - exp(700)*exp(10*x1)")  # inf - inf at x1 = 1 only
-    return [(lambda p: (1e-9 * abs(p[0] - 0.3), 100 * p[0] * p[0]), None),
-            (lambda p: (2e-9 * (1 + p[1]), p[0] * p[0]), None),
-            (lambda p: (0.0, abs(p[0]) + p[1] * p[1]), None, lambda p: p[1] > 0.5),
-            (lambda p: (nan.value(p), 1.0), None),
+
+    def pair(residual, scale):
+        return Identity(PointField(2, residual), None, PointField(2, scale))
+
+    return [(pair(lambda p: 1e-9 * abs(p[0] - 0.3), lambda p: 100 * p[0] * p[0]), None),
+            (pair(lambda p: 2e-9 * (1 + p[1]), lambda p: p[0] * p[0]), None),
+            (pair(lambda p: 0.0, lambda p: abs(p[0]) + p[1] * p[1]), None, lambda p: p[1] > 0.5),
+            (Identity(nan, None, _constant(1.0, 2)), None),
             _random_checks(5, 2, False, "near")[1]]
 
 
@@ -484,7 +481,7 @@ def test_grid_residuals_follow_the_tolerance_rule(monkeypatch, sweep, tol, eps):
 
 def test_residual_report_dict():
     g = GridSpec.cube(1, samples_per_axis=3)
-    rep = grid_residual(lambda p: (abs(p[0]), 0.0), g, tol=2.0)
+    rep = grid_residual(Identity(PointField(1, lambda p: abs(p[0]))), g, tol=2.0)
     d = rep.to_dict()
     assert d["pass"] is True
     assert d["sup_norm"] == pytest.approx(1.0)
@@ -496,7 +493,7 @@ def test_residual_report_dict():
 @pytest.mark.parametrize("where", [-1.0, 0.0, 1.0])
 def test_grid_residual_non_finite_sample_is_worst_and_fails(bad, where):
     g = GridSpec.cube(1, samples_per_axis=3)
-    rep = grid_residual(lambda p: (bad if p[0] == where else 0.0, 0.0), g, tol=math.inf)
+    rep = grid_residual(Identity(PointField(1, lambda p: bad if p[0] == where else 0.0)), g, tol=math.inf)
     assert rep.worst_point == (where,)
     assert not rep.passed
     assert not math.isfinite(rep.sup_norm)
@@ -507,7 +504,7 @@ def test_grid_residual_nan_multivector_fails():
     # inf - inf: every coefficient of the field is NaN at every point
     big = "exp(700)*exp(700)*x1"
     f = ExprField(1, {"e1": f"{big} - {big}"})
-    rep = grid_residual(lambda p: (mv_value(f.at(p)), 0.0), GridSpec.cube(1, samples_per_axis=3))
+    rep = grid_residual(Identity(f), GridSpec.cube(1, samples_per_axis=3))
     assert math.isnan(rep.sup_norm)
     assert rep.worst_point is not None
     assert not rep.passed
@@ -515,12 +512,37 @@ def test_grid_residual_nan_multivector_fails():
 
 def test_require_passes_reports_through_and_names_failures():
     g = GridSpec.cube(1, samples_per_axis=3)
-    ok, = grid_residuals([(lambda p: (0.0, 0.0), "unused")], g)
-    assert ok.passed and ok == grid_residual(lambda p: (0.0, 0.0), g)
+    ok, = grid_residuals([(Identity(_constant(0.0)), "unused")], g)
+    assert ok.passed and ok == grid_residual(Identity(_constant(0.0)), g)
     with pytest.raises(PreconditionError) as err:
-        grid_residuals([(lambda p: (0.5, 0.0), "phi is not harmonic")], g)
+        grid_residuals([(Identity(_constant(0.5)), "phi is not harmonic")], g)
     assert str(err.value) == "phi is not harmonic (sup 0.5)"
-    assert err.value.report == grid_residual(lambda p: (0.5, 0.0), g)
+    assert err.value.report == grid_residual(Identity(_constant(0.5)), g)
+
+
+@pytest.mark.parametrize("raising", ["rhs", "scale"])
+def test_an_identity_reads_lhs_then_rhs_then_scale_and_a_raise_stops_it(raising):
+    reads = []
+
+    def side(name, fails_from=math.inf):
+        def fn(p):
+            reads.append(name)
+            if p[0] >= fails_from:
+                raise ValueError(f"{name} fails at {p}")
+            return p[0]
+        return PointField(1, fn)
+
+    def identity(fails_from=math.inf):
+        return Identity(side("lhs"), *(side(name, fails_from if name == raising else math.inf)
+                                       for name in ("rhs", "scale")))
+
+    grid_residuals([(identity(), None)], Points([(0.25,)]))
+    assert reads == ["lhs", "rhs", "scale"]
+    # the identity raises from x1 = 0.5 on, and the check after it at every point: the identity's
+    # raise decides, as its raise stops it and every later check from that point on
+    checks = [(identity(0.5), None), (Identity(side("later", -1.0)), None)]
+    with pytest.raises(ValueError, match=rf"^{raising} fails at \(0.5,\)$"):
+        grid_residuals(checks, GridSpec.cube(1, samples_per_axis=5))
 
 
 # -- chunked evaluation --------------------------------------------------------
@@ -536,9 +558,11 @@ def _outcome(checks, grid, chunk):
 
 
 def _random_checks(seed, n, products, mask=None):
-    """Checks over random expression fields: a Laplacian, a Riccati residual and a
-    composition of factorized operators, each built anew so no jet is cached, and
-    with `products` the Laplacian of a product of two random sums as well.
+    """Checks over random expression fields: a Laplacian, a Riccati residual, a
+    composition of factorized operators, with `products` the Laplacian of a
+    product of two random sums as well, and the graded Leibniz rule of a random
+    k-vector field and a random field for each k, the one identity that reads
+    order-1 jets of two inputs. Each is built anew, so no jet is cached.
 
     The fields are the suites' random fields, sums of monomials and of exp, sin
     and cos of one variable. `mask` gives the Riccati check, between two unmasked
@@ -552,7 +576,7 @@ def _random_checks(seed, n, products, mask=None):
     f = random_mv_field(rng, n, grades={1})
     g = random_mv_field(rng, n)
     composed = plus_op(f).field(minus_op(f).field(g))
-    checks = [(harmonic_check(phi), None),
+    checks = [(_harmonic(phi), None),
               (riccati_check(RiccatiCandidate(f, phi)), None),
               (eigen_check(composed, g, 0.7), None)]
     if mask == "near":
@@ -565,8 +589,19 @@ def _random_checks(seed, n, products, mask=None):
         checks[1] += (lambda p: abs(1 / p[0]) > 3.5,)
     if products:
         product = "*".join(f"({random_expr_str(rng, n)})" for _ in range(2))
-        checks.append((harmonic_check(ExprField.scalar(n, product)), None))
+        checks.append((_harmonic(ExprField.scalar(n, product)), None))
+    checks += [(Identity(leibniz_field(random_kvector_field(rng, n, k), g, k)), None) for k in range(n + 1)]
     return checks
+
+
+def _harmonic(phi):
+    """-Lap(phi) = 0, scaled by |phi|."""
+    return Identity(phi.neg_laplacian, None, phi)
+
+
+def _constant(x, n=1):
+    """The constant scalar field x on R^n."""
+    return ConstantField(Multivector.scalar(n, x))
 
 
 def _log_mask(n, at):
@@ -580,8 +615,8 @@ def _separate_sweeps(checks, grid):
     """The outcome of one sweep per check, in order, each over the grid with its own mask
     added: the first exception, or the reports, bit for bit."""
     try:
-        return [repr(grid_residual(residual_at, grid.with_exclusion(mask[0]) if mask else grid))
-                for residual_at, _, *mask in checks]
+        return [repr(grid_residual(identity, grid.with_exclusion(mask[0]) if mask else grid))
+                for identity, _, *mask in checks]
     except Exception as err:
         return type(err).__name__, str(err)
 
@@ -618,7 +653,7 @@ def test_chunked_reports_equal_chunk_of_one_reports(products, seed, n, samples, 
 def test_worst_point_tie_across_a_chunk_boundary():
     # x1^2 = 1 at grid indices 0-2 and 6-8; with 7 points a chunk, the last of them is in the second chunk
     grid = GridSpec.cube(2, samples_per_axis=3)
-    check = [(lambda p: (p[0] * p[0], 0.0), None)]
+    check = [(Identity(PointField(2, lambda p: p[0] * p[0])), None)]
     report, = grid_residuals(check, grid)
     assert report.worst_point == (1.0, 1.0) and report.sup_norm == 1.0
     assert _outcome(check, grid, 7) == _outcome(check, grid, 1) == [repr(report)]
@@ -630,7 +665,7 @@ def test_domain_error_in_a_later_chunk_names_its_first_point(src):
     field = ExprField.scalar(1, src)
     with pytest.raises(ExprDomainError) as err:
         ExprField.scalar(1, src).value((0.75,))
-    check = [(lambda p: (field.value(p), 0.0), None)]
+    check = [(Identity(field), None)]
     grid = GridSpec.cube(1, samples_per_axis=9)
     assert _outcome(check, grid, 7) == _outcome(check, grid, 1) == ("ExprDomainError", str(err.value))
 
@@ -638,7 +673,7 @@ def test_domain_error_in_a_later_chunk_names_its_first_point(src):
 def test_masked_point_inside_a_chunk():
     phi = ExprField.scalar(1, "x1")
     grid = GridSpec.cube(1, samples_per_axis=9).with_exclusion(lambda p: abs(scalar_of(phi.value(p))) < 0.3)
-    check = [(lambda p: (phi.value(p), 1.0), None)]
+    check = [(Identity(phi, None, _constant(1.0)), None)]
     # x1 = -0.25, 0 and 0.25 (indices 3 to 5) are masked, inside the first chunk of 7
     assert grid_residuals(check, grid)[0].samples_used == 6
     assert _outcome(check, grid, 7) == _outcome(check, grid, 1)
@@ -657,8 +692,8 @@ def test_a_point_masked_for_being_singular_leaves_its_chunk_one_batch(monkeypatc
 
     monkeypatch.setattr(Tape, "run", counting)
     inverse, log = ExprField.scalar(1, "1/x1"), ExprField.scalar(1, "log(0.9 - x1)")
-    checks = [(lambda p: (inverse.value(p), 1.0), None, lambda p: abs(p[0]) < 0.3),
-              (lambda p: (log.value(p), 1.0), None)]
+    checks = [(Identity(inverse, None, _constant(1.0)), None, lambda p: abs(p[0]) < 0.3),
+              (Identity(log, None, _constant(1.0)), None)]
     grid = GridSpec.cube(1, samples_per_axis=9)
     report, = grid_residuals(checks[:1], grid)
     assert report.samples_used == 6 and report.sup_norm == 2.0
@@ -669,23 +704,28 @@ def test_a_point_masked_for_being_singular_leaves_its_chunk_one_batch(monkeypatc
     assert runs[inverse.tape] == [6] and runs[log.tape] == [9] + [1] * 9
 
 
-def _homogeneous_sum_on_a_cube():
+def _harmonic_checks_on_a_cube():
     # phi1 = x1 and phi2 = x2 each mask their zero plane: a grid with two predicates
-    homogeneous_sum(ExprField.scalar(3, "x1"), ExprField.scalar(3, "x2"), GridSpec.cube(3, samples_per_axis=5))
+    phis = ExprField.scalar(3, "x1"), ExprField.scalar(3, "x2")
+    grid = GridSpec.cube(3, samples_per_axis=5)
+    for phi in phis:
+        grid = grid.with_exclusion(lambda p, phi=phi: abs(scalar_of(phi.value(p))) < 1e-2)
+    grid_residuals([(_harmonic(phi), None) for phi in phis], grid)
 
 
 def _pole_of_a_predicate_on_the_grid_mask():
     # the check's own predicate |1/x1| > 3.5 has no value at x1 = 0, a point that the grid excludes
     phi, inverse = ExprField.scalar(1, "x1"), ExprField.scalar(1, "1/x1")
     grid = GridSpec.cube(1, samples_per_axis=9).with_exclusion(lambda p: abs(scalar_of(phi.value(p))) < 0.3)
-    grid_residuals([(lambda p: (phi.value(p), 1.0), None, lambda p: abs(scalar_of(inverse.value(p))) > 3.5)], grid)
+    grid_residuals([(Identity(phi, None, _constant(1.0)), None, lambda p: abs(scalar_of(inverse.value(p))) > 3.5)],
+                   grid)
 
 
 # Each predicate of a check's exclusion chain is read at the points the ones before it keep, so
 # neither case replays a point. Combining a grid's predicates with `or` (whose truth value raises
 # Mixed on a partly excluded chunk) and reading a check's own predicate at the whole chunk made
 # 225 and 15 single-point runs
-@pytest.mark.parametrize("sweep", [_homogeneous_sum_on_a_cube, _pole_of_a_predicate_on_the_grid_mask])
+@pytest.mark.parametrize("sweep", [_harmonic_checks_on_a_cube, _pole_of_a_predicate_on_the_grid_mask])
 def test_an_exclusion_chain_is_read_without_a_replay(monkeypatch, sweep):
     runs = []
     original = Tape.run
@@ -721,9 +761,9 @@ def test_non_finite_and_overflowing_residuals_keep_their_exit_codes(tmp_path, ca
 
 # -- points swept together: Points and the identity suite -------------------------
 
-def _norms_of(*residuals):
-    """The checks of grid_residuals for residuals that return a number or a multivector."""
-    return [(lambda p, residual=residual: (residual(p), 0.0), None) for residual in residuals]
+def _norms_of(*fields):
+    """The checks of grid_residuals for the norms of the fields."""
+    return [(Identity(field), None) for field in fields]
 
 
 def test_points_raise_the_first_failing_point_in_order():
@@ -732,7 +772,7 @@ def test_points_raise_the_first_failing_point_in_order():
     with pytest.raises(ExprDomainError) as alone:
         ExprField.scalar(1, "log(0.6 - x1)").value((0.75,))
     with pytest.raises(ExprDomainError) as together:
-        grid_residuals(_norms_of(field.value), Points([(0.0,), (0.75,), (0.9,)]))
+        grid_residuals(_norms_of(field), Points([(0.0,), (0.75,), (0.9,)]))
     assert str(together.value) == str(alone.value)
 
 
@@ -746,14 +786,15 @@ def test_points_raise_the_first_check_in_list_order():
 
     # the second check fails from the 2nd point on, the first only at the 3rd: the first decides
     with pytest.raises(ValueError, match=r"^residual from 1.0 fails at \(1.0,\)$"):
-        grid_residuals(_norms_of(failing_from(1.0), failing_from(0.5)), Points([(0.0,), (0.5,), (1.0,)]))
+        grid_residuals(_norms_of(PointField(1, failing_from(1.0)), PointField(1, failing_from(0.5))),
+                       Points([(0.0,), (0.5,), (1.0,)]))
 
 
 def test_points_take_a_nan_as_the_sup_at_its_point():
     # x1*1e308 overflows at x1 = 10, and inf - inf is NaN there only
     src = "x1 + (x1*1e308 - x1*1e308)"
     points = Points([(0.5,), (10.0,), (-0.25,)])
-    report, = grid_residuals(_norms_of(ExprField.scalar(1, src).value), points)
+    report, = grid_residuals(_norms_of(ExprField.scalar(1, src)), points)
     alone = [ExprField.scalar(1, src).value(p).norm() for p in points]
     assert math.isnan(report.sup_norm) and math.isnan(alone[1])
     assert report.worst_point is points[1] and not report.passed
@@ -767,7 +808,7 @@ def test_points_name_the_point_where_a_field_is_not_pure():
     with pytest.raises(FieldError) as alone:
         kvector_closed_form(f, ExprField(2, {"e1": "x1", "e1^e2": "x2 - 0.25"}), 1, "plus_minus", (0.5, 0.75))
     with pytest.raises(FieldError) as together:
-        grid_residuals(_norms_of(lambda p: kvector_closed_form(f, g, 1, "plus_minus", p)[0]),
+        grid_residuals(_norms_of(PointField(2, lambda p: kvector_closed_form(f, g, 1, "plus_minus", p)[0])),
                        Points([(0.5, 0.25), (0.5, 0.75)]))
     assert str(together.value) == str(alone.value) == "field is not a pure 1-vector at (0.5, 0.75) (grades [1, 2])"
 
@@ -777,7 +818,7 @@ def test_a_lone_point_is_swept_as_itself(monkeypatch):
     original = Tape.run
     monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
     p = (0.5, -0.25)
-    report, = grid_residuals(_norms_of(ExprField.scalar(2, "x1*x2").value), Points([p]))
+    report, = grid_residuals(_norms_of(ExprField.scalar(2, "x1*x2")), Points([p]))
     # the tape runs once, on p with its plain coordinates, not on a point of Batches of one
     assert len(runs) == 1 and runs[0] is p
     assert report.sup_norm == 0.125 and report.worst_point is p
@@ -789,7 +830,7 @@ def test_a_lone_point_that_raises_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(Tape, "run", lambda self, slots, p, order: runs.append(p) or original(self, slots, p, order))
     field = ExprField.scalar(1, "log(x1 - 2)")
     with pytest.raises(ExprDomainError):
-        grid_residuals(_norms_of(field.value), Points([(0.5,)]))
+        grid_residuals(_norms_of(field), Points([(0.5,)]))
     # its outcome on its chunk is its replay's outcome, so it is not replayed
     assert len(runs) == 1
 

@@ -30,11 +30,10 @@ EXPORTS = {
     "taylor": ("JetDomainError", "JetOrderError", "Taylor"),
     "expr": ("ExprDomainError", "ExprError", "ExprSyntaxError", "ScalarExpr", "parse"),
     "fields": ("EPS_EXACT", "EPS_FD", "FD_STEP", "ConstantField", "DerivedField", "ExprField", "FDField",
-               "FieldError", "GridSpec", "MultivectorField", "PreconditionError", "ResidualReport",
+               "FieldError", "GridSpec", "Identity", "MultivectorField", "PreconditionError", "ResidualReport",
                "grid_residual", "grid_residuals", "kvector_leibniz_residual", "scalar_leibniz_residual"),
     "riccati": ("OdeBlowupError", "RiccatiCandidate", "combination_family_gap", "euler_combine", "euler_shift",
-                "harmonic_check", "homogeneous_sum", "log_derivative", "riccati_residual", "separable_solve",
-                "vector_split_residuals"),
+                "log_derivative", "riccati_residual", "separable_solve", "vector_split_residuals"),
     "darboux": ("FactorizedOperator", "PipelineResult", "darboux_kvector_pipeline", "darboux_scalar_pipeline",
                 "darboux_transform", "darboux_vector_pipeline", "eigen_check", "kvector_closed_form", "minus_op",
                 "plus_op"),
@@ -71,7 +70,7 @@ def test_every_package_export_resolves():
     assert not missing, f"cliffcalc/__init__.py exports names that do not exist: {', '.join(missing)}"
     names = Counter(name for names in table.values() for name in names)
     assert [name for name, count in names.items() if count > 1] == []
-    assert table == EXPORTS and len(names) == 66
+    assert table == EXPORTS and len(names) == 65
 
 
 # run in a fresh interpreter, so that no module of the package is loaded before it

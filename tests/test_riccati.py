@@ -15,6 +15,7 @@ from cliffcalc.fields import (
     ExprField,
     FieldError,
     GridSpec,
+    Identity,
     PreconditionError,
     grid_residual,
     mv_dirac,
@@ -26,8 +27,6 @@ from cliffcalc.riccati import (
     combination_family_gap,
     euler_combine,
     euler_shift,
-    harmonic_check,
-    homogeneous_sum,
     log_derivative,
     riccati_residual,
     separable_solve,
@@ -144,23 +143,13 @@ def test_separable_rejects_mixed_variables():
 def test_check_harmonic():
     n = 2
     grid = GridSpec.cube(n, samples_per_axis=3)
-    assert grid_residual(harmonic_check(ExprField.scalar(n, "x1*x2")), grid).passed
-    assert not grid_residual(harmonic_check(ExprField.scalar(n, "x1^2")), grid).passed
 
+    def harmonic(src):  # -Lap(phi) = 0, scaled by |phi|
+        phi = ExprField.scalar(n, src)
+        return Identity(phi.neg_laplacian, None, phi)
 
-def test_homogeneous_sum():
-    n = 3
-    cand, rep = homogeneous_sum(ExprField.scalar(n, "x1"), ExprField.scalar(n, "x2"),
-                                GridSpec.cube(n, samples_per_axis=4))
-    assert rep.passed
-    assert cand.provenance == "homogeneous_sum"
-
-
-def test_homogeneous_sum_rejects_nonharmonic():
-    n = 2
-    with pytest.raises(PreconditionError):
-        homogeneous_sum(ExprField.scalar(n, "x1^2"), ExprField.scalar(n, "x2"),
-                        GridSpec.cube(n, samples_per_axis=3))
+    assert grid_residual(harmonic("x1*x2"), grid).passed
+    assert not grid_residual(harmonic("x1^2"), grid).passed
 
 
 def test_euler_shift_worked_example():
