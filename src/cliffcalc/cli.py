@@ -22,7 +22,6 @@ from .darboux import (
 from .expr import ExprError, parse
 from .fields import (
     EPS_EXACT,
-    EPS_FD,
     ExprField,
     FieldError,
     GridSpec,
@@ -37,7 +36,6 @@ from .kernel import (
     default_mode,
 )
 from .riccati import (
-    ODE_DEFAULT_STEP,
     OdeBlowupError,
     RiccatiCandidate,
     combination_family_gap,
@@ -119,8 +117,8 @@ class _Config:
     def optional(self, key, kind, default):
         return _optional(self.raw, key, kind, default)
 
-    def eps(self, default=EPS_EXACT):
-        return _positive(self.args.tol if self.args.tol is not None else self.optional("tolerance", NUMBER, default),
+    def eps(self):
+        return _positive(self.args.tol if self.args.tol is not None else self.optional("tolerance", NUMBER, EPS_EXACT),
                          "tolerance")
 
     def number_list(self, key):
@@ -208,21 +206,18 @@ def _cmd_riccati_check(c):
 
 
 def _cmd_riccati_separable(c):
-    eps = c.eps(EPS_FD)
+    eps = c.eps()
     grid = c.grid()
     try:
         v_list = [parse(src, c.n) for src in c.require("v_list", list)]
     except ExprError as err:
         raise ConfigError(f"v_list: {err}") from err
-    x0 = c.number_list("x0")
-    f0 = c.number_list("f0")
-    step = c.optional("ode_step", NUMBER, ODE_DEFAULT_STEP)
-    try:  # an int beyond the double range is a step as infinite as JSON's Infinity
-        cand = separable_solve(v_list, x0, f0, grid.box, step=step if _finite(step) else math.inf)
-    except FieldError as err:  # malformed input, or a step too small for the box
+    try:
+        cand = separable_solve(v_list, c.number_list("x0"), c.number_list("f0"), grid.box)
+    except FieldError as err:  # malformed input, or an axis that needs too many steps
         raise ConfigError(str(err)) from err
-    except OdeBlowupError as err:
-        rep = ResidualReport(float("inf"), float("inf"), (err.x,), 0, eps, False)
+    except OdeBlowupError as err:  # no sample was taken, so the report names no point
+        rep = ResidualReport(float("inf"), float("inf"), None, 0, eps, False)
         return [("riccati", rep)], {"blow_up": {"axis": err.axis, "x": err.x}}, False
     report = riccati_residual(cand, grid, eps=eps)
     return [("riccati", report)], {}, report.passed
@@ -376,27 +371,27 @@ def main(argv=None) -> int:
                 raise ConfigError(err) from None
         _, handler = COMMANDS[args.command]
         named, extras, passed = handler(_Config(config, args))
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "config": config,
+            "reports": [{"name": name, **report.to_dict()} for name, report in named],
+            "extras": extras,
+            "overall_pass": passed,
+            "wall_time_s": time.perf_counter() - start,
+        }
+        text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+        if args.out:  # an OSError here, of a missing directory say, exits 2 like one of the config's
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (ConfigError, ExprError, AlgebraError, ModeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (PreconditionError, FieldError, ArithmeticError) as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "config": config,
-        "reports": [{"name": name, **report.to_dict()} for name, report in named],
-        "extras": extras,
-        "overall_pass": passed,
-        "wall_time_s": time.perf_counter() - start,
-    }
-    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return 0 if passed else 1
 
 

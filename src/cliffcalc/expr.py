@@ -306,9 +306,6 @@ class ScalarExpr:
         """Jet at p of this expression alone: only the nodes it reaches are evaluated."""
         return self.tape.run(self.tape.order((self.slot,)), p, order)[self.slot]
 
-    def eval(self, p) -> complex:
-        return self.taylor(p, 0).value
-
 
 def parse(source: str, n: int) -> ScalarExpr:
     return Tape(n).parse(source)

@@ -9,8 +9,9 @@ field declares its inputs and how many extra orders it reads of each, orders
 that its derivatives spend, so the fields form a graph in which each node's
 order, the most that any consumer reads, is fixed when the graph is built.
 
-Two derivative providers exist: expression-backed fields (exact jets of any
-order) and black-box fields (central finite differences, orders 0 and 1).
+Two derivative providers exist: expression-backed fields, with exact jets of
+any order, from which every command builds its fields, and black-box fields
+(central finite differences, orders 0 and 1), which no command reads.
 
 A point is a tuple of coordinates. grid_residuals also hands the fields a
 chunk of points as one point whose coordinates are Batches (batch.py), and
@@ -226,10 +227,9 @@ class ConstantField(MultivectorField):
 
 
 class FDField(MultivectorField):
-    """Black-box field differentiated by central differences (orders 0 and 1).
-
-    The black box takes one point, so a chunk of points is refused: grid_residuals
-    then evaluates that chunk one point at a time."""
+    """Black-box field differentiated by central differences (orders 0 and 1); no command reads one.
+    The black box takes one point, so a chunk of points is refused: grid_residuals then evaluates
+    that chunk one point at a time."""
 
     def __init__(self, n: int, fn):
         self.n = n

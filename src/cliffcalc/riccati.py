@@ -1,25 +1,27 @@
 """The Clifford Riccati equation D(f) + f^2 = v: residuals and constructors.
 
 Constructors cover logarithmic derivatives of Schroedinger solutions,
-separable potentials solved axis-by-axis as classical 1-D Riccati ODEs,
-and the two Euler-style combination rules for building new solutions out
-of known ones. Every construction verifies its own hypotheses numerically
+separable potentials solved axis by axis as classical 1-D Riccati ODEs in
+Taylor series, so with exact jets like every other candidate, and the two
+Euler-style combination rules for building new solutions out of known ones. Every construction verifies its own hypotheses numerically
 before claiming anything, each stated as a fields.Identity.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 from .algebra import Multivector
-from .expr import ScalarExpr, Tape, constant_expr
+from .batch import Batch
+from .expr import _BINARY, ExprDomainError, ScalarExpr, Tape, constant_expr
 from .fields import (
     EPS_EXACT,
-    FD_STEP,
     ConstantField,
     DerivedField,
     ExprField,
-    FDField,
     FieldError,
     GridSpec,
     Identity,
@@ -36,16 +38,16 @@ from .fields import (
 from .taylor import Taylor
 
 DEFAULT_DENOM_RADIUS = 1e-2
-ODE_DEFAULT_STEP = 1e-3
+ODE_ORDER = 20  # the degree of each Taylor piece of a separable axis solution
 ODE_BLOWUP_BOUND = 1e6
-ODE_MAX_STEPS = 100_000  # RK4 steps per axis, both directions together
+ODE_MAX_STEPS = 100_000  # Taylor steps per axis, both directions together
 
 
 class OdeBlowupError(ArithmeticError):
     """The 1-D Riccati flow left the trust region: finite-time singularity."""
 
     def __init__(self, axis, x, value):
-        super().__init__(f"1-D Riccati solution on axis {axis} blew up near x = {x:.6g} (|f| > {abs(value):.3g})")
+        super().__init__(f"1-D Riccati solution on axis {axis} blew up near x = {x:.6g} (|f| = {abs(value):.3g})")
         self.axis = axis
         self.x = x
 
@@ -121,97 +123,101 @@ def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
 
 
 class _AxisSolution:
-    """Dense output of one scalar Riccati ODE f' = -v(x) - f^2 via RK4.
-
-    Knots are stored on a fixed step ladder from x0 out to both box ends;
-    a query takes the nearest knot toward x0 plus one partial RK4 step,
-    so evaluation is smooth in x up to the integrator's own error.
-    """
+    """One scalar Riccati ODE f' = -v(x) - f^2, solved as a chain of Taylor polynomials (Corliss and Chang,
+    ACM TOMS 8(2), 1982): each piece is f's degree-ODE_ORDER Taylor polynomial at its start, of coefficients
+    (m + 1) f_{m+1} = -(v_m + sum_i f_i f_{m-i}). Its step is rho / e^2, rho the radius that the last two
+    coefficients give (Jorba and Zou, Exp. Math. 14(1), 2005), at most `step` and the distance left to the
+    box end. The pieces run from x0 out to both box ends; a query evaluates by Horner's rule the piece that
+    starts nearest to each of its points on the side of x0, alike for a number, a Batch and a jet."""
 
     def __init__(self, v_expr: ScalarExpr, axis: int, x0: float, f0: float,
                  lo: float, hi: float, step: float, blowup: float):
         self.axis = axis
         self.x0 = x0
-        self.step = step
         self._v = v_expr
-        self._n = v_expr.n
-        self.forward = self._march(x0, f0, hi, step, blowup)
-        self.backward = self._march(x0, f0, lo, -step, blowup)
+        tape, slots = Tape(1), {}  # v in its one variable, as x1: in n variables its jets are too large
+        for s in v_expr.tape.order((v_expr.slot,)):
+            op, a, b = v_expr.tape.nodes[s]
+            slots[s] = tape.add(op, 0 if op == "x" else a if op == "c" else slots[a], slots[b] if op in _BINARY else b)
+        self._v1 = ScalarExpr(tape, slots[v_expr.slot])
+        forward = self._march(x0, f0, hi, step, blowup, ODE_MAX_STEPS)
+        self.pieces = self._march(x0, f0, lo, -step, blowup, ODE_MAX_STEPS - len(forward))[::-1] + forward
+        self.starts = [start for start, _ in self.pieces]
 
-    def _rhs(self, x, y):
-        p = [0.0] * self._n
-        p[self.axis - 1] = x
-        return -self._v.eval(tuple(p)) - y * y
+    def _march(self, x, y, target, step, blowup, budget):
+        """(start, coefficients) of the pieces from x toward target, at most `budget`; a target behind x needs none."""
+        pieces = []
+        while (target - x) * step > 0:
+            if len(pieces) == budget:
+                raise FieldError(f"the 1-D Riccati solution on axis {self.axis} needs over {ODE_MAX_STEPS} steps")
+            try:
+                vc = self._v1.taylor((x,), ODE_ORDER).coef
+            except ExprDomainError:  # v at the point of R^n raises it again, naming v's own variable
+                self._v.taylor(tuple(x if j == self.axis - 1 else 0.0 for j in range(self._v.n)), 0)
+                raise
+            f = [complex(y)]
+            for m in range(ODE_ORDER):
+                f.append(-(vc.get(m, 0j) + sum(f[i] * f[m - i] for i in range(m + 1))) / (m + 1))
+            rho = min(abs(f[m]) ** (-1.0 / m) if f[m] else math.inf for m in (ODE_ORDER - 1, ODE_ORDER))
+            # min passes over a NaN rho, of non-finite coefficients, which the end value shows instead
+            h = min(abs(step), abs(target - x), rho / math.e ** 2)
+            end = target if h == abs(target - x) else x + math.copysign(h, step)
+            y = _horner(f, end - x)
+            if end == x or not abs(y) <= blowup:  # steps that shrink to nothing meet a singularity too
+                raise OdeBlowupError(self.axis, end, y)
+            pieces.append((x, f))
+            x = end
+        return pieces
 
-    def _rk4_step(self, x, y, h):
-        k1 = self._rhs(x, y)
-        k2 = self._rhs(x + h / 2, y + h * k1 / 2)
-        k3 = self._rhs(x + h / 2, y + h * k2 / 2)
-        k4 = self._rhs(x + h, y + h * k3)
-        return y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-
-    def _march(self, x0, f0, target, h, blowup):
-        knots = [complex(f0)]
-        x, y = x0, complex(f0)
-        steps = int(max((target - x0) / h, 0.0) + 1e-9)  # a box end behind x0 needs no step
-        for _ in range(steps):
-            y = self._rk4_step(x, y, h)
-            x += h
-            if abs(y) > blowup:
-                raise OdeBlowupError(self.axis, x, y)
-            knots.append(y)
-        return knots
+    def _piece(self, x):
+        x = x.real
+        return self.pieces[bisect.bisect_right(self.starts, x) - 1 if x >= self.x0 else
+                           bisect.bisect_left(self.starts, x)]
 
     def __call__(self, x):
-        dx = x - self.x0
-        knots = self.forward if dx >= 0 else self.backward
-        h = self.step if dx >= 0 else -self.step
-        i = min(int(abs(dx) / self.step), len(knots) - 1)
-        rem = dx - i * h
-        y = knots[i]
-        if rem:
-            y = self._rk4_step(self.x0 + i * h, y, rem)
-        return y
+        value = x.value if isinstance(x, Taylor) else x
+        if type(value) is Batch:
+            starts, coefs = zip(*map(self._piece, value))
+            start, coefs = Batch(starts), [Batch(c) for c in zip(*coefs)]
+        else:
+            start, coefs = self._piece(value)
+        return _horner(coefs, x - start)
 
 
-def separable_solve(v_list, x0, f0, box, step=ODE_DEFAULT_STEP) -> RiccatiCandidate:
+def _horner(coefs, t):
+    """sum_m coefs[m] t^m by Horner's rule."""
+    return functools.reduce(lambda y, c: y * t + c, reversed(coefs[:-1]), coefs[-1])
+
+
+def separable_solve(v_list, x0, f0, box) -> RiccatiCandidate:
     """Assemble f = sum_k f_k(x_k) e_k from per-axis 1-D Riccati solutions.
 
     Each v_k may depend only on x_k; the assembled candidate claims the
-    potential v = sum_k v_k and is a finite-difference-mode field.
+    potential v = sum_k v_k, and reads its axis solutions at the jets of the
+    coordinates, so its jets are exact at any order.
     Raises OdeBlowupError when any axis solution leaves |f| <= ODE_BLOWUP_BOUND
-    inside the box, and FieldError for malformed input or for a step that needs
-    more than ODE_MAX_STEPS steps on an axis.
+    inside the box, and FieldError for malformed input or for an axis that needs
+    more than ODE_MAX_STEPS steps.
     """
     n = len(v_list)
-    if not 0 < step < float("inf"):
-        raise FieldError("ODE step must be a finite positive number")
     if not (len(x0) == len(f0) == len(box) == n):
         raise FieldError("v_list, x0, f0 and box must all have one entry per axis")
     for k, v in enumerate(v_list, start=1):
         extra = v.variables() - {k}
         if extra:
             raise FieldError(f"potential term {k} depends on variables {sorted(extra)} besides x{k}")
-    # pad query range so finite differencing near the box edge stays inside
-    pad = 10 * FD_STEP
-    ranges = [(lo - pad, hi + pad) for lo, hi in box]
-    for k, (lo, hi) in enumerate(ranges):
-        if (abs(hi - x0[k]) + abs(x0[k] - lo)) / step > ODE_MAX_STEPS:
-            raise FieldError(f"ODE step {step!r} needs over {ODE_MAX_STEPS} steps on axis {k + 1}")
-    axes = [
-        _AxisSolution(v_list[k], k + 1, x0[k], f0[k], lo, hi, step, ODE_BLOWUP_BOUND)
-        for k, (lo, hi) in enumerate(ranges)
-    ]
-
-    def fn(p):
-        return Multivector(n, {1 << k: axes[k](p[k]) for k in range(n)})
+    axes = [_AxisSolution(v_list[k], k + 1, x0[k], f0[k], lo, hi, math.inf, ODE_BLOWUP_BOUND)
+            for k, (lo, hi) in enumerate(box)]
+    coordinates = ExprField(n, {1 << k: f"x{k + 1}" for k in range(n)})
+    f = DerivedField(lambda xj: Multivector(n, {1 << k: axes[k](xj.coeff(1 << k)) for k in range(n)}),
+                     (coordinates, 0))
 
     tape = Tape(n)
     v_total = tape.adopt(v_list[0]).slot
     for v in v_list[1:]:
         v_total = tape.add("+", v_total, tape.adopt(v).slot)
     potential = ExprField.scalar(n, ScalarExpr(tape, v_total))
-    return RiccatiCandidate(FDField(n, fn), potential, "separable")
+    return RiccatiCandidate(f, potential, "separable")
 
 
 def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=EPS_EXACT):

@@ -110,7 +110,7 @@ class Taylor:
         return cls(n, order, coef)
 
     @property
-    def coef(self):  # a copy, keyed by index; only perfbench/layertrace.py reads it, for len(t.coef)
+    def coef(self):  # a copy, keyed by index: riccati's Taylor integrator reads it, and perfbench/layertrace.py
         return dict(self._coef)
 
     # -- coefficient extraction ------------------------------------------

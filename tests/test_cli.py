@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cliffcalc.fields
+import cliffcalc.riccati
 from cliffcalc import darboux, suites
 from cliffcalc.algebra import Multivector
 from cliffcalc.batch import Batch
@@ -197,6 +198,13 @@ def test_out_flag(tmp_path, capsys):
     assert load(dest.read_text())["overall_pass"] is True
 
 
+def test_out_into_a_missing_directory_is_an_error_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", RICCATI_CFG)
+    code, out, err = run_cli(capsys, "riccati-check", "--config", cfg, "--out", str(tmp_path / "no" / "r.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_decompose_command(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {
         "n": 2, "fields": {"f": {"e1": "1"}, "v": "0 - 1", "phi": "1"},
@@ -262,6 +270,41 @@ def test_separable_start_outside_the_box_marches_only_toward_it(tmp_path, capsys
     payload = load(out)
     assert code == 0 and payload["overall_pass"] is True and "blow_up" not in payload["extras"]
     assert payload["reports"][0]["sup_norm"] < 1e-8
+
+
+def test_separable_blowup_report_names_no_point(tmp_path, capsys):
+    # no sample was taken, so the report has no point of R^2; extras.blow_up names the axis and x
+    cfg = write_config(tmp_path, "c.json", {
+        "n": 2, "v_list": ["0 - 1", "1"],
+        "grid": {"box": [[-1.0, 1.0], [-1.0, 2.0]], "samples_per_axis": 4}})
+    code, out, _ = run_cli(capsys, "riccati-separable", "--config", cfg)
+    payload = load(out)
+    assert code == 1 and payload["extras"]["blow_up"]["axis"] == 2
+    report, = payload["reports"]
+    assert report["samples_used"] == 0 and "worst_point" not in report
+
+
+def test_separable_domain_error_names_the_variable_of_its_axis(tmp_path, capsys):
+    # each axis is solved in one variable; the failing subexpression is still named in x2
+    cfg = write_config(tmp_path, "c.json", {"n": 2, "v_list": ["0 - 1", "log(x2 - 2)"],
+                                            "grid": {"samples_per_axis": 3}})
+    code, out, err = run_cli(capsys, "riccati-separable", "--config", cfg)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == "check failed: log of non-positive real value -2.0, in subexpression 'log((x2 - 2.0))'\n"
+
+
+def test_separable_sweeps_in_chunks_as_point_by_point(monkeypatch):
+    # 144 points, two chunks whose points lie in different Taylor pieces of each axis solution
+    case = {"command": "riccati-separable",
+            "config": {"n": 2, "v_list": ["0 - 1 - sin(3*x1)", "x2"], "f0": [0.3, -0.2],
+                       "grid": {"box": [[-1.0, 1.0], [-1.5, 1.0]], "samples_per_axis": 12}}}
+    calls = []
+    dirac = cliffcalc.fields.mv_dirac
+    monkeypatch.setattr(cliffcalc.fields, "mv_dirac", lambda mv: calls.append(mv) or dirac(mv))
+    chunked = run_case(case)
+    assert chunked["exit_code"] == 0 and len(calls) == 2
+    monkeypatch.setattr(cliffcalc.fields, "CHUNK", 1)
+    assert run_case(case) == chunked and len(calls) == 2 + 144
 
 
 def test_family_gap_command(tmp_path, capsys):
@@ -340,7 +383,7 @@ def test_malformed_complex_value_is_config_error(tmp_path, capsys, command, base
     ("riccati-check", {**RICCATI_CFG, "grid": {"box": 1.0}}),
     ("riccati-check", {**RICCATI_CFG, "tolerance": "1e-9"}),
     ("riccati-check", {**RICCATI_CFG, "tolerance": True}),
-    ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "ode_step": "0.001"}),
+    ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "f0": "0.5"}),
     ("riccati-separable", {"n": 1, "v_list": ["0 - 1"], "tolerance": [1e-4]}),
     ("verify-identities", {"n": 2, "rounds": 0}),
     ("verify-identities", {"n": 2, "rounds": -5}),
@@ -426,19 +469,22 @@ SEPARABLE_CFG = {"n": 2, "v_list": ["0 - 1", "0 - 1"], "grid": {"samples_per_axi
     {"f0": [0, "1"]},
     {"f0": [0.5, [1, 2]]},
     {"f0": [0.0, False]},
-    {"ode_step": 0},
-    {"ode_step": -1e-3},
     {"v_list": ["0 - 1"]},
     {"v_list": ["x2", "0"]},
-    {"ode_step": 1e-9},
-    {"ode_step": math.inf},
-    {"ode_step": math.nan},
 ])
 def test_malformed_separable_start_or_step_is_config_error(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, "c.json", {**SEPARABLE_CFG, **extra})
     code, out, err = run_cli(capsys, "riccati-separable", "--config", cfg)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_separable_axis_over_the_step_bound_is_config_error(tmp_path, capsys, monkeypatch):
+    # tanh on [-1, 1] takes more than 3 Taylor steps
+    monkeypatch.setattr(cliffcalc.riccati, "ODE_MAX_STEPS", 3)
+    code, out, err = run_cli(capsys, "riccati-separable", "--config", write_config(tmp_path, "c.json", SEPARABLE_CFG))
+    assert code == 2 and out == ""
+    assert err == "error: the 1-D Riccati solution on axis 1 needs over 3 steps\n"
 
 
 # a JSON integer beyond the double range: float() of it overflows
@@ -455,7 +501,6 @@ HUGE = 10 ** 400
     ("euler-combine", "K", HUGE),
     ("riccati-separable", "x0", [HUGE, 0.0]),
     ("riccati-separable", "f0", [0.0, -HUGE]),
-    ("riccati-separable", "ode_step", HUGE),
 ], ids=lambda v: "huge" if v == HUGE else None)
 def test_integer_beyond_the_double_range_is_config_error(tmp_path, capsys, golden, key, value):
     case = json.loads((GOLDEN_CASES[0].parent / f"{golden}.json").read_text())
@@ -780,7 +825,7 @@ GOLDEN_CALLS = {
     "euler-shift": (3, 3, 0),
     "family-gap": (3, 5, 0),
     "riccati-check": (2, 1, 0),
-    "riccati-separable": (12953, 9, 0),
+    "riccati-separable": (18, 1, 0),
     "verify-identities": (44, 80, 52),
 }
 

@@ -74,7 +74,7 @@ def json_values(numbers):
 anything = json_values(st.integers() | st.floats())
 # any JSON value whose numbers cannot ask for much work
 small = json_values(st.integers(-3, 4) | st.floats(-3, 3))
-WORK_KEYS = {"n", "samples_per_axis", "rounds", "ode_step", "box", "x0"}
+WORK_KEYS = {"n", "samples_per_axis", "rounds", "box", "x0"}
 
 number = st.floats(-2, 2)
 nonzero = st.floats(0.25, 2) | st.floats(-2, -0.25)
@@ -101,7 +101,6 @@ def configs(draw):
         "v_list": [draw(expressions(n)) for _ in range(n)],
         "x0": draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)),
         "f0": draw(st.lists(number, min_size=n, max_size=n)),
-        "ode_step": draw(st.floats(1e-3, 0.5)),
         "K": draw(complex_value),
         "K_samples": draw(st.lists(complex_value, min_size=1, max_size=3)),
         "margin": draw(number),

@@ -10,7 +10,6 @@ from cliffcalc.algebra import Multivector
 from cliffcalc.batch import Batch, Mixed
 from cliffcalc.expr import parse
 from cliffcalc.fields import (
-    EPS_FD,
     ConstantField,
     ExprField,
     FieldError,
@@ -32,7 +31,7 @@ from cliffcalc.riccati import (
     separable_solve,
     vector_split_residuals,
 )
-from cliffcalc.taylor import JetDomainError
+from cliffcalc.taylor import JetDomainError, Taylor
 
 
 def minus_one(n):
@@ -114,11 +113,59 @@ def test_axis_solution_matches_tanh():
     assert abs(sol(1.0) - 0.7615941559557649) < 1e-6
 
 
+# (v, x0, f0, box, closed-form solution): tanh for v = -1, -tan for v = 1, and for v = 0 the
+# solution 1/(x - c) through f(x0) = f0, with c = x0 - 1/f0 = 2 outside the box
+CLOSED_FORMS = [
+    ("0 - 1", 0.0, 0.0, (-2.0, 2.0), math.tanh),
+    ("1", 0.0, 0.0, (-1.2, 1.2), lambda x: -math.tan(x)),
+    ("0", 0.0, -0.5, (-1.0, 1.5), lambda x: 1.0 / (x - 2.0)),
+]
+XS = [-0.95, -0.4, 0.0, 0.37, 1.0, 1.19]
+
+
+@pytest.mark.parametrize("v, x0, f0, box, exact", CLOSED_FORMS, ids=["tanh", "minus-tan", "pole-at-2"])
+def test_axis_solution_matches_its_closed_form(v, x0, f0, box, exact):
+    sol = _AxisSolution(parse(v, 1), 1, x0, f0, *box, math.inf, 1e6)
+    batch = sol(Batch(XS))
+    jets = sol(Taylor.variable(0, Batch(XS), 1, 2))
+    for k, x in enumerate(XS):
+        for y in (sol(x), batch[k], sol(Taylor.variable(0, x, 1, 2)).value, jets.value[k]):
+            assert abs(y - exact(x)) <= 1e-12
+
+
+@pytest.mark.parametrize("v, x0, f0, box, potential", [
+    ("0 - 1", 0.0, 0.5, (-2.0, 2.0), lambda x: -1.0),
+    ("1", 0.0, 0.0, (-1.2, 1.2), lambda x: 1.0),
+    ("0", 0.0, -0.5, (-1.0, 1.5), lambda x: 0.0),
+    ("0 - 1 - sin(3*x1)", 0.3, 0.2, (-1.0, 1.0), lambda x: -1.0 - math.sin(3 * x)),
+])
+def test_axis_solution_solves_its_equation_on_its_own_jets(v, x0, f0, box, potential):
+    sol = _AxisSolution(parse(v, 1), 1, x0, f0, *box, math.inf, 1e6)
+    for x in XS:
+        jet = sol(Taylor.variable(0, x, 1, 1))
+        assert abs(jet.coef[1] + jet.value ** 2 + potential(x)) <= 1e-12
+
+
+def test_axis_solution_blows_up_at_the_pole():
+    # v = 1 from f(0) = 0 is -tan(x): |f| passes 1e6 within 1e-6 of pi/2
+    with pytest.raises(OdeBlowupError) as err:
+        _AxisSolution(parse("1", 1), 1, 0.0, 0.0, -1.0, 2.0, math.inf, 1e6)
+    assert abs(err.value.x - math.pi / 2) <= 1e-5 and err.value.axis == 1
+
+
+def test_axis_solution_counts_its_steps_in_both_directions_together(monkeypatch):
+    # at a largest step of 1/8, [-0.5, 1] takes 4 + 8 steps and [-1, 1] takes 8 + 8
+    monkeypatch.setattr(cliffcalc.riccati, "ODE_MAX_STEPS", 13)
+    assert len(_AxisSolution(parse("0 - 1", 1), 1, 0.0, 0.0, -0.5, 1.0, 0.125, 1e6).pieces) == 12
+    with pytest.raises(FieldError):
+        _AxisSolution(parse("0 - 1", 1), 1, 0.0, 0.0, -1.0, 1.0, 0.125, 1e6)
+
+
 def test_separable_assembles_tanh_field():
     n = 3
     cand = separable_solve([parse("0 - 1", n)] * n, [0.0] * n, [0.0] * n,
                            [(-0.9, 0.9)] * n)
-    rep = riccati_residual(cand, GridSpec((( -0.9, 0.9),) * n, 5), eps=EPS_FD)
+    rep = riccati_residual(cand, GridSpec((( -0.9, 0.9),) * n, 5))
     assert rep.passed
     p = (0.5, -0.2, 0.1)
     v = cand.f.value(p)
@@ -227,14 +274,6 @@ def test_family_gap_distances_match_the_euler_combine_blend():
             if abs(cmath.exp(p[0] - p[1]) * K - 1.0) >= 1e-2:
                 expected = max(expected, (candidate.f.value(p) - e3).norm())
         assert res.distances[complex(K)] == expected
-
-
-@pytest.mark.parametrize("step", [0.0, -1e-3])
-def test_separable_step_must_be_positive(step):
-    # a negative step would march each half of the axis the wrong way
-    with pytest.raises(FieldError):
-        separable_solve([parse("0 - 1", 2)] * 2, [0.0, 0.0], [0.5, 0.5],
-                        ((-1.0, 1.0), (-1.0, 1.0)), step=step)
 
 
 def test_to_json():
