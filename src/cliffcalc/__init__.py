@@ -26,8 +26,7 @@ _EXPORTS = {
                 "darboux_transform", "darboux_vector_pipeline", "eigen_check", "kvector_closed_form", "minus_op",
                 "plus_op"),
     "kernel": ("DecompositionResult", "ModeError", "PseudoscalarMode", "decompose_conjugate_solution",
-               "decompose_schrodinger_solution", "default_mode", "first_order_check", "mode_check",
-               "split_kernel"),
+               "decompose_schrodinger_solution", "default_mode", "first_order_check", "split_kernel"),
     "suites": ("identity_suite",),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,7 +10,9 @@ second-order eigenvalue problems into squares of the first-order operators
 
 whose eigenspaces for +/- lam are kernels of explicit first-order operators.
 Any solution of the second-order equation splits into the two eigenparts by
-the projectors (1/2 lam)(A +/- lam).
+the projectors (1/2 lam)(A +/- lam). PseudoscalarMode admits only units
+that square to +1; the operators read f through a guard field that raises
+ModeError at any sample of their sweep where f is not an admissible 1-vector.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .fields import (
     grade_field,
     grid_residual,
     grid_residuals,
+    mv_value,
     right_const_mul_field,
 )
 from .darboux import (FactorizedOperator, as_lambda, derived_potential, eigen_check,
@@ -64,30 +67,30 @@ def default_mode(n: int) -> PseudoscalarMode:
     return PseudoscalarMode("full_pseudoscalar" if n % 4 == 2 else "last_axis", n)
 
 
-def mode_check(mode: PseudoscalarMode, f: MultivectorField, sample_points):
-    """Validate (iE)^2 = +1 and that iE anti-commutes with f at the samples."""
-    tol = 1e-12
-    ie = mode.element
-    square = ie * ie
-    if square != Multivector.scalar(mode.n, 1 + 0j):
-        raise ModeError(f"(iE)^2 = {square.render()} instead of 1")
-    for p in sample_points:
-        fv = f.value(p)
-        if not fv.is_homogeneous(1) and fv.terms:
-            raise ModeError(f"field is not a 1-vector at {p} (grades {fv.grades()})")
-        if mode.kind == "last_axis":
-            last = abs(fv.coeff(1 << (mode.n - 1)))
-            if last > tol:
-                raise ModeError(
-                    f"last-axis mode needs a vanishing e{mode.n} component; got |{last:.3g}| at {p}")
-        anti = fv * ie + ie * fv
-        if anti.norm() > tol * (1.0 + fv.norm()):
-            raise ModeError(f"iE fails to anti-commute with the field at {p}")
+def _mode_guard(f, mode: PseudoscalarMode) -> MultivectorField:
+    """f read under the mode, one node per (f, mode) like grade_field: f's jets unchanged, or
+    ModeError where f is not a 1-vector, has an e_n part in last-axis mode, or fails to
+    anti-commute with iE. A chunk with a failing point raises, so the sweep replays it point
+    by point and reports the first one."""
+    ie, tol, last = mode.element, 1e-12, 1 << (mode.n - 1)
+
+    def guard(fj):
+        fv = mv_value(fj)
+        if fv.terms and not fv.is_homogeneous(1):
+            raise ModeError(f"field is not a 1-vector (grades {fv.grades()})")
+        if mode.kind == "last_axis" and (size := abs(fv.coeff(last))) > tol:
+            raise ModeError(f"last-axis mode needs a vanishing e{mode.n} component; got |{size:.3g}|")
+        if (fv * ie + ie * fv).norm() > tol * (1.0 + fv.norm()):
+            raise ModeError("iE fails to anti-commute with the field")
+        return fj
+
+    return f.node(("mode", mode), lambda: DerivedField(guard, (f, 0)))
 
 
 def operator_field(f, mode: PseudoscalarMode, g, variant="A") -> MultivectorField:
     """A g = (D g - g f) iE  or  B g = (D g + g f) iE as a derived field."""
-    return right_const_mul_field(FactorizedOperator(f, -1 if variant == "A" else +1).field(g), mode.element)
+    op = FactorizedOperator(_mode_guard(f, mode), -1 if variant == "A" else +1)
+    return right_const_mul_field(op.field(g), mode.element)
 
 
 def first_order_check(f, mode, lam, sign, g, variant="A") -> Identity:
@@ -100,7 +103,7 @@ def first_order_check(f, mode, lam, sign, g, variant="A") -> Identity:
         raise FieldError("sign must be +1 or -1")
     s = -1 if variant == "A" else +1
     shift = s * sign * lam * mode.element
-    member = FactorizedOperator(DerivedField(lambda fj: fj + shift, (f, 0)), s).field(g)
+    member = FactorizedOperator(DerivedField(lambda fj: fj + shift, (_mode_guard(f, mode), 0)), s).field(g)
     return Identity(member, None, DerivedField(lambda gj: lam * gj, (g, 0)))
 
 
@@ -146,16 +149,11 @@ def split_kernel(f, mode, lam, g, grid: GridSpec, variant="A", eps=EPS_EXACT,
     complementary projection; the two reassemble to g exactly.
     `preconditions` are (identity, what) checks of the inputs, verified
     in the same pass over the grid and reported before anything of the split.
+    A and the membership checks read f under the mode at every sample, so a
+    ModeError is raised in that pass too, after a failed or raising precondition.
     """
     lam = as_lambda(lam)
     checks = list(preconditions)
-    try:
-        mode_check(mode, f, [tuple(lo for lo, _ in grid.box), tuple(hi for _, hi in grid.box), grid.center])
-    except Exception:
-        # a failed precondition is reported first; the split's checks would read A under the
-        # rejected mode, where the squared-operator check can fail before the mode is reported
-        grid_residuals(checks, grid, eps=eps)
-        raise
     a_g = operator_field(f, mode, g, variant)
     half = 0.5 / lam
 

@@ -677,14 +677,24 @@ OVERFLOWING_CONCLUSION = {"n": 2, "k": 1, "lambda": 1.0,
     ("decompose", {"n": 2, "lambda": 1.0, "fields": {"f": {"e1": "1"}, "v": "0", "phi": "log(x1 + 0.5)"},
                    "grid": {"samples_per_axis": 3}},
      1, "check failed: f does not solve its Riccati equation (sup 1)\n"),
-    # the mode check, made between the preconditions and the split, comes after a raising precondition
+    # A reads f under the mode at every sample; its check comes after a raising precondition
     ("decompose", {"n": 3, "mode": "last_axis", "lambda": 1.0,
                    "fields": {"f": {"e3": "1"}, "v": "0 - 1", "phi": "log(x1 + 0.5)"},
                    "grid": {"samples_per_axis": 3}},
      1, LOG_IN_PHI),
     ("decompose", {"n": 3, "mode": "last_axis", "lambda": [0, 1.7320508075688772],
                    "fields": {"f": {"e3": "1"}, "v": "0 - 1", "phi": "exp(2*x1)"}, "grid": {"samples_per_axis": 3}},
-     2, "error: last-axis mode needs a vanishing e3 component; got |1| at (-1.0, -1.0, -1.0)\n"),
+     2, "error: last-axis mode needs a vanishing e3 component; got |1|\n"),
+    # ... and after a failed one
+    ("decompose", {"n": 3, "mode": "last_axis", "lambda": 1.0,
+                   "fields": {"f": {"e3": "1"}, "v": "0", "phi": "exp(x1)"}, "grid": {"samples_per_axis": 3}},
+     1, "check failed: f does not solve its Riccati equation (sup 1)\n"),
+    # f = e1 - tan(x3) e3 solves D f + f^2 = 0, and its e3 part vanishes at the corners and the
+    # centre but not at x3 = +/-pi/3: the mode fails there, before the squared-operator check does
+    ("decompose", {"n": 3, "mode": "last_axis", "lambda": 1.0,
+                   "fields": {"f": {"e1": "1", "e3": "0 - sin(x3)/cos(x3)"}, "v": "0", "phi": "cos(x1)"},
+                   "grid": {"box": [[-math.pi, math.pi]] * 3, "samples_per_axis": 4}},
+     2, "error: last-axis mode needs a vanishing e3 component; got |1.73|\n"),
     # v is not scalar, so the split raises at the first point; the full residual meets log's domain later
     ("riccati-check", {"n": 2, "fields": {"f": {"e1": "1"}, "v": {"1": "log(0.5 - x1)", "e1": "1"}},
                        "grid": {"samples_per_axis": 3}},
@@ -697,6 +707,7 @@ OVERFLOWING_CONCLUSION = {"n": 2, "k": 1, "lambda": 1.0,
                      "grid": {"samples_per_axis": 3}},
      1, "check failed: log of non-positive real value -0.5, in subexpression 'log((x2 + 0.5))'\n"),
 ], ids=["decompose-riccati-fails", "decompose-precondition-raises-before-mode", "decompose-mode",
+        "decompose-precondition-fails-before-mode", "decompose-mode-between-corners",
         "riccati-check-split", "darboux-kvector-eigen-fails", "euler-shift-mask"])
 def test_first_check_in_order_decides(tmp_path, capsys, command, config, code, err):
     assert run_cli(capsys, command, "--config", write_config(tmp_path, "c.json", config)) == (code, "", err)
@@ -718,9 +729,9 @@ def test_a_residual_whose_square_overflows_fails_with_its_report(tmp_path, capsy
     # f = D(phi)/phi for the harmonic phi = x1 + 2
     ("riccati-check", {"n": 2, "fields": {"f": {"e1": "1/(x1 + 2)"}, "v": "0"}, "grid": {"samples_per_axis": 3}},
      2, 0),
-    # mode_check's three corner samples of f, and the report's center values of phi and f
+    # the report's center values of phi and f
     ("decompose", {"n": 2, "lambda": 0.8, "fields": {"f": {"e1": "1"}, "v": "0 - 1", "phi": "exp(0.6*x1)"},
-                   "grid": {"samples_per_axis": 3}}, 3, 5),
+                   "grid": {"samples_per_axis": 3}}, 3, 2),
     ("darboux-kvector", {"n": 4, "k": 2, "lambda": 0.8,
                          "fields": {"f": {"e1": "0.6", "e2": "0.8"},
                                     "g": {"e2^e3": "exp(0.3*x1 + 0.3*x2 + 0.3*x3 + 0.3*x4)",
@@ -817,10 +828,10 @@ GOLDEN_CALLS = {
     "darboux-kvector": (2, 2, 1),
     "darboux-vector": (3, 2, 1),
     "darboux-vector-nonconstant-f": (3, 2, 1),
-    "decompose": (8, 6, 5),
-    "decompose-dual": (7, 6, 5),
-    "decompose-nonconstant-f": (8, 6, 5),
-    "decompose-precondition": (6, 5, 4),
+    "decompose": (5, 6, 5),
+    "decompose-dual": (4, 6, 5),
+    "decompose-nonconstant-f": (5, 6, 5),
+    "decompose-precondition": (3, 5, 4),
     "euler-combine": (3, 5, 0),
     "euler-shift": (3, 3, 0),
     "family-gap": (3, 5, 0),

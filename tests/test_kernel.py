@@ -21,7 +21,6 @@ from cliffcalc.kernel import (
     decompose_schrodinger_solution,
     default_mode,
     first_order_check,
-    mode_check,
     operator_field,
     operator_norm_gap,
     split_kernel,
@@ -37,22 +36,35 @@ def minus_one(n):
     return ExprField.scalar(n, "0 - 1")
 
 
+def accepted_modes():
+    """Every mode that PseudoscalarMode accepts for n = 1..12."""
+    return [PseudoscalarMode(kind, n) for n in range(1, 13) for kind in ("full_pseudoscalar", "last_axis")
+            if kind == "last_axis" or n % 4 == 2]
+
+
 def test_full_mode_dimension_gate():
-    for n in (2, 6):
-        mode = PseudoscalarMode("full_pseudoscalar", n)
-        ie = mode.element
-        assert ie * ie == Multivector.scalar(n, 1 + 0j)
-    for n in (3, 4, 5, 7):
-        with pytest.raises(ModeError):
-            PseudoscalarMode("full_pseudoscalar", n)
+    for n in range(1, 13):
+        if n % 4 != 2:
+            with pytest.raises(ModeError):
+                PseudoscalarMode("full_pseudoscalar", n)
     with pytest.raises(ModeError):
         PseudoscalarMode("sideways", 2)
+    # every accepted unit squares to +1 exactly, so the split needs no runtime test of (iE)^2
+    for mode in accepted_modes():
+        ie = mode.element
+        assert ie * ie == Multivector.scalar(mode.n, 1 + 0j), mode
 
 
 def test_last_axis_mode():
-    mode = PseudoscalarMode("last_axis", 3)
-    ie = mode.element
-    assert ie * ie == Multivector.scalar(3, 1 + 0j)
+    # iE anti-commutes exactly with each generator that a mode lets f have: all of them under the
+    # full pseudoscalar (n even), all but e_n on the last axis
+    for mode in accepted_modes():
+        ie = mode.element
+        allowed = range(1, mode.n + 1) if mode.kind == "full_pseudoscalar" else range(1, mode.n)
+        for j in allowed:
+            ej = Multivector.basis(mode.n, j)
+            assert (ej * ie + ie * ej).terms == {}, (mode, j)
+    assert len(accepted_modes()) == 15
 
 
 def test_default_mode():
@@ -63,17 +75,24 @@ def test_default_mode():
 
 
 def test_mode_check_rejections():
+    # the split reads f under the mode at every sample of its sweep
     n = 3
-    mode = default_mode(n)
-    pts = [(0.0, 0.0, 0.0)]
-    # e3 component present in last_axis mode
-    with pytest.raises(ModeError):
-        mode_check(mode, ExprField(n, {"e3": "1"}), pts)
-    # not a 1-vector
-    with pytest.raises(ModeError):
-        mode_check(mode, ExprField(n, {"e1^e2": "1"}), pts)
-    # fine input
-    mode_check(mode, ExprField(n, {"e1": "x2", "e2": "1"}), pts)
+    grid = GridSpec.cube(n, samples_per_axis=5)
+    for components, message in [
+        ({"e3": "1"}, "last-axis mode needs a vanishing e3 component; got |1|"),
+        ({"e1^e2": "1"}, "field is not a 1-vector (grades [2])"),
+        # each numeric rule rejects a field that the other lets through
+        ({"e1": "0.1", "e3": "9e-13"}, "iE fails to anti-commute with the field"),
+        ({"e1": "100", "e3": "1e-11"}, "last-axis mode needs a vanishing e3 component; got |1e-11|"),
+        # e3 vanishes at the corners and the centre, not at the samples between them
+        ({"e1": "1", "e3": "x3*x3*x3 - x3"}, "last-axis mode needs a vanishing e3 component; got |0.375|"),
+    ]:
+        with pytest.raises(ModeError) as err:
+            split_kernel(ExprField(n, components), default_mode(n), 1.0, ExprField.scalar(n, "1"), grid)
+        assert str(err.value) == message
+    # fine input: the mode holds at every sample, so the split goes on to its own check, which this g fails
+    with pytest.raises(PreconditionError, match="input is not in the kernel of the squared operator"):
+        split_kernel(ExprField(n, {"e1": "x2", "e2": "1"}), default_mode(n), 1.0, ExprField.scalar(n, "1"), grid)
 
 
 def test_worked_example_n2():
