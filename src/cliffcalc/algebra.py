@@ -12,7 +12,6 @@ product routine drive both exact arithmetic and derivative calculus.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from functools import lru_cache
@@ -125,8 +124,7 @@ class Multivector:
         if not isinstance(other, Multivector):
             return NotImplemented
         self._check_same(other)
-        return _signed_sum(self.n, itertools.chain(((m, 1, c) for m, c in self.terms.items()),
-                                                   ((m, sign, c) for m, c in other.terms.items())))
+        return _signed_sum(self.n, ((m, sign, c) for m, c in other.terms.items()), dict(self.terms))
 
     def __sub__(self, other):
         return self.__add__(other, -1)
@@ -210,14 +208,15 @@ def _abs_square(c):
         return Batch(map(_abs_square, c)) if type(c) is Batch else math.inf
 
 
-def _signed_sum(n, terms):
-    """The multivector sum of (blade, sign, coefficient) triples, taken in order.
+def _signed_sum(n, terms, out=None):
+    """The multivector sum of (blade, sign, coefficient) triples, taken in order, onto out: a fresh
+    dict that it owns, empty by default, or a copy of a's terms for a + b, as they are stored as is.
 
     A blade's first term is stored as c or -c, and each later one is added to
     or subtracted from the sum so far: a sign is never folded into a numeric
     factor, as c * -1 keeps the sign of a zero part that -c flips (README).
     """
-    out = {}
+    out = {} if out is None else out
     for m, sign, c in terms:
         if m in out:
             out[m] = out[m] + c if sign > 0 else out[m] - c
@@ -227,14 +226,17 @@ def _signed_sum(n, terms):
 
 
 def _multivector(n, terms, drop=True):
-    """Multivector from terms computed out of checked multivectors.
+    """Multivector owning terms, a fresh dict computed out of checked multivectors.
 
-    Drops zeros unless drop is false: a number, or a Batch zero at every point, never a jet
+    Deletes its zeros unless drop is false: a number, or a Batch zero at every point, never a jet
     (it has no truth value). Skips the checks that the public constructor makes on outside input.
     """
+    if drop:
+        for m in [m for m, c in terms.items() if not c]:
+            del terms[m]
     mv = object.__new__(Multivector)
     mv.n = n
-    mv.terms = {m: c for m, c in terms.items() if c} if drop else terms
+    mv.terms = terms
     return mv
 
 

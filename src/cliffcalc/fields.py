@@ -3,8 +3,8 @@
 A field answers `at(p, order)` with a Multivector whose coefficients are
 Taylor jets of the requested order, so Dirac derivatives, Laplacians and
 pointwise products compose freely: each derivative spends one order. Order 0
-means values: `at(p, 0)`, and a first derivative that spends a jet's last
-order, give numbers (Batches on a chunk), not jets of order 0. A derived
+means values: `at(p, 0)`, and a derivative that spends a jet's last order,
+give numbers (Batches on a chunk), not jets of order 0. A derived
 field declares its inputs and how many extra orders it reads of each, orders
 that its derivatives spend, so the fields form a graph in which each node's
 order, the most that any consumer reads, is fixed when the graph is built.
@@ -73,15 +73,9 @@ def _values(mv: Multivector) -> Multivector:
     return _multivector(mv.n, {m: _value(c) for m, c in mv.terms.items()}, drop=False)
 
 
-def _partial(c, j):
-    """The partial of the jet c along axis j (0-based): a jet, or its value where it spends c's last order."""
-    d = c.diff(j)
-    return d if d.order else d.value
-
-
 def mv_partial(mv: Multivector, j: int) -> Multivector:
     """Componentwise partial derivative along axis j (1-based)."""
-    return mv.map_coeffs(lambda t, _j=j - 1: _partial(t, _j))
+    return mv.map_coeffs(lambda t, _j=j - 1: t.partial(_j))
 
 
 def mv_dirac(mv: Multivector) -> Multivector:
@@ -90,7 +84,7 @@ def mv_dirac(mv: Multivector) -> Multivector:
     With blades as bitmasks, e_j e_m is the blade bit_j ^ m times
     product_sign(bit_j, m), so each term maps to one blade directly.
     """
-    return _signed_sum(mv.n, (((1 << j) ^ m, product_sign(1 << j, m), _partial(c, j))
+    return _signed_sum(mv.n, (((1 << j) ^ m, product_sign(1 << j, m), c.partial(j))
                               for j in range(mv.n) for m, c in mv.terms.items()))
 
 
@@ -103,9 +97,9 @@ def mv_grade_shift_mul(mv: Multivector, j: int, t: int, r: Multivector) -> Multi
 
 
 def mv_laplacian(mv: Multivector) -> Multivector:
-    """Sum over j of the j-th second partial of the coefficients, as jets even at order 0,
-    so that jets of a higher order can be subtracted from it."""
-    return _signed_sum(mv.n, ((m, 1, c.diff(j).diff(j)) for j in range(mv.n) for m, c in mv.terms.items()))
+    """Sum over j of the j-th second partial of the coefficients: values where it spends their last order.
+    The first partial is a jet, so at order 1 the second raises JetOrderError as at order 0."""
+    return _signed_sum(mv.n, ((m, 1, c.diff(j).partial(j)) for j in range(mv.n) for m, c in mv.terms.items()))
 
 
 class MultivectorField:

@@ -131,6 +131,10 @@ class Taylor:
                 out[low[0]] = c if low[1] == 1 else c * low[1]  # c * 1 is not c at a signed zero or an inf
         return Taylor(self.n, self.order - 1, out)
 
+    def partial(self, j):
+        """diff(j), or its value where it spends the last order: the coefficient of x_j, with no jet made."""
+        return self.diff(j) if self.order != 1 else self._coef.get(1 + j, 0j)
+
     def truncate(self, order):
         """The jet to a lower order: the coefficients of degree <= order, in their order."""
         size = comb(self.n + order, order)
@@ -165,6 +169,11 @@ class Taylor:
 
     def __sub__(self, other):
         return self.__add__(other, -1)
+
+    def __rsub__(self, other):
+        if isinstance(other, numbers.Complex):
+            return Taylor.constant(other, self.n, self.order) - self
+        return NotImplemented
 
     def __neg__(self):
         return Taylor(self.n, self.order, {i: -c for i, c in self._coef.items()})

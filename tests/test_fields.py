@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cliffcalc.fields
 import cliffcalc.suites
-from cliffcalc.algebra import Multivector
+from cliffcalc.algebra import Multivector, _signed_sum
 from cliffcalc.batch import Batch
 from cliffcalc.fields import (
     EPS_EXACT,
@@ -252,6 +252,75 @@ def test_laplacian_oracle():
     assert mv_value(mv_laplacian(phi.at((0.1, 0.2), 2))).scalar_part() == pytest.approx(8.0)
     harmonic = ExprField.scalar(2, "exp(x1)*sin(x2)")
     assert mv_value(mv_laplacian(harmonic.at((0.5, 0.7), 2))).norm() < 1e-12
+
+
+# a coefficient of the random jets below: a signed zero, a zero part of a non-zero number, an inf
+_SPECIAL = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), complex(1.5, -0.0), complex(math.inf, 0.0)]
+
+
+def _random_jet(rng, n, order, points):
+    """A jet with a random subset of the monomials within its order, in random order. Each coefficient
+    is a number, or on a chunk (points > 0) a Batch of one number per point, often one of _SPECIAL."""
+    def number():
+        return rng.choice(_SPECIAL) if rng.random() < 0.4 else complex(rng.uniform(-2, 2), rng.choice([-0.0, 0.5]))
+
+    indices = [i for i in range(math.comb(n + order, order)) if rng.random() < 0.7]
+    rng.shuffle(indices)
+    return Taylor(n, order, {i: Batch(number() for _ in range(points)) if points else number() for i in indices})
+
+
+def _unsigned_zeros(mv):
+    """mv's terms as text, each zero part as +0.0 (-0.0 + 0.0 is 0.0), so only the sign of a zero is lost."""
+    def unsign(z):
+        return complex(z.real + 0.0, z.imag + 0.0)
+    return repr({m: [unsign(z) for z in c] if type(c) is Batch else unsign(c) for m, c in mv.terms.items()})
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_derivatives_that_spend_the_last_order_read_the_coefficients(seed):
+    rng = random.Random(seed)
+    n, points = rng.randint(1, 3), rng.choice([0, 3])
+    for j in range(n):  # an order-1 partial is the coefficient of x_j, bit for bit diff(j).value
+        t = _random_jet(rng, n, 1, points)
+        assert repr(t.partial(j)) == repr(t.diff(j).value)  # a Batch's repr is its list's
+    mv = Multivector(n, {m: _random_jet(rng, n, 2, points) for m in rng.sample(range(1 << n), rng.randint(1, 1 << n))})
+    lap = mv_laplacian(mv)
+    # bit for bit the values of the second partials summed as numbers, in the same blade order
+    terms = ((m, 1, c.diff(j).diff(j).value) for j in range(n) for m, c in mv.terms.items())
+    assert repr(lap.terms) == repr(mv_value(_signed_sum(n, terms)).terms)
+    # the sum of the order-0 jets that the Laplacian made before: a jet's missing constant left a
+    # sum as it was, where a number adds 0j, which turns a part -0.0 into +0.0, and only that
+    jets = _signed_sum(n, ((m, 1, c.diff(j).diff(j)) for j in range(n) for m, c in mv.terms.items()))
+    assert _unsigned_zeros(lap) == _unsigned_zeros(mv_value(jets))
+    t = _random_jet(rng, n, rng.randint(0, 2), points)
+    for x in (rng.choice(_SPECIAL), rng.uniform(-2, 2), 2):
+        assert repr(list((x - t)._coef.items())) == repr(list((Taylor.constant(x, n, t.order) - t)._coef.items()))
+    with pytest.raises(TypeError):
+        object() - t
+
+
+def test_the_laplacian_of_a_missing_second_power_adds_0j():
+    # -x1*x1 has no x2^2 coefficient: the order-0 jets' sum kept -2-0j, the values' sum is -2+0j
+    lap = mv_laplacian(ExprField.scalar(2, "-x1*x1").at((0.3, 0.5), 2))
+    assert repr(lap.scalar_part()) == "(-2+0j)"
+
+
+def test_a_derivative_past_the_order_raises():
+    with pytest.raises(JetOrderError):
+        Taylor.constant(1.0, 2, 0).partial(0)
+    with pytest.raises(JetOrderError):
+        mv_laplacian(ExprField.scalar(2, "x1*x2").at((0.3, 0.5), 1))
+
+
+def test_the_suite_makes_no_jet_of_order_0(monkeypatch):
+    # a field read at order 0 gives values, and so does every derivative that spends a jet's last order
+    orders = []
+    init = Taylor.__init__
+    monkeypatch.setattr(Taylor, "__init__",
+                        lambda self, n, order, coef: orders.append(order) or init(self, n, order, coef))
+    for seed in range(1, 5):
+        identity_suite(5, seed, 20)
+    assert len(orders) > 10_000 and 0 not in orders
 
 
 def test_constant_field():
