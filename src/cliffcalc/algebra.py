@@ -182,9 +182,10 @@ class Multivector:
         return _multivector(self.n, {m: fn(c) for m, c in self.terms.items()})
 
     def norm(self):
-        """Euclidean norm of the coefficient vector, for numeric or Batch coefficients:
-        a float, or the Batch of the norms at each point."""
-        total = sum(map(_abs_square, self.terms.values()))
+        """Euclidean norm of the coefficient vector, for numeric or Batch coefficients: a float, or the Batch
+        of the norms at each point. The sum starts at the first square, as 0 + a Batch would be a pass."""
+        squares = map(_abs_square, self.terms.values())
+        total = sum(squares, next(squares, 0))
         return Batch(map(math.sqrt, total)) if type(total) is Batch else math.sqrt(total)
 
     def scalar_part(self):

@@ -8,7 +8,7 @@ transform). Pipelines verify both the hypotheses and the conclusions of
 these constructions numerically.
 
 Each operator term on a field G is one node on G (MultivectorField.node), so every
-operator on G computes it once per point: D(G) and G f for the factors, -Lap G and
+operator on G computes it once per point: D(G) and G f for the factors, Lap G and
 the drift sum for schrodinger_field. A closed form and its direct side share none.
 """
 
@@ -125,7 +125,7 @@ def closed_forms(f, g, k: int):
     with w = outer (-1)^(k+1) D(f) - f^2, outer = +1 for plus_minus and -1 for
     minus_plus: the closed form is schrodinger_field with the whole w and drift
     sign -outer, and the sum vanishes for k = 0. Returns {which: (closed_form,
-    direct)}; both forms are one graph. The closed sides share G, D(f), f^2, -Lap G and
+    direct)}; both forms are one graph. The closed sides share G, D(f), f^2, Lap G and
     the drift sum, the direct sides G, D(G) and G f; a closed and a direct side share only
     G, f and what those are built on, so a wrong closed form cannot agree with itself.
     """
@@ -165,16 +165,16 @@ def _drift(gj, fj):
 def schrodinger_field(g, w, f, s):
     """The field -Lap G + G w + 2s sum_m sum_j [e_j G_m]_{m-1} d_j(f) for G = g.
 
-    G_m is the grade-m part of G. -Lap G and the drift sum, without its factor
-    2s, are nodes on G, shared by every schrodinger_field on G (and f); G w is
-    not, as no two of them share a w. The drift sum vanishes on a scalar G, and
-    is not computed when s = 0. The pipelines, whose potential is scalar, pass
-    its scalar part (fields.grade_field), so no empty blade of w is multiplied.
+    G_m is the grade-m part of G. Lap G, subtracted from G w with no negation,
+    and the drift sum, without its factor 2s, are nodes on G, shared by every
+    schrodinger_field on G (and f); G w is not, as no two of them share a w. The
+    drift sum vanishes on a scalar G, and is not computed when s = 0. The
+    pipelines, whose potential is scalar, pass its scalar part
+    (fields.grade_field), so no empty blade of w is multiplied.
     """
-    lap = g.neg_laplacian
     drift = [(g.node(("drift", id(f)), lambda: DerivedField(_drift, (g, 0), (f, 1))), 0)] if s else []
-    return DerivedField(lambda lj, gj, wj, *dj: sum([(2.0 * s) * d for d in dj], lj + gj * wj),
-                        (lap, 0), (g, 0), (w, 0), *drift)
+    return DerivedField(lambda lj, gj, wj, *dj: sum([(2.0 * s) * d for d in dj], gj * wj - lj),
+                        (g.laplacian, 0), (g, 0), (w, 0), *drift)
 
 
 def pure_field(g, k, what):

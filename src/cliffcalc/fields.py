@@ -162,10 +162,10 @@ class MultivectorField:
         return self.node("square", lambda: DerivedField(lambda fj: fj * fj, (self, 0)))
 
     @property
-    def neg_laplacian(self) -> "MultivectorField":
-        """The field -Lap(self), one node like `dirac`; build it with the check that reads it, as
-        building it mid-sweep raises self's order and clears self's cache."""
-        return self.node("neg_laplacian", lambda: DerivedField(lambda fj: -mv_laplacian(fj), (self, 2)))
+    def laplacian(self) -> "MultivectorField":
+        """The field Lap(self), one node like `dirac`, which consumers of -Lap subtract; build it with the
+        check that reads it, as building it mid-sweep raises self's order and clears self's cache."""
+        return self.node("laplacian", lambda: DerivedField(mv_laplacian, (self, 2)))
 
     def node(self, key, build):
         """The node `key` on this field, built by build() unless a consumer holds it. Nodes are
@@ -517,9 +517,10 @@ def _outcomes(checks, exclusion, points, batch_point):
     exclusion followed by the check's own predicate; each predicate, and then the identity's
     lhs, rhs and scale in that order, is read at the points that the chain before it keeps,
     as one batch point that checks keeping the same points share, so a point masked as
-    singular fails nothing."""
+    singular fails nothing. A scale's norm at the same kept points is taken once for all
+    the checks, as a field's value there is the same for each."""
     every = tuple(range(len(points)))
-    subsets, reads = {every: batch_point}, {}
+    subsets, reads, norms = {every: batch_point}, {}, {}
 
     def each(x, count):
         """x at each of count points: a number is the same at every point."""
@@ -548,8 +549,10 @@ def _outcomes(checks, exclusion, points, batch_point):
                 rhs = None if identity.rhs is None else identity.rhs.value(p)
                 r = (lhs if rhs is None else lhs - rhs).norm()
                 scale = identity.scale  # a side that is the scale too is read once
-                s = 0.0 if scale is None else (lhs if scale is identity.lhs else rhs if scale is identity.rhs
-                                               else scale.value(p)).norm()
+                if scale is not None and (scale, kept) not in norms:
+                    norms[scale, kept] = (lhs if scale is identity.lhs else rhs if scale is identity.rhs
+                                          else scale.value(p)).norm()
+                s = 0.0 if scale is None else norms[scale, kept]
             outcomes.append((kept, each(r, len(kept)), each(s, len(kept))))
         except Exception as err:
             outcomes.append(err)

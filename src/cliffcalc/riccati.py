@@ -82,7 +82,8 @@ def riccati_residual(c: RiccatiCandidate, grid: GridSpec, tol=None, eps=EPS_EXAC
 
 def log_derivative(phi: MultivectorField, provenance="log_derivative") -> RiccatiCandidate:
     """Candidate f = D(phi)/phi with claimed potential v = -Lap(phi)/phi."""
-    return RiccatiCandidate(_quotient(phi.dirac, phi), _quotient(phi.neg_laplacian, phi), provenance)
+    neg_laplacian = DerivedField(lambda lj: -lj, (phi.laplacian, 0))
+    return RiccatiCandidate(_quotient(phi.dirac, phi), _quotient(neg_laplacian, phi), provenance)
 
 
 def _quotient(d, phi):
@@ -113,7 +114,8 @@ def vector_split_residuals(c: RiccatiCandidate, grid: GridSpec, eps=EPS_EXACT):
             raise FieldError("vector split needs a pure grade-1 candidate")
         r = lj - vj
         rv = mv_value(r)
-        if (rv - rv.grade(0) - rv.grade(2)).norm() > 1e-12 * (1.0 + rv.norm()):
+        off = rv - rv.grade(0) - rv.grade(2)  # with no blade its norm is 0.0, which exceeds nothing
+        if off.terms and off.norm() > 1e-12 * (1.0 + rv.norm()):
             raise FieldError("residual has grades outside {0, 2}; potential is not scalar")
         return r
 
@@ -229,9 +231,9 @@ def euler_shift(h: RiccatiCandidate, phi: MultivectorField, grid: GridSpec, eps=
     masked = grid.with_exclusion(lambda p: abs(scalar_of(phi.value(p))) < DEFAULT_DENOM_RADIUS)
     d = phi.dirac  # one D(phi) for the shift equation and for D(phi)/phi
 
-    # <D(phi), h> = -[D(phi) h]_0, so the equation's left side is -(-Lap(phi) + 2 [D(phi) h]_0)
-    phi_eq = DerivedField(lambda nl, dj, hj: nl + 2.0 * (dj * hj).grade(0),
-                          (phi.neg_laplacian, 0), (d, 0), (h.f, 0))
+    # <D(phi), h> = -[D(phi) h]_0, so the equation's left side is -(2 [D(phi) h]_0 - Lap(phi))
+    phi_eq = DerivedField(lambda lj, dj, hj: 2.0 * (dj * hj).grade(0) - lj,
+                          (phi.laplacian, 0), (d, 0), (h.f, 0))
     candidate = RiccatiCandidate(add_fields(_quotient(d, phi), h.f), h.potential, "euler_shift")
     *_, report = grid_residuals([(riccati_check(h), "h does not solve its Riccati equation"),
                                  (Identity(phi_eq, None, phi), "phi fails its shift equation"),

@@ -152,6 +152,8 @@ class Taylor:
         return None
 
     def __add__(self, other, sign=1):
+        """self + other, or self - other for a negative sign, at the lower order: a sum stores a coefficient
+        c that only other has as it is, since 0j + c could only clear a zero's sign, and a difference as 0j - c."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -162,7 +164,7 @@ class Taylor:
             if i < size:
                 a = out.get(i, 0j)
                 # IEEE makes a - c the bits of a + -c, in one pass, unless c is real (a signed zero differs)
-                out[i] = a + c if sign > 0 else a + -c if type(c) in (float, int) else a - c
+                out[i] = (a + c if i in out else c) if sign > 0 else a + -c if type(c) in (float, int) else a - c
         return Taylor(self.n, k, out)
 
     __radd__ = __add__
@@ -210,12 +212,14 @@ class Taylor:
     # -- analytic functions via univariate composition ---------------------
 
     def _compose(self, derivs):
-        """Sum of derivs[m]/m! * (self - value)^m, truncated."""
+        """Sum of derivs[m]/m! * (self - value)^m, truncated, for coefficients derivs: derivs[0] and the first
+        term, hat * derivs[1], as they are, with no 1 * hat nor / 1.0, which are not exact at an inf."""
         hat = Taylor(self.n, self.order, {i: c for i, c in self._coef.items() if i})  # index 0: constant
-        acc = Taylor.constant(derivs[0], self.n, self.order)
-        power = Taylor.constant(1.0, self.n, self.order)
-        fact = 1.0
-        for m in range(1, self.order + 1):
+        acc = Taylor(self.n, self.order, {0: derivs[0]})
+        if self.order:
+            acc = acc + hat * derivs[1]
+        power, fact = hat, 1.0
+        for m in range(2, self.order + 1):
             power = power * hat
             fact *= m
             acc = acc + power * (derivs[m] / fact)

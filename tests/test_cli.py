@@ -17,6 +17,7 @@ from cliffcalc.expr import Tape
 from cliffcalc.fields import ConstantField, ExprField, GridSpec, Identity, MultivectorField, ResidualReport
 from cliffcalc.kernel import DecompositionResult
 from cliffcalc.riccati import RiccatiCandidate, riccati_residual
+from batch_passes import passes_of
 from test_golden_reports import CASES as GOLDEN_CASES, run_case
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -597,6 +598,35 @@ def test_vector_split_reports_share_one_scale(tmp_path, capsys):
     assert reports["bivector_part"]["pass"] is True
 
 
+@pytest.mark.parametrize("samples", [2, 3])
+def test_vector_split_rejects_a_residual_outside_grades_0_and_2(tmp_path, capsys, samples):
+    # v = -1 + x1 e1 puts an e1 part x1 into the residual of f = e1. At 2 samples per axis every
+    # point of the chunk has it; at 3 the chunk is mixed, as x1 = 0 has none, and is replayed
+    config = {"n": 3, "fields": {"f": {"e1": "1"}, "v": {"1": "0 - 1", "e1": "x1"}},
+              "grid": {"samples_per_axis": samples}}
+    code, out, err = run_cli(capsys, "riccati-check", "--config", write_config(tmp_path, "c.json", config))
+    assert (code, out) == (1, "")
+    assert err == "check failed: residual has grades outside {0, 2}; potential is not scalar\n"
+
+
+def test_vector_split_takes_its_scale_norm_once_per_chunk(monkeypatch):
+    # the three checks of the split all scale by |D(f) + f^2|. On the golden grid, one chunk, the
+    # sweep takes each check's residual norm and that scale's norm once (the scale was taken three
+    # times), and the grade guard of the split takes no norm where the residual has no blade
+    # outside grades 0 and 2 (it took two)
+    callers = []
+    original = Multivector.norm
+
+    def counted(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(self)
+
+    monkeypatch.setattr(Multivector, "norm", counted)
+    case = json.loads((GOLDEN_CASES[0].parent / "riccati-check.json").read_text())
+    assert run_case(case)["exit_code"] == case["exit_code"] == 0
+    assert callers == ["_outcomes"] * (3 + 1)
+
+
 def test_one_large_scale_sample_no_longer_loosens_every_other_sample(tmp_path, capsys):
     # |D f + f^2| = |3 e^(3 x1) + e^(6 x1)| is about 463 at x1 = 1 and 0.15 at x1 = -1. A tolerance
     # from the largest scale, 4.6e-7, let the violation of 1e-8 through at every sample; each
@@ -863,18 +893,18 @@ def test_family_gap_reads_its_gradient_inputs_once_per_point(monkeypatch):
         assert covered[(("x", 0, None),)] == covered[(("x", 1, None),)] == samples ** 3
 
 
-def grid_darboux_full(monkeypatch):
-    """The grid-darboux benchmark case at FULL size: 3 samples per axis in 4 dimensions."""
+def benchmark_case(monkeypatch, workload, label):
+    """The benchmark case of the workload with the label, at FULL size."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)
     spec.loader.exec_module(workloads)
-    case, = workloads.build("grid-darboux", 1, workloads.FULL)
+    case, = [case for case in workloads.build(workload, 1, workloads.FULL) if case.label == label]
     return {"command": case.command, "config": case.config}
 
 
 def test_benchmark_grid_is_one_chunk(monkeypatch):
-    case = grid_darboux_full(monkeypatch)
+    case = benchmark_case(monkeypatch, "grid-darboux", "kvector")  # 3 samples per axis in 4 dimensions
     runs = []
     original = Tape.run
 
@@ -887,27 +917,21 @@ def test_benchmark_grid_is_one_chunk(monkeypatch):
     assert runs and all(points == 81 for points in runs)
 
 
-# the Batch operations that each make one pass over the points of a chunk
-BATCH_PASSES = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                "__truediv__", "__rtruediv__", "__pow__", "__neg__")
+# the most elementwise Batch passes (tests/batch_passes.py) that one run of each exact benchmark grid
+# case may make, (workload, label) -> ceiling. Each pass that README's "known exactly" list elides
+# was an identity or a value already held (grid-darboux made 759 passes, then 392), so one that
+# comes back fails here
+PASS_CEILINGS = {("grid-riccati", "exact"): 90, ("grid-darboux", "kvector"): 335, ("kernel-split", "full"): 335}
 
 
 def test_benchmark_grid_makes_no_pass_for_an_exact_identity(monkeypatch):
-    # 759 passes when derivatives multiplied by the exponent 1, a jet subtracted by adding the
-    # negation and [e_j G]_t negated G's coefficients before the product; each is exact without
-    # its pass, and 394 are left, so a pass that comes back for an identity fails here
-    case = grid_darboux_full(monkeypatch)
-    passes = []
-    for name in BATCH_PASSES:
-        def counted(self, *other, _op=getattr(Batch, name)):
-            result = _op(self, *other)
-            if result is not NotImplemented:
-                passes.append(len(self))
-            return result
-
-        monkeypatch.setattr(Batch, name, counted)
-    assert run_case(case)["exit_code"] == 0
-    assert set(passes) == {81} and len(passes) <= 394
+    for (workload, label), ceiling in PASS_CEILINGS.items():
+        case = benchmark_case(monkeypatch, workload, label)
+        code, passes = passes_of(case["command"], case["config"])
+        grid = case["config"]["grid"]
+        assert code == 0
+        assert set(passes) == {grid["samples_per_axis"] ** len(grid["box"])}, workload  # one chunk
+        assert len(passes) <= ceiling, (workload, len(passes))
 
 
 def test_verify_identities_reads_each_field_once_per_drawn_point(monkeypatch):

@@ -237,7 +237,7 @@ def test_closed_forms_share_one_laplacian_of_g(monkeypatch):
     calls = _count_calls(monkeypatch, mv_laplacian)
     entries = suites._entries(suites._closed_form_round, suites._CLOSED_FORM, random.Random(5), 3, 2)
     assert all(report.passed for _, report in entries)
-    # -Lap G is one node on G that both closed forms read: per round one call for the points of
+    # Lap G is one node on G that both closed forms read: per round one call for the points of
     # each of the 4 k-vector fields and one for those of phi, not one per form
     assert len(calls) == 2 * (4 + 1) == 10
 

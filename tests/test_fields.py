@@ -99,13 +99,13 @@ def test_lower_order_at_the_last_point_is_the_fresh_jet(seed, n, low, extra):
 
 
 def _graph(seed, n):
-    """Random fields G, f and a k-vector field Gk, and fields built on them: D(G), G G, -Lap G, both
+    """Random fields G, f and a k-vector field Gk, and fields built on them: D(G), G G, Lap G, both
     factors on G, the closed forms on Gk and the graded Leibniz residual of Gk and G."""
     rng = random.Random(seed)
     g, f = random_mv_field(rng, n), random_mv_field(rng, n, grades={1})
     k = rng.randint(0, n)
     gk = random_kvector_field(rng, n, k)
-    fields = [g.dirac, g.square, g.neg_laplacian, plus_op(f).field(g), minus_op(f).field(g)]
+    fields = [g.dirac, g.square, g.laplacian, plus_op(f).field(g), minus_op(f).field(g)]
     fields += [side for pair in closed_forms(f, gk, k).values() for side in pair]
     return fields + [leibniz_field(gk, g, k)], (gk, g, k)
 
@@ -664,8 +664,8 @@ def _random_checks(seed, n, products, mask=None):
 
 
 def _harmonic(phi):
-    """-Lap(phi) = 0, scaled by |phi|."""
-    return Identity(phi.neg_laplacian, None, phi)
+    """Lap(phi) = 0, scaled by |phi|."""
+    return Identity(phi.laplacian, None, phi)
 
 
 def _constant(x, n=1):

@@ -191,9 +191,9 @@ def test_check_harmonic():
     n = 2
     grid = GridSpec.cube(n, samples_per_axis=3)
 
-    def harmonic(src):  # -Lap(phi) = 0, scaled by |phi|
+    def harmonic(src):  # Lap(phi) = 0, scaled by |phi|
         phi = ExprField.scalar(n, src)
-        return Identity(phi.neg_laplacian, None, phi)
+        return Identity(phi.laplacian, None, phi)
 
     assert grid_residual(harmonic("x1*x2"), grid).passed
     assert not grid_residual(harmonic("x1^2"), grid).passed

@@ -178,11 +178,22 @@ def ref_jet(coef, order):
 
 
 def ref_add(x, y):
+    # a coefficient that only y has is stored as it is
     k = min(x[0], y[0])
     out = {a: c for a, c in x[1].items() if sum(a) <= k}
     for a, c in y[1].items():
         if sum(a) <= k:
-            out[a] = out.get(a, 0j) + c
+            out[a] = out[a] + c if a in out else c
+    return ref_jet(out, k)
+
+
+def ref_sub(x, y):
+    # x + (-y) in one pass: a coefficient that only y has is 0j + -c
+    k = min(x[0], y[0])
+    out = {a: c for a, c in x[1].items() if sum(a) <= k}
+    for a, c in y[1].items():
+        if sum(a) <= k:
+            out[a] = out.get(a, 0j) + -c
     return ref_jet(out, k)
 
 
@@ -200,10 +211,6 @@ def ref_mul(x, y):
             c = ca * cb
             out[m] = out[m] + c if m in out else c
     return ref_jet(out, k)
-
-
-def ref_neg(x):
-    return ref_jet({a: -c for a, c in x[1].items()}, x[0])
 
 
 def ref_scale(x, s):
@@ -231,10 +238,12 @@ def ref_compose(x, n, derivs):
     zero = (0,) * n
     order = x[0]
     hat = (order, {a: c for a, c in x[1].items() if a != zero})
-    acc = ref_jet({zero: complex(derivs[0])}, order)
-    power = ref_jet({zero: complex(1.0)}, order)
-    fact = 1.0
-    for m in range(1, order + 1):
+    # the first power is hat itself, and its term is hat * derivs[1]: derivs[0] and derivs[1] as they are
+    acc = ref_jet({zero: derivs[0]}, order)
+    if order:
+        acc = ref_add(acc, ref_scale(hat, derivs[1]))
+    power, fact = hat, 1.0
+    for m in range(2, order + 1):
         power = ref_mul(power, hat)
         fact *= m
         acc = ref_add(acc, ref_scale(power, derivs[m] / fact))
@@ -291,7 +300,7 @@ def test_index_arithmetic_matches_tuple_reference(data):
     rx, ry = ref_jet(x[1], x[0]), ref_jet(y[1], y[0])
     assert_same(tx, rx)
     assert_same(tx + ty, ref_add(rx, ry))
-    assert_same(tx - ty, ref_add(rx, ref_neg(ry)))  # one pass, bit for bit tx + (-ty)
+    assert_same(tx - ty, ref_sub(rx, ry))  # one pass, bit for bit tx + (-ty)
     assert_same(tx * ty, ref_mul(rx, ry))
     assert_same(tx * s, ref_scale(rx, s))
     assert_same(s * tx, ref_rscale(s, rx))
@@ -305,3 +314,18 @@ def test_index_arithmetic_matches_tuple_reference(data):
             tx.reciprocal()
     elif abs(ref_value(rx, n)) > 0.1:  # no overflow to NaN, which equals nothing
         assert_same(tx.reciprocal(), ref_reciprocal(rx, n))
+
+
+@pytest.mark.parametrize("c", [-0.0, complex(-0.0, -0.0), complex(math.inf, 0)])
+def test_a_sum_stores_a_one_sided_coefficient_as_it_is(c):
+    # 0j + c would give 0j for the two zeros; a difference still adds -c to 0j
+    a, b = jet(1, 1, {(0,): 2 + 0j}), jet(1, 1, {(1,): c})
+    assert repr(coef(a + b)) == repr({(0,): 2 + 0j, (1,): c})
+    assert repr(coef(a - b)) == repr({(0,): 2 + 0j, (1,): 0j + -c})
+
+
+def test_exp_scales_an_infinite_first_coefficient_once():
+    # the first term is hat * exp(0) = (inf+0j) * (1+0j), which keeps the real inf; the product
+    # 1 * hat is (inf+nanj), and (inf+nanj) * (1+0j) is (nan+nanj)
+    t = jet(1, 1, {(0,): 0j, (1,): complex(math.inf, 0)}).exp()
+    assert repr(coef(t)) == repr({(0,): 1 + 0j, (1,): complex(math.inf, math.nan)})
